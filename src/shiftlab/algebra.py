@@ -213,10 +213,6 @@ def _fmt_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def qnum(u, v=0, d=0) -> QuadraticNumber:
-    return QuadraticNumber(u, v, d)
-
-
 def qnum_compare(x: QuadraticNumber, y: QuadraticNumber) -> int:
     """Exact trichotomy: -1, 0 or 1 as x <, =, > y in the real embedding."""
     return x.compare(y)

@@ -15,6 +15,7 @@ for all of Z; report objects carry that caveat explicitly.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -235,15 +236,24 @@ def verify_generalized_projection(code: BlockCode, oracle: SequenceOracle,
     a full common period fails exactly; any other failing pair is only a
     depth-limited witness.
     """
-    if depth > MAX_PROJECTION_DEPTH:
-        raise BoundsExceededError(f"projection depth {depth} exceeds {MAX_PROJECTION_DEPTH}")
-    if radius < depth:
-        raise BoundsExceededError("projection radius must be at least the depth")
+    _check_projection_bounds(depth, radius)
     bad = [s for s in oracle.alphabet if s not in code.input_alphabet]
     if bad:
         raise AlphabetMismatchError(f"oracle symbols {bad} outside code input alphabet")
     reps = windowed_orbit_representatives(
         oracle, depth, radius, ext_lo=code.offsets[0], ext_hi=code.offsets[-1])
+    return _separation(code, reps, depth, radius)
+
+
+def _check_projection_bounds(depth, radius):
+    if depth > MAX_PROJECTION_DEPTH:
+        raise BoundsExceededError(f"projection depth {depth} exceeds {MAX_PROJECTION_DEPTH}")
+    if radius < depth:
+        raise BoundsExceededError("projection radius must be at least the depth")
+
+
+def _separation(code, reps, depth, radius) -> ProjectionResult:
+    """The separation verdict of verify_generalized_projection on given representatives."""
     outputs = {}
     for rep in reps:
         out = tuple(code.rule[tuple(rep.value(s + o) for o in code.offsets)]
@@ -326,20 +336,45 @@ def _shift_order(radius):
         yield -t
 
 
-def _rule_index(rule, patterns, out_alphabet):
-    """Position of the rule in the canonical enumeration of all total rules."""
-    digit = {s: i for i, s in enumerate(out_alphabet)}
-    idx = 0
-    for p in patterns:
-        idx = idx * len(out_alphabet) + digit[rule[p]]
-    return idx
-
-
 def _encode(pattern, digit, nsym):
     v = 0
     for s in pattern:
         v = v * nsym + digit[s]
     return v
+
+
+def _patterns_read(offsets, reps, depth):
+    """Every input pattern the separation verdict can read, whatever the rule:
+    each representative's patterns at shifts within the depth, and every
+    phase of a periodic limit word."""
+    read = set()
+    for rep in reps:
+        for s in range(-depth, depth + 1):
+            read.add(tuple(rep.value(s + o) for o in offsets))
+        if rep.periodic is not None:
+            period, pattern = rep.periodic
+            for s in range(period):
+                read.add(tuple(pattern[(s + o) % period] for o in offsets))
+    return read
+
+
+def _extensions(forced, read, size, nout):
+    """(rule index, digits) of the rules extending a forced partial rule, in
+    canonical index order, with every pattern the separation verdict cannot
+    read left at the first output symbol.  Among rules that agree on the read
+    patterns that one has the least index, so no first hit is skipped."""
+    base = [0] * size
+    for i, d in forced.items():
+        base[i] = d
+    free = sorted(read - forced.keys())
+    for choice in product(range(nout), repeat=len(free)):
+        digits = base[:]
+        for i, d in zip(free, choice):
+            digits[i] = d
+        key = 0
+        for d in digits:
+            key = key * nout + d
+        yield key, digits
 
 
 def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
@@ -349,12 +384,15 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     The canonical enumeration is: offset sets within [0, max_span] ordered
     by size then lexicographically; for each, all total rules in canonical
     index order; for each rule, shifts 0, 1, -1, 2, ...  The implementation
-    propagates the constraints the realization window forces on the rule
-    (any rule valid at a shift must extend the forced partial rule, and the
-    separation verdict only reads forced patterns), which yields the same
-    first hit as the blind enumeration at a fraction of the cost.  A found
-    pair is re-verified from scratch and reported as a desk-scale
-    certificate, never as a proof over all of Z.
+    propagates the constraints the realization window forces on the rule:
+    a rule realizes at a shift exactly when it extends that shift's forced
+    partial rule, and the separation verdict reads only the patterns of the
+    orbit-closure representatives.  The extensions of every consistent
+    partial are merged in rule-index order; the first that separates, at
+    the first shift whose partial it extends, is the blind enumeration's
+    first hit, found at a fraction of the cost.  A found pair is
+    re-verified from scratch and reported as a desk-scale certificate,
+    never as a proof over all of Z.
     """
     in_alpha = tuple(sorted(set(source.alphabet)))
     out_alpha = tuple(sorted(set(target.alphabet)))
@@ -365,6 +403,7 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
 
     want = target.window(-radius, radius)
     digit = {s: i for i, s in enumerate(in_alpha)}
+    out_digit = {s: i for i, s in enumerate(out_alpha)}
     nsym = len(in_alpha)
     tried = 0
     # conflicts cluster near the structured center, so scan n center-out
@@ -376,7 +415,8 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
         # one buffer wide enough for every shift of the realization window
         have = source.window(-2 * radius + offsets[0], 2 * radius + offsets[-1])
         rel = [o - offsets[0] for o in offsets]
-        # encoded source pattern starting at each buffer position
+        # encoded source pattern starting at each buffer position; pattern
+        # number i of the canonical pattern list encodes to i
         enc = []
         for j in range(len(have) - rel[-1]):
             v = 0
@@ -384,14 +424,14 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
                 v = v * nsym + digit[have[j + r]]
             enc.append(v)
         patterns = list(product(in_alpha, repeat=len(offsets)))
-        candidates = {}
+        partials = []       # (shift, forced output digits) in shift order
         for t in _shift_order(radius):
             forced = {}
             ok = True
             off = t + 2 * radius
             for n in scan:
                 pat = enc[n + off]
-                wanted = want[n + radius]
+                wanted = out_digit[want[n + radius]]
                 seen = forced.get(pat)
                 if seen is None:
                     forced[pat] = wanted
@@ -399,19 +439,29 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
                     ok = False
                     break
             tried += 1
-            if not ok:
+            if ok:
+                partials.append((t, forced))
+        if not partials:
+            continue
+        _check_projection_bounds(depth, radius)
+        reps = windowed_orbit_representatives(
+            source, depth, radius, ext_lo=offsets[0], ext_hi=offsets[-1])
+        read = {_encode(p, digit, nsym) for p in _patterns_read(offsets, reps, depth)}
+        distinct = {frozenset(forced.items()): forced for _, forced in partials}
+        streams = [_extensions(forced, read, len(patterns), len(out_alpha))
+                   for forced in distinct.values()]
+        last = None
+        for key, digits in heapq.merge(*streams):
+            if key == last:
                 continue
-            full = {patterns[i]: forced.get(_encode(patterns[i], digit, nsym), out_alpha[0])
-                    for i in range(len(patterns))}
-            key = _rule_index(full, patterns, out_alpha)
-            if key not in candidates:
-                candidates[key] = (full, t)
-        for key in sorted(candidates):
-            full, t = candidates[key]
-            code = BlockCode(offsets, full, in_alpha, out_alpha)
-            proj = verify_generalized_projection(code, source, depth, radius)
+            last = key
+            rule = {p: out_alpha[d] for p, d in zip(patterns, digits)}
+            code = BlockCode(offsets, rule, in_alpha, out_alpha)
+            proj = _separation(code, reps, depth, radius)
             if not proj.separates:
                 continue
+            t = next(t for t, forced in partials
+                     if all(digits[i] == d for i, d in forced.items()))
             real = verify_realization(code, shifted_oracle(source, t), target, radius)
             if not real.agrees:
                 raise AssertionError("forced rule failed its own realization recheck")
@@ -469,12 +519,14 @@ class PatternCheckResult:
         return d
 
 
-def _nonempty_exact(oracle, gs, eps, radius):
+def _nonempty_exact(oracle, buf, off, gs, eps, radius):
     """(nonempty, exact): membership of the tuple-intersection, decided exactly
-    when the oracle admits tail analysis or a rotation backend."""
+    when the oracle admits tail analysis or a rotation backend.
+
+    ``buf[n + off]`` is oracle(n) for every n the window scan reads."""
     hit = None
     for h in range(-radius, radius + 1):
-        if all(oracle.value(g + h) == e for g, e in zip(gs, eps)):
+        if all(buf[g + h + off] == e for g, e in zip(gs, eps)):
             hit = h
             break
     if hit is not None:
@@ -506,18 +558,25 @@ def intersection_pattern_check(a: SequenceOracle, b: SequenceOracle, shifts, ari
     for A exactly when it is for B.  The first mismatching tuple in
     canonical order is returned.  Verdicts are exact when both sides decide
     emptiness exactly (tail analysis or rotation backend), else windowed.
+    Each oracle is read once, over one window; a negative radius is an
+    InputError.
     """
     shifts = tuple(sorted(set(int(s) for s in shifts)))
     if set(a.alphabet) - {0, 1} or set(b.alphabet) - {0, 1}:
         raise AlphabetMismatchError("intersection patterns need binary oracles")
+    if radius < 0:
+        raise InputError(f"pattern window radius must be non-negative, got {radius}")
     total = (len(shifts) * 2) ** arity
     if total > SEARCH_TUPLE_CAP:
         raise BoundsExceededError(f"{total} tuples exceed the cap {SEARCH_TUPLE_CAP}")
+    lo = -radius + min(shifts, default=0)
+    hi = radius + max(shifts, default=0)
+    buf_a, buf_b = a.window(lo, hi), b.window(lo, hi)
     all_exact = True
     for gs in product(shifts, repeat=arity):
         for eps in product((0, 1), repeat=arity):
-            na, ea = _nonempty_exact(a, gs, eps, radius)
-            nb, eb = _nonempty_exact(b, gs, eps, radius)
+            na, ea = _nonempty_exact(a, buf_a, -lo, gs, eps, radius)
+            nb, eb = _nonempty_exact(b, buf_b, -lo, gs, eps, radius)
             all_exact = all_exact and ea and eb
             if na != nb:
                 witness = {"shifts": list(gs), "values": list(eps),

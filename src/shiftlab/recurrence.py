@@ -55,8 +55,14 @@ def _centered(radius):
         yield -h
 
 
-def _centered_rank(h):
-    return 2 * abs(h) - (1 if h > 0 else 0)
+def _scan_window(R: CandidateSet, oracle: SequenceOracle, radius: int):
+    """One buffer holding oracle(h) and oracle(h + g) for every |h| <= radius
+    and g in R, with the index offset of position 0."""
+    if radius < 0:
+        raise InputError(f"scan radius must be non-negative, got {radius}")
+    lo = -radius + min(0, min(R.elements, default=0))
+    hi = radius + max(0, max(R.elements, default=0))
+    return oracle.window(lo, hi), -lo
 
 
 @dataclass
@@ -95,6 +101,7 @@ def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int,
     is centered (h = 0, 1, -1, ...) and among the matches the smallest
     colour with its earliest h wins.  Misses over Z carry a window caveat
     unless tail analysis covers the whole scan; finite groups are exact.
+    Over Z the scan reads one window, and a negative radius is an InputError.
     """
     if group is not None:
         for g in R.elements:
@@ -106,18 +113,17 @@ def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int,
             if best is not None:
                 return RecurrenceVerdict(True, g=g, colour=best[0], h=best[1], exact=True)
         return RecurrenceVerdict(False, radius=group.order, exact=True)
+    buf, off = _scan_window(R, coloring, radius)
     exact = True
     for g in R.elements:
         best = None
         for h in _centered(radius):
-            if coloring.value(h) == coloring.value(h + g):
-                cand = (coloring.value(h), _centered_rank(h))
-                if best is None or cand < best:
-                    best = cand
+            colour = buf[h + off]
+            # centered order: the first match of a colour is its earliest h
+            if colour == buf[h + g + off] and (best is None or colour < best[0]):
+                best = (colour, h)
         if best is not None:
-            colour, rank = best
-            h = (rank + 1) // 2 if rank % 2 == 1 else -(rank // 2)
-            return RecurrenceVerdict(True, g=g, colour=colour, h=h)
+            return RecurrenceVerdict(True, g=g, colour=best[0], h=best[1])
         exact = exact and _miss_is_exact(coloring, g, radius)
     return RecurrenceVerdict(False, radius=radius, exact=exact)
 
@@ -125,17 +131,21 @@ def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int,
 def syndetic_return_check(R: CandidateSet, subset: SequenceOracle, radius: int,
                           group: FiniteGroup | None = None,
                           config=None) -> RecurrenceVerdict:
-    """First (g, h) with h and h+g (or g*h) both in the set."""
+    """First (g, h) with h and h+g (or g*h) both in the set.
+
+    Over Z the scan reads one window, and a negative radius is an InputError.
+    """
     if group is not None:
         for g in R.elements:
             for h in group.elements():
                 if config[h] == 1 and config[group.mul(g, h)] == 1:
                     return RecurrenceVerdict(True, g=g, h=h, exact=True)
         return RecurrenceVerdict(False, radius=group.order, exact=True)
+    buf, off = _scan_window(R, subset, radius)
     exact = True
     for g in R.elements:
         for h in _centered(radius):
-            if subset.value(h) == 1 and subset.value(h + g) == 1:
+            if buf[h + off] == 1 and buf[h + g + off] == 1:
                 return RecurrenceVerdict(True, g=g, h=h)
         exact = exact and _miss_is_exact(subset, g, radius)
     return RecurrenceVerdict(False, radius=radius, exact=exact)

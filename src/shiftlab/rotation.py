@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import QuadraticNumber, frac_part, solve_hit
-from .errors import InputError, RationalAlphaError, UncoveredOrbitPointError
+from .errors import InputError, MismatchedFieldError, RationalAlphaError, UncoveredOrbitPointError
 
 Q0 = QuadraticNumber(0)
 Q1 = QuadraticNumber(1)
@@ -195,7 +195,7 @@ class CircleIntervalSet:
             arcs.append((frac_part(a.lo + t), a.lo_closed, hi, a.hi_closed))
         for p in self.points:
             points.append(frac_part(p + t))
-        return CircleIntervalSet([_raw_arc(*a) for a in arcs], points)
+        return CircleIntervalSet([Arc(*a) for a in arcs], points)
 
     # -- equality / display --
 
@@ -223,10 +223,6 @@ class CircleIntervalSet:
                 for a in self.logical_arcs()]
         bits += [f"{{{p}}}" for p in self.points]
         return "Circle(" + " u ".join(bits) + ")" if bits else "Circle(empty)"
-
-
-def _raw_arc(lo, lo_closed, hi, hi_closed):
-    return Arc(lo, lo_closed, hi, hi_closed)
 
 
 def _arc_intersection(a: Arc, b: Arc):
@@ -373,6 +369,13 @@ class RotationCoding:
         self.validate()
 
     def validate(self):
+        # the integer orbit walk reads every value as a pair over alpha's field
+        values = [self.base]
+        for c in self.cells.values():
+            values += [e for a in c.arcs for e in (a.lo, a.hi)] + list(c.points)
+        for x in values:
+            if x.d and x.d != self.alpha.d:
+                raise MismatchedFieldError(self.alpha.d, x.d)
         labels = sorted(self.cells, key=str)
         for i, l1 in enumerate(labels):
             for l2 in labels[i + 1:]:
@@ -397,26 +400,18 @@ class RotationCoding:
     def orbit_point(self, n: int) -> QuadraticNumber:
         return frac_part(n * self.alpha + self.base)
 
-    def symbol_at(self, x: QuadraticNumber):
-        """Label of the cell containing the (reduced) circle point x."""
-        for label in self.labels():
-            if self.cells[label].contains(x):
-                return label
-        return None
-
-    def _fast_table(self):
+    def _integer_form(self):
         """Integer form of the coding over a common denominator.
 
         Every relevant value u + v*sqrt(d) is scaled by D = lcm of all the
         denominators to an integer pair (p, q); the orbit walk then needs
-        only integer additions and sign tests.
+        only integer additions and sign tests.  It is rebuilt on each call
+        rather than stored, so the coding stays immutable after construction.
         """
-        if getattr(self, "_fast", None) is not None:
-            return self._fast
+        labels = self.labels()
         dens = [self.alpha.u.denominator, self.alpha.v.denominator,
                 self.base.u.denominator, self.base.v.denominator]
-        pieces_by_label = []
-        for label in self.labels():
+        for label in labels:
             cell = self.cells[label]
             for a in cell.arcs:
                 dens += [a.lo.u.denominator, a.lo.v.denominator,
@@ -426,25 +421,28 @@ class RotationCoding:
         D = math.lcm(*dens)
 
         def enc(x):
-            return (int(x.u * D), int(x.v * D))
+            return (x.u.numerator * (D // x.u.denominator),
+                    x.v.numerator * (D // x.v.denominator))
 
-        for label in self.labels():
+        table = []
+        for label in labels:
             cell = self.cells[label]
             arcs = [(enc(a.lo), a.lo_closed, enc(a.hi), a.hi_closed) for a in cell.arcs]
             pts = [enc(p) for p in cell.points]
-            seam = any(a.hi == Q1 and a.hi_closed for a in cell.arcs)
-            pieces_by_label.append((label, arcs, pts, seam))
-        self._fast = (D, self.alpha.d or 2, enc(self.alpha), pieces_by_label)
-        return self._fast
+            seam = any(a.hi_closed and enc(a.hi) == (D, 0) for a in cell.arcs)
+            table.append((label, arcs, pts, seam))
+        return D, self.alpha.d, enc(self.alpha), enc(self.base), table
 
     def orbit_symbols(self, lo: int, hi: int):
         """Exact coded symbols for n = lo..hi via an incremental orbit walk.
 
-        One exact fractional part seeds the walk; each further point is an
-        integer-pair addition plus at most one wrap subtraction, and cell
-        membership is decided by integer sign tests.
+        The walk starts from D*{lo*alpha + base} as an integer pair, its
+        floor taken from an integer square root and fixed up by exact sign
+        tests; each further point is an integer-pair addition plus at most
+        one wrap subtraction, and cell membership is decided by integer
+        sign tests.  This is the library's only evaluator of coded symbols.
         """
-        D, d, (ap, aq), table = self._fast_table()
+        D, d, (ap, aq), (bp, bq), table = self._integer_form()
 
         def sign(p, q):
             if q == 0:
@@ -457,8 +455,13 @@ class RotationCoding:
                 return (p > 0) - (p < 0)
             return 1 if q > 0 else -1
 
-        start = self.orbit_point(lo)
-        p, q = int(start.u * D), int(start.v * D)
+        p, q = lo * ap + bp, lo * aq + bq
+        # |q|*sqrt(d) lies in [root, root + 1), so k starts at most 3 below the floor
+        root = math.isqrt(q * q * d)
+        k = (p + (root if q > 0 else -root)) // D - 2
+        while sign(p - (k + 1) * D, q) >= 0:
+            k += 1
+        p -= k * D
         out = []
         for n in range(lo, hi + 1):
             label_found = None
@@ -499,15 +502,6 @@ class RotationCoding:
         cell = self.cells[label]
         return RotationCoding(self.alpha, {1: cell, 0: cell.complement()},
                               self.base, name=f"{self.name}[{label}]")
-
-
-def cell_symbol(coding: RotationCoding, n: int):
-    """The label of the cell containing the n-th orbit point."""
-    x = coding.orbit_point(n)
-    label = coding.symbol_at(x)
-    if label is None:
-        raise UncoveredOrbitPointError(n, str(x))
-    return label
 
 
 def word_locus(coding: RotationCoding, word) -> CircleIntervalSet:
@@ -663,17 +657,28 @@ def _classify_one(coding: RotationCoding) -> MinimalityResult:
         return MinimalityResult(True, hits=[], resonance_bound=0)
     M = resonance_bound(coding)
     hit_times = sorted({n for n, _, _ in hits})
-    checked = set()
+    # two hit points differ by (n1 - n2)*alpha, so all hit times lie within M
+    # of each other and one window of at most 3M + 1 symbols holds every word
+    first = hit_times[0] - M
+    buf = coding.orbit_symbols(first, hit_times[-1] + M)
+    rotated = {}    # (symbol, offset) -> its cell rotated back by offset*alpha
+    loci = {}       # checked word -> its locus, folded in word_locus's order
     for length in range(1, M + 2):
         for n_h in hit_times:
             for start in range(n_h - M, n_h + 1):
-                symbols = tuple(cell_symbol(coding, start + i) for i in range(length))
-                if symbols in checked:
+                symbols = tuple(buf[start - first:start - first + length])
+                if symbols in loci:
                     continue
-                checked.add(symbols)
+                key = (symbols[-1], length - 1)
+                cell = rotated.get(key)
+                if cell is None:
+                    cell = coding.cells[key[0]].rotate(-(key[1] * coding.alpha))
+                    rotated[key] = cell
+                # the one-shorter prefix was checked at the same start one length ago
+                J = cell if length == 1 else loci[symbols[:-1]].intersect(cell)
+                loci[symbols] = J
                 word = WordPattern(tuple(range(length)), symbols)
-                J = word_locus(coding, word)
-                refutation = _finite_refutation(coding, word, J, start)
+                refutation = _finite_refutation(coding, word, J)
                 if refutation is not None:
                     word, occ, locus = refutation
                     return MinimalityResult(False, witness=word, occurrences=occ,
@@ -681,7 +686,7 @@ def _classify_one(coding: RotationCoding) -> MinimalityResult:
     return MinimalityResult(True, hits=hits, resonance_bound=M)
 
 
-def _finite_refutation(coding, word, J, start, max_grow=64):
+def _finite_refutation(coding, word, J, max_grow=64):
     """A (possibly extended) word with finite nonempty hit locus, or None.
 
     A locus that is a pure point set with a hit refutes directly.  A locus
@@ -709,10 +714,11 @@ def _finite_refutation(coding, word, J, start, max_grow=64):
         return None
     # mixed locus: extend the reading of the sequence around the hit occurrence
     h0 = hits[0]
+    length = len(word.offsets)
+    buf = coding.orbit_symbols(h0 - max_grow, h0 + length - 1 + max_grow)
     for grow in range(1, max_grow + 1):
-        lo, hi = -grow, len(word.offsets) - 1 + grow
-        symbols = tuple(cell_symbol(coding, h0 + i) for i in range(lo, hi + 1))
-        bigger = WordPattern(tuple(range(hi - lo + 1)), symbols)
+        symbols = tuple(buf[max_grow - grow:max_grow + length + grow])
+        bigger = WordPattern(tuple(range(len(symbols))), symbols)
         J2 = word_locus(coding, bigger)
         if not J2.has_interior():
             occ = hit_list(J2)

@@ -78,9 +78,6 @@ class FiniteSystem:
     def is_transitive_point(self, i: int) -> bool:
         return len(self.orbit_of(i)) == len(self.points)
 
-    def transitive_points(self):
-        return [i for i in range(len(self.points)) if self.is_transitive_point(i)]
-
     def satisfies_action_law(self, kind: str | None = None) -> tuple:
         """(ok, witness): exhaustive check of the composition law."""
         kind = kind or self.action_kind

@@ -172,7 +172,7 @@ class RotationOracle(SequenceOracle):
         self.alphabet = tuple(coding.labels())
 
     def value(self, n):
-        return _rotation.cell_symbol(self.coding, n)
+        return self.coding.orbit_symbols(n, n)[0]
 
     def window(self, lo, hi):
         if lo > hi:

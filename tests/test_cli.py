@@ -255,6 +255,14 @@ def test_recur_chromatic_cli(files, capsys):
     assert doc["verdict"]["found"] is True
 
 
+def test_recur_chromatic_negative_window_exits_2(files, capsys):
+    assert run_cli("recur", "chromatic", "--set", files["cand.yaml"],
+                   "--coloring", files["b.yaml"], "--window", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_recur_eqtech_cli(files, capsys):
     assert run_cli("recur", "eqtech", "--context", files["z3b.yaml"], "--json") == 0
     doc = json.loads(capsys.readouterr().out)

@@ -146,6 +146,9 @@ def test_search_span_cap_for_binary():
     (PeriodicOracle((0, 1, 1)), PeriodicOracle((0, 1, 1)), 2, 3, 12),
     (SetOracle(include=[0]), SetOracle(include=[2]), 2, 3, 8),
     (STEP, ZERO, 1, 2, 6),
+    # the first hit extends only the partial rule forced at shift -4 and reads
+    # a pattern that partial leaves free
+    (SetOracle(include=[15]), SetOracle(include=[10]), 1, 3, 13),
 ])
 def test_search_matches_blind_enumeration(target, source, span, depth, radius):
     fast = search_isomorphism_code(target, source, span, depth, radius)
@@ -208,6 +211,12 @@ def test_pattern_check_distinguishes_step_from_zero():
 def test_pattern_check_requires_binary():
     with pytest.raises(AlphabetMismatchError):
         intersection_pattern_check(PeriodicOracle((0, 1, 2)), ZERO, [0], 1, 10)
+
+
+def test_pattern_check_rejects_negative_radius():
+    # a negative window used to compare two empty scans and report "equivalent"
+    with pytest.raises(InputError):
+        intersection_pattern_check(STEP, ZERO, [0], 1, -3)
 
 
 def test_pattern_check_tuple_cap():

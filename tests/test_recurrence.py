@@ -72,6 +72,12 @@ def test_finite_group_chromatic_check_is_exact():
     assert not res2.found and res2.exact
 
 
+@pytest.mark.parametrize("check", [chromatic_recurrence_check, syndetic_return_check])
+def test_negative_radius_rejected(check):
+    with pytest.raises(InputError):
+        check(CandidateSet.integers([1]), EVENS, -1)
+
+
 # -- syndetic returns -------------------------------------------------------------
 
 def test_rotation_set_one_third_returns_under_step_one():

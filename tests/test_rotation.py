@@ -1,16 +1,21 @@
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab.algebra import QuadraticNumber
-from shiftlab.errors import InputError, RationalAlphaError
+from shiftlab.algebra import QuadraticNumber, frac_part
+from shiftlab.errors import (
+    InputError,
+    MismatchedFieldError,
+    RationalAlphaError,
+    UncoveredOrbitPointError,
+)
 from shiftlab.rotation import (
     Arc,
     CircleIntervalSet,
     RotationCoding,
     boundary_hits,
-    cell_symbol,
     classify_minimality,
     classify_word,
     normalize,
@@ -153,22 +158,104 @@ def test_complement_involution_and_disjointness():
 
 # -- cell symbols -----------------------------------------------------------------
 
+def cell_symbol(coding, n):
+    """Brute-force reference for coded symbols: the n-th orbit point in
+    Fraction arithmetic, then exact cell membership."""
+    x = coding.orbit_point(n)
+    for label in coding.labels():
+        if coding.cells[label].contains(x):
+            return label
+    raise UncoveredOrbitPointError(n, str(x))
+
+
 def test_cell_symbol_middle_third():
     coding = RotationCoding(ALPHA, {
         1: CircleIntervalSet([arc("1/3", False, "2/3", False)]),
         0: CircleIntervalSet([arc("1/3", False, "2/3", False)]).complement(),
     })
-    assert cell_symbol(coding, 0) == 0
+    assert cell_symbol(coding, 0) == RotationOracle(coding).value(0) == 0
 
 
 def test_cell_symbol_sturmian_boundary_hit(sturmian):
-    assert cell_symbol(sturmian, 1) == 0  # the orbit lands exactly on alpha
+    # the orbit lands exactly on alpha
+    assert cell_symbol(sturmian, 1) == RotationOracle(sturmian).value(1) == 0
 
 
 def test_cell_symbol_four_colouring_start(four_colouring):
-    assert cell_symbol(four_colouring, 0) == 1
-    assert cell_symbol(four_colouring, 1) == 2
-    assert cell_symbol(four_colouring, 2) == 2
+    assert [cell_symbol(four_colouring, n) for n in range(3)] == [1, 2, 2]
+    assert four_colouring.orbit_symbols(0, 2) == [1, 2, 2]
+
+
+POINT_LABEL = 9
+
+
+@st.composite
+def random_codings(draw):
+    """A coding with cut points that are rationals (0 included), k*alpha or
+    k*alpha + base, random closure at each cut (left arc, right arc, or an
+    isolated point cell), and a base that is 0, rational or a multiple of
+    alpha.  Returns the coding and the times its orbit meets a cut point or
+    the seam at 0."""
+    d = draw(st.sampled_from((2, 3, 5, 7)))
+    c = draw(st.sampled_from((1, 2, 3)))
+    alpha = frac_part(Q(F(draw(st.integers(-3, 3)), c), F(draw(st.sampled_from((1, -1, 2))), c), d))
+    base_kind = draw(st.sampled_from(("zero", "rational", "multiple")))
+    times = [0]
+    if base_kind == "zero":
+        base = Q(0)
+    elif base_kind == "rational":
+        base = Q(F(draw(st.integers(1, 6)), 7))
+    else:
+        j = draw(st.integers(-4, 4))
+        base = frac_part(j * alpha)
+        times.append(-j)  # the orbit point at -j is the seam point 0
+    cuts = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(("rational", "multiple", "hit")))
+        if kind == "rational":
+            q = draw(st.sampled_from((2, 5, 12)))
+            cut = Q(F(draw(st.integers(0, q - 1)), q))
+        else:
+            k = draw(st.integers(-4, 4))
+            cut = frac_part(k * alpha + (base if kind == "hit" else 0))
+            if kind == "hit":
+                times.append(k)
+        if all(cut != other for other in cuts):
+            cuts.append(cut)
+    assume(len(cuts) >= 2)
+    cuts.sort(key=cmp_to_key(lambda x, y: x.compare(y)))
+    m = len(cuts)
+    owner = [draw(st.sampled_from(("left", "right", "point"))) for _ in range(m)]
+    cells = {}
+    for i in range(m):
+        piece = Arc(cuts[i], owner[i] == "right", cuts[(i + 1) % m], owner[(i + 1) % m] == "left")
+        cells.setdefault(draw(st.integers(0, 2)), []).append(piece)
+    cells = {label: CircleIntervalSet(pieces) for label, pieces in cells.items()}
+    points = [cuts[i] for i in range(m) if owner[i] == "point"]
+    if points:
+        cells[POINT_LABEL] = CircleIntervalSet((), points)
+    return RotationCoding(alpha, cells, base), times
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_walk_matches_fraction_oracle(data):
+    coding, times = data.draw(random_codings())
+    centre = data.draw(st.sampled_from(times) | st.integers(-60, 60))
+    lo = centre - data.draw(st.integers(0, 6))
+    hi = centre + data.draw(st.integers(0, 6))
+    want = [cell_symbol(coding, n) for n in range(lo, hi + 1)]
+    assert coding.orbit_symbols(lo, hi) == want
+    oracle = RotationOracle(coding)
+    assert [oracle.value(n) for n in range(lo, hi + 1)] == want
+
+
+def test_mixed_field_coding_rejected():
+    # endpoints over sqrt(3) cannot be compared with an orbit over sqrt(5)
+    cut = Q(-1, 1, 3)
+    cell = CircleIntervalSet([Arc(Q(0), True, cut, False)])
+    with pytest.raises(MismatchedFieldError):
+        RotationCoding(ALPHA, {0: cell, 1: cell.complement()})
 
 
 def test_rational_alpha_rejected():
