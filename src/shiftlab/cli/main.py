@@ -363,10 +363,7 @@ def dispatch(args) -> Report:
 
     if args.command == "recur":
         if args.subcommand == "eqtech":
-            doc = scenarios.load_scenario(args.context)
-            if doc["kind"] != "candidate-set":
-                raise InputError(f"{args.context}: expected a candidate-set scenario")
-            S = scenarios.build_candidate_set(doc)
+            S = _load(args.context, "candidate-set", scenarios.build_candidate_set)
             if not isinstance(S, list):
                 raise InputError("eqtech needs z3b elements ({r, support} mappings)")
             res = eqtech_search(S, args.support_bound, args.search_bound)
@@ -378,10 +375,7 @@ def dispatch(args) -> Report:
                 lines.append(f"c = {res.c}, x = {res.x}")
             return Report("recur eqtech", verdict,
                           "exact" if res.found else "search-exhausted", lines=lines)
-        cand_doc = scenarios.load_scenario(args.candidates)
-        if cand_doc["kind"] != "candidate-set":
-            raise InputError(f"{args.candidates}: expected a candidate-set scenario")
-        R = scenarios.build_candidate_set(cand_doc)
+        R = _load(args.candidates, "candidate-set", scenarios.build_candidate_set)
         if isinstance(R, list):
             raise InputError("chromatic/syndetic checks need integer candidate sets")
         if args.subcommand == "chromatic":

@@ -133,7 +133,12 @@ class RealizationResult:
 
 def verify_realization(code: BlockCode, source: SequenceOracle,
                        target: SequenceOracle, radius: int) -> RealizationResult:
-    """Does the coded source agree with the target on [-radius, radius]?"""
+    """Does the coded source agree with the target on [-radius, radius]?
+
+    A negative radius is an InputError, not a vacuous agreement.
+    """
+    if radius < 0:
+        raise InputError(f"realization window radius must be non-negative, got {radius}")
     image = apply_code(code, source)
     got = image.window(-radius, radius)
     want = target.window(-radius, radius)
@@ -246,6 +251,8 @@ def verify_generalized_projection(code: BlockCode, oracle: SequenceOracle,
 
 
 def _check_projection_bounds(depth, radius):
+    if radius < 0:
+        raise InputError(f"projection window radius must be non-negative, got {radius}")
     if depth > MAX_PROJECTION_DEPTH:
         raise BoundsExceededError(f"projection depth {depth} exceeds {MAX_PROJECTION_DEPTH}")
     if radius < depth:
@@ -392,8 +399,10 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     the first shift whose partial it extends, is the blind enumeration's
     first hit, found at a fraction of the cost.  A found pair is
     re-verified from scratch and reported as a desk-scale certificate,
-    never as a proof over all of Z.
+    never as a proof over all of Z.  A negative radius is an InputError.
     """
+    if radius < 0:
+        raise InputError(f"search window radius must be non-negative, got {radius}")
     in_alpha = tuple(sorted(set(source.alphabet)))
     out_alpha = tuple(sorted(set(target.alphabet)))
     if len(in_alpha) <= 2 and max_span > 4:

@@ -14,6 +14,7 @@ input, a NotFoundInWindow verdict is only as strong as its window flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .algebra import FiniteGroup, Z3BElement, z3b_f
 from .errors import BoundsExceededError, InputError
@@ -155,19 +156,6 @@ def syndetic_return_check(R: CandidateSet, subset: SequenceOracle, radius: int,
 # The two-part witness search on Z/3Z (+) B
 # ---------------------------------------------------------------------------
 
-def _elements_with_support_in(bound):
-    """All group elements with support inside {1..bound}, in canonical order."""
-    out = []
-    indices = list(range(1, bound + 1))
-    from itertools import combinations
-    for size in range(bound + 1):
-        for support in combinations(indices, size):
-            for r in (0, 1, 2):
-                out.append(Z3BElement(r, frozenset(support)))
-    out.sort(key=Z3BElement.sort_key)
-    return out
-
-
 @dataclass
 class EqtechResult:
     found: bool
@@ -204,8 +192,15 @@ def eqtech_search(S, support_bound: int, search_bound: int | None = None) -> Eqt
     if any(max(a.support, default=0) > support_bound for a in S):
         raise InputError("an element of S has support beyond the stated bound")
     by_size = {}
-    for e in _elements_with_support_in(search_bound):
-        by_size.setdefault(len(e.support), []).append(e)
+
+    def of_size(k):
+        # built on first use, already in Z3BElement.sort_key order: supports
+        # lexicographically, then r
+        if k not in by_size:
+            by_size[k] = [Z3BElement(r, frozenset(support))
+                          for support in combinations(range(1, search_bound + 1), k)
+                          for r in (0, 1, 2)]
+        return by_size[k]
 
     def pairs():
         # total support size, then lexicographic on (c, x) sort keys
@@ -214,8 +209,8 @@ def eqtech_search(S, support_bound: int, search_bound: int | None = None) -> Eqt
                 x_size = total - c_size
                 if x_size > search_bound:
                     continue
-                for c in by_size[c_size]:
-                    for x in by_size[x_size]:
+                for c in of_size(c_size):
+                    for x in of_size(x_size):
                         yield c, x
 
     tried = 0

@@ -545,9 +545,10 @@ def classify_word(coding: RotationCoding, word) -> WordClass:
 
 def boundary_hits(coding: RotationCoding):
     """All orbit visits to cell-boundary points: (n, point, adjacent labels)."""
+    boundaries = {label: coding.cells[label].boundary_points() for label in coding.labels()}
     seen = []
     for label in coding.labels():
-        for p in coding.cells[label].boundary_points():
+        for p in boundaries[label]:
             if all(p != q for q in seen):
                 seen.append(p)
     out = []
@@ -556,7 +557,7 @@ def boundary_hits(coding: RotationCoding):
         if n is None:
             continue
         adjacent = [label for label in coding.labels()
-                    if any(p == q for q in coding.cells[label].boundary_points())
+                    if any(p == q for q in boundaries[label])
                     or coding.cells[label].contains(p)]
         out.append((n, p, adjacent))
     out.sort(key=lambda t: t[0])

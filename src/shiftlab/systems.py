@@ -40,14 +40,26 @@ def shift(G: FiniteGroup, x, g: int, mode: str):
     if len(x) != G.order:
         raise AlphabetMismatchError(
             f"config length {len(x)} does not match group order {G.order}")
+    # row h of the Cayley table lists h*u over u, column g lists u*g
     if mode == "right":
-        return tuple(x[G.mul(u, g)] for u in G.elements())
+        return tuple(x[row[g]] for row in G.table)
     if mode == "left":
-        hinv = G.inv(g)
-        return tuple(x[G.mul(hinv, u)] for u in G.elements())
+        return tuple(map(x.__getitem__, G.table[G.inv(g)]))
     if mode == "anti":
-        return tuple(x[G.mul(g, u)] for u in G.elements())
+        return tuple(map(x.__getitem__, G.table[g]))
     raise ValueError(f"unknown shift mode {mode!r}")
+
+
+def _action_law_witness(G: FiniteGroup, act, npts: int, kind: str) -> tuple:
+    """(ok, witness) of the composition law; the first failing (g, h, i) in loop order."""
+    for g in G.elements():
+        for h in G.elements():
+            gh = G.mul(g, h) if kind == "action" else G.mul(h, g)
+            act_g, act_h, act_gh = act[g], act[h], act[gh]
+            for i in range(npts):
+                if act_g[act_h[i]] != act_gh[i]:
+                    return False, (g, h, i)
+    return True, None
 
 
 @dataclass
@@ -79,16 +91,19 @@ class FiniteSystem:
         return len(self.orbit_of(i)) == len(self.points)
 
     def satisfies_action_law(self, kind: str | None = None) -> tuple:
-        """(ok, witness): exhaustive check of the composition law."""
+        """(ok, witness): exhaustive check of the composition law.
+
+        The verdict depends only on the kind and the act table, so the group
+        memoizes it keyed by the table's content: a hand-built or corrupted
+        table still gets its own full check and first witness.
+        """
         kind = kind or self.action_kind
-        G = self.group
-        for g in G.elements():
-            for h in G.elements():
-                gh = G.mul(g, h) if kind == "action" else G.mul(h, g)
-                for i in range(len(self.points)):
-                    if self.act[g][self.act[h][i]] != self.act[gh][i]:
-                        return False, (g, h, i)
-        return True, None
+        npts = len(self.points)
+        memo = self.group._cache.setdefault("action_law", {})
+        key = (kind, npts, tuple(map(tuple, self.act)))
+        if key not in memo:
+            memo[key] = _action_law_witness(self.group, self.act, npts, kind)
+        return memo[key]
 
     def validate(self):
         ok, witness = self.satisfies_action_law()
@@ -142,16 +157,25 @@ def build_orbit_system(G: FiniteGroup, f, mode: str) -> FiniteSystem:
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
-    points, index = [], {}
+    # point i is the seed shifted by rep[i], its first producer; of_elem[h] is
+    # the point that shifting by h produces
+    points, index, rep, of_elem = [], {}, [], []
     for h in G.elements():
         p = shift(G, seed, h, shift_mode)
-        if p not in index:
-            index[p] = len(points)
+        i = index.get(p)
+        if i is None:
+            i = index[p] = len(points)
             points.append(p)
-    act = [[index[shift(G, points[i], g, shift_mode)] for i in range(len(points))]
-           for g in G.elements()]
+            rep.append(h)
+        of_elem.append(i)
+    # R_g R_h = R_gh and L_g L_h = L_gh, but A_g A_h = A_hg: no re-shifting needed
+    table = G.table
+    if kind == "anti_action":
+        act = [[of_elem[table[r][g]] for r in rep] for g in G.elements()]
+    else:
+        act = [[of_elem[table[g][r]] for r in rep] for g in G.elements()]
     observable = [p[G.identity] for p in points] if with_obs else None
-    system = FiniteSystem(group=G, points=points, act=act, base=index[seed],
+    system = FiniteSystem(group=G, points=points, act=act, base=of_elem[G.identity],
                           observable=observable, action_kind=kind, index=index)
     system.validate()
     return system

@@ -337,8 +337,11 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
     (a window cannot prove non-recurrence), upgraded to exact when the
     oracle is rotation-coded and the word's locus classifies as finite or
     empty.  If the exact backend instead proves the violating word
-    syndetic, the certificate is inconclusive at these parameters.
+    syndetic, the certificate is inconclusive at these parameters.  A
+    negative radius is an InputError.
     """
+    if radius < 0:
+        raise InputError(f"recurrence window radius must be non-negative, got {radius}")
     if max_len > MAX_WORD_LENGTH or radius > MAX_WINDOW_RADIUS:
         raise BoundsExceededError(
             f"max_len <= {MAX_WORD_LENGTH} and radius <= {MAX_WINDOW_RADIUS} required")

@@ -263,6 +263,34 @@ def test_recur_chromatic_negative_window_exits_2(files, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("seq", "recur", "--oracle", "b.yaml", "--max-len", "8", "--window", "-3"),
+    ("code", "verify", "--code", "parity3.yaml", "--source", "b.yaml",
+     "--target", "a.yaml", "--window", "-3"),
+    ("code", "verify", "--code", "parity3.yaml", "--source", "b.yaml", "--window", "-3"),
+    ("code", "search", "--target", "a.yaml", "--source", "b.yaml", "--max-span", "1",
+     "--window", "-3"),
+])
+def test_negative_window_exits_2(files, capsys, argv):
+    assert run_cli(*(files.get(a, a) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "must be non-negative, got -3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("recur", "eqtech", "--context", "missing.yaml"),
+    ("recur", "chromatic", "--set", "missing.yaml", "--coloring", "b.yaml"),
+    ("recur", "syndetic", "--set", "missing.yaml", "--oracle", "b.yaml"),
+])
+def test_missing_candidate_file_exits_2(files, tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.yaml")
+    assert run_cli(*(missing if a == "missing.yaml" else files.get(a, a) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_recur_eqtech_cli(files, capsys):
     assert run_cli("recur", "eqtech", "--context", files["z3b.yaml"], "--json") == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftlab.algebra import QuadraticNumber, Z3B_IDENTITY, catalog, z3b, z3b_f
+from shiftlab.algebra import QuadraticNumber, Z3B_IDENTITY, Z3BElement, catalog, z3b, z3b_f
 from shiftlab.errors import BoundsExceededError, InputError
 from shiftlab.recurrence import (
     CandidateSet,
@@ -169,3 +171,51 @@ def test_eqtech_bounds():
         eqtech_search([Z3B_IDENTITY], 8, search_bound=13)
     with pytest.raises(InputError):
         eqtech_search([z3b(0, {9})], 8)
+
+
+def eqtech_by_full_enumeration(S, search_bound):
+    """Reference: every element with support in {1..bound}, sorted, then the pair scan."""
+    elements = sorted((Z3BElement(r, frozenset(support))
+                       for size in range(search_bound + 1)
+                       for support in combinations(range(1, search_bound + 1), size)
+                       for r in (0, 1, 2)), key=Z3BElement.sort_key)
+    by_size = {}
+    for e in elements:
+        by_size.setdefault(len(e.support), []).append(e)
+    tried = 0
+    for total in range(2 * search_bound + 1):
+        for c_size in range(max(0, total - search_bound), min(total, search_bound) + 1):
+            for c in by_size[c_size]:
+                for x in by_size[total - c_size]:
+                    tried += 1
+                    if z3b_f(x) == z3b_f(c.mul(x)):
+                        continue
+                    transcript, ok = [], True
+                    for a in S:
+                        for b in S:
+                            u = z3b_f(a.mul(x.inv()).mul(b))
+                            v = z3b_f(a.mul(c.mul(x).inv()).mul(b))
+                            transcript.append((a, b, u, v))
+                            if u != v:
+                                ok = False
+                                break
+                        if not ok:
+                            break
+                    if ok:
+                        return c, x, transcript, tried
+    return None, None, None, tried
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_lazy_eqtech_matches_full_sorted_enumeration(data):
+    support_bound = data.draw(st.integers(0, 10), label="support_bound")
+    search_bound = data.draw(st.integers(0, 10), label="search_bound")
+    element = st.builds(Z3BElement, st.integers(0, 2),
+                        st.frozensets(st.integers(1, max(support_bound, 1)), max_size=3)
+                        if support_bound else st.just(frozenset()))
+    S = data.draw(st.lists(element, min_size=1, max_size=3), label="S")
+    res = eqtech_search(S, support_bound, search_bound)
+    c, x, transcript, tried = eqtech_by_full_enumeration(S, search_bound)
+    assert (res.c, res.x, res.transcript, res.pairs_tried) == (c, x, transcript, tried)
+    assert res.found == (c is not None)

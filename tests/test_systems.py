@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftlab.algebra import catalog
+from shiftlab.algebra import catalog, group_validate
 from shiftlab.errors import (
     AlphabetMismatchError,
     GroupIsDedekindError,
@@ -12,6 +13,7 @@ from shiftlab.errors import (
     SeedMismatchError,
 )
 from shiftlab.systems import (
+    MODES,
     build_orbit_system,
     construct_phi_R,
     dedekind_witness_function,
@@ -28,6 +30,59 @@ CATALOG = catalog()
 Z4 = CATALOG["z4"]
 S3 = CATALOG["s3"]
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
+
+
+def relabeled(G, k, name):
+    """G with element a renamed (a + k) mod |G|: the identity moves off index 0."""
+    n = G.order
+    table = [[None] * n for _ in range(n)]
+    for a in G.elements():
+        for b in G.elements():
+            table[(a + k) % n][(b + k) % n] = (G.mul(a, b) + k) % n
+    return group_validate(table, name=name)
+
+
+# every catalog group has its identity at index 0; these two do not
+RELABELED = [("d4-relabeled", relabeled(CATALOG["d4"], 3, "d4-relabeled")),
+             ("s3-relabeled", relabeled(S3, 2, "s3-relabeled"))]
+KERNEL_GROUPS = sorted(CATALOG.items()) + RELABELED
+
+
+def shift_by_mul(G, x, g, shift_mode):
+    """Brute-force oracle for shift: one G.mul per coordinate."""
+    if shift_mode == "right":
+        return tuple(x[G.mul(u, g)] for u in G.elements())
+    if shift_mode == "left":
+        return tuple(x[G.mul(G.inv(g), u)] for u in G.elements())
+    return tuple(x[G.mul(g, u)] for u in G.elements())
+
+
+def reshift_orbit_system(G, f, mode):
+    """Brute-force oracle: (points, act, base, observable) by re-shifting every point."""
+    seed = tuple(f[G.inv(g)] for g in G.elements()) if mode == "L" else tuple(f)
+    shift_mode = {"R": "right", "L": "left", "Ltilde": "left", "anti": "anti"}[mode]
+    points, index = [], {}
+    for h in G.elements():
+        p = shift_by_mul(G, seed, h, shift_mode)
+        if p not in index:
+            index[p] = len(points)
+            points.append(p)
+    act = [[index[shift_by_mul(G, points[i], g, shift_mode)] for i in range(len(points))]
+           for g in G.elements()]
+    observable = None if mode == "Ltilde" else [p[G.identity] for p in points]
+    return points, act, index[seed], observable
+
+
+def action_law_loop(S, kind):
+    """Brute-force oracle: the exhaustive composition-law check, never memoized."""
+    G = S.group
+    for g in G.elements():
+        for h in G.elements():
+            gh = G.mul(g, h) if kind == "action" else G.mul(h, g)
+            for i in range(len(S.points)):
+                if S.act[g][S.act[h][i]] != S.act[gh][i]:
+                    return False, (g, h, i)
+    return True, None
 
 
 # -- shift --------------------------------------------------------------------
@@ -84,6 +139,61 @@ def test_action_laws_hold_exhaustively_on_catalog():
             S = build_orbit_system(G, f, mode)
             ok, witness = S.satisfies_action_law()
             assert ok, (name, mode, witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_GROUPS), st.sampled_from(MODES), st.data())
+def test_coset_construction_matches_reshift_oracle(named, mode, data):
+    name, G = named
+    k = data.draw(st.integers(min_value=1, max_value=4), label="symbols")
+    f = data.draw(st.lists(st.integers(0, k - 1), min_size=G.order, max_size=G.order),
+                  label="f")
+    S = build_orbit_system(G, f, mode)
+    points, act, base, observable = reshift_orbit_system(G, f, mode)
+    assert S.points == points, (name, mode)
+    assert S.act == act, (name, mode)
+    assert S.base == base, (name, mode)
+    assert S.observable == observable, (name, mode)
+    assert S.index == {p: i for i, p in enumerate(points)}
+    assert S.action_kind == ("anti_action" if mode == "anti" else "action")
+
+
+def test_relabeled_groups_put_the_base_off_index_zero():
+    for name, G in RELABELED:
+        assert G.identity != 0
+        f = tuple(range(G.order))
+        assert build_orbit_system(G, f, "R").base == reshift_orbit_system(G, f, "R")[2] != 0
+
+
+def test_memoized_action_law_matches_the_loop():
+    for name, G in KERNEL_GROUPS:
+        for f in (tuple(i % 3 for i in range(G.order)), tuple(range(G.order))):
+            for mode in MODES:
+                S = build_orbit_system(G, f, mode)
+                for kind in ("action", "anti_action"):
+                    assert S.satisfies_action_law(kind) == action_law_loop(S, kind), \
+                        (name, mode, kind)
+
+
+def test_corrupted_table_is_checked_after_a_verified_one():
+    for G, f, mode in [(S3, (0, 0, 1, 2, 1, 2), "R"), (S3, (0, 1, 2, 0, 1, 2), "anti"),
+                       (CATALOG["q8"], (0, 1, 0, 1, 2, 2, 3, 3), "Ltilde")]:
+        verified = build_orbit_system(G, f, mode)
+        assert verified.satisfies_action_law() == (True, None)
+        S = build_orbit_system(G, f, mode)
+        assert S.act == verified.act and S.act is not verified.act
+        S.act[1][0] = (S.act[1][0] + 1) % len(S)
+        ok, witness = S.satisfies_action_law()
+        assert not ok and (ok, witness) == action_law_loop(S, S.action_kind)
+        assert verified.act[1][0] != S.act[1][0]
+        assert verified.satisfies_action_law() == (True, None)
+
+
+def test_action_law_memo_holds_one_table_per_stabilizer():
+    G = catalog()["s3"]  # a fresh group object with an empty memo
+    for f in set_partitions(G.order):
+        build_orbit_system(G, f, "R")
+    assert len(G._cache["action_law"]) == len(G.subgroups())
 
 
 def test_mode_l_observable_reproduces_f_along_base():
