@@ -5,9 +5,12 @@ Three independent pieces live here:
 * ``FiniteGroup`` -- groups given by Cayley tables, with validation,
   subgroup enumeration, normality and the Dedekind test.  A small catalog
   of groups of order <= 8 is shipped for the test fixtures.
-* ``QuadraticNumber`` -- exact elements u + v*sqrt(d) of a real quadratic
-  field, with decision procedures (sign, comparison, floor, fractional
-  part) that use only integer arithmetic, plus ``solve_hit`` which decides
+* ``QuadraticNumber`` -- exact elements (a + b*sqrt(d))/c of a real
+  quadratic field, stored as reduced integers (Cohen, *A Course in
+  Computational Algebraic Number Theory*, GTM 138, ch. 5).  Sign,
+  comparison, floor and fractional part use only integer arithmetic; the
+  floor takes one integer square root, isqrt(b^2 d), since b*sqrt(d) is
+  irrational whenever b != 0 (Cohen, ch. 1).  ``solve_hit`` decides
   whether a circle point is ever visited by the orbit of an irrational
   rotation.
 * ``Z3BElement`` -- the group Z/3Z (+) B where B is the countable Boolean
@@ -55,156 +58,230 @@ def is_squarefree(d: int) -> bool:
 
 @total_ordering
 class QuadraticNumber:
-    """u + v*sqrt(d) with rational u, v and squarefree d >= 2.
+    """(a + b*sqrt(d))/c in reduced integers: c > 0, gcd(a, b, c) = 1.
 
-    Rational values are stored with d = 0 and mix freely with any field;
-    two genuinely irrational values over different d refuse to combine
+    d is squarefree and >= 2 when b != 0, and 0 when b == 0, so rational
+    values carry no field and mix freely with any field; two genuinely
+    irrational values over different d refuse to combine
     (``MismatchedFieldError``) rather than being lifted to a compositum.
+    The reduced form is canonical: equal values have equal integers.
+    ``u`` and ``v`` read the value back as u + v*sqrt(d) with ``Fraction``s.
     """
 
-    __slots__ = ("u", "v", "d")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, u, v=0, d=0):
         u = Fraction(u)
         v = Fraction(v)
         if v == 0:
-            d = 0
+            a, b, c, d = u.numerator, 0, u.denominator, 0
         else:
             if d < 2 or not is_squarefree(d):
                 raise MismatchedFieldError(d, d)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "d", d)
+            c = math.lcm(u.denominator, v.denominator)
+            # both fractions are reduced, so the rescaled triple is too
+            a = u.numerator * (c // u.denominator)
+            b = v.numerator * (c // v.denominator)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     def __setattr__(self, *a):
         raise AttributeError("QuadraticNumber is immutable")
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.a, self.c)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.b, self.c)
 
     # -- field bookkeeping --
 
     @staticmethod
     def _join(x: "QuadraticNumber", y: "QuadraticNumber") -> int:
-        if x.d and y.d and x.d != y.d:
-            raise MismatchedFieldError(x.d, y.d)
-        return x.d or y.d
+        d, e = x.d, y.d
+        if d == e or not e:
+            return d
+        if not d:
+            return e
+        raise MismatchedFieldError(d, e)
 
     @classmethod
     def _coerce(cls, value) -> "QuadraticNumber":
         if isinstance(value, QuadraticNumber):
             return value
-        return cls(Fraction(value))
+        if isinstance(value, int):
+            return _raw(value, 0, 1, 0)
+        return cls(value)
 
     @property
     def is_rational(self) -> bool:
-        return self.v == 0
+        return self.b == 0
 
     # -- arithmetic --
 
     def __add__(self, other):
+        if isinstance(other, int):
+            # gcd(a + n*c, b, c) = gcd(a, b, c) = 1: already reduced
+            return _raw(self.a + other * self.c, self.b, self.c, self.d)
         other = self._coerce(other)
         d = self._join(self, other)
-        return QuadraticNumber(self.u + other.u, self.v + other.v, d)
+        c1, c2 = self.c, other.c
+        if c1 == c2:
+            return _reduced(self.a + other.a, self.b + other.b, c1, d)
+        return _reduced(self.a * c2 + other.a * c1, self.b * c2 + other.b * c1, c1 * c2, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.u, -self.v, self.d)
+        return _raw(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if isinstance(other, int):
+            return _raw(self.a - other * self.c, self.b, self.c, self.d)
+        other = self._coerce(other)
+        d = self._join(self, other)
+        c1, c2 = self.c, other.c
+        if c1 == c2:
+            return _reduced(self.a - other.a, self.b - other.b, c1, d)
+        return _reduced(self.a * c2 - other.a * c1, self.b * c2 - other.b * c1, c1 * c2, d)
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
         d = self._join(self, other)
-        # (u1 + v1 s)(u2 + v2 s) = u1 u2 + v1 v2 d + (u1 v2 + u2 v1) s
-        return QuadraticNumber(
-            self.u * other.u + self.v * other.v * d,
-            self.u * other.v + other.u * self.v,
-            d,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        # (a1 + b1 s)(a2 + b2 s) = a1 a2 + b1 b2 d + (a1 b2 + a2 b1) s
+        return _reduced(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, self.c * other.c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticNumber":
-        if self.is_rational:
-            return QuadraticNumber(1 / self.u)
-        norm = self.u * self.u - self.v * self.v * self.d
-        # norm is nonzero: u^2 = v^2 d with v != 0 would make sqrt(d) rational
-        return QuadraticNumber(self.u / norm, -self.v / norm, self.d)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        # c/(a + b s) = c(a - b s)/(a^2 - b^2 d); the norm vanishes only at 0,
+        # since a^2 = b^2 d with b != 0 would make sqrt(d) rational
+        norm = a * a - b * b * d
+        if norm == 0:
+            raise ZeroDivisionError("QuadraticNumber(0) has no inverse")
+        if norm < 0:
+            return _reduced(-c * a, c * b, -norm, d)
+        return _reduced(c * a, -c * b, norm, d)
 
     # -- exact order --
 
     def sign(self) -> int:
         """Exact sign of the real embedding, via integer arithmetic only."""
-        u, v = self.u, self.v
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        # opposite signs: compare u^2 against v^2 d
-        if u * u > v * v * self.d:
-            return 1 if u > 0 else -1
-        return 1 if v > 0 else -1
+        return quadratic_sign(self.a, self.b, self.d)
 
     def compare(self, other) -> int:
-        return (self - self._coerce(other)).sign()
+        if not isinstance(other, QuadraticNumber):
+            other = self._coerce(other)
+        d = self._join(self, other)
+        c1, c2 = self.c, other.c
+        # c1*c2 > 0, so x - y has the sign of its numerator over c1*c2
+        return quadratic_sign(self.a * c2 - other.a * c1, self.b * c2 - other.b * c1, d)
 
     def __eq__(self, other):
-        if isinstance(other, (QuadraticNumber, int, Fraction)):
-            return self.compare(other) == 0
-        return NotImplemented
+        if not isinstance(other, QuadraticNumber):
+            if isinstance(other, int):
+                return self.b == 0 and self.c == 1 and self.a == other
+            if not isinstance(other, Fraction):
+                return NotImplemented
+            other = self._coerce(other)
+        elif self.d != other.d:
+            self._join(self, other)
+        # the reduced form is canonical
+        return self.a == other.a and self.b == other.b and self.c == other.c
 
     def __lt__(self, other):
         return self.compare(other) < 0
 
     def __hash__(self):
-        return hash((self.u, self.v, self.d))
+        if self.b == 0:
+            # rational values hash as the equal int or Fraction does
+            return hash(Fraction(self.a, self.c))
+        return hash((self.a, self.b, self.c, self.d))
 
     # -- floor and fractional part --
 
     def floor(self) -> int:
-        if self.v == 0:
-            return math.floor(self.u)
-        # start from an integer-sqrt estimate of v*sqrt(d), then fix up exactly
-        p, q = self.v.numerator, self.v.denominator
-        t = math.isqrt((p * p * self.d) // (q * q))
-        est = math.floor(self.u) + (t if p > 0 else -t) - 2
-        while (self - (est + 1)).sign() >= 0:
-            est += 1
-        return est
+        return quadratic_floor(self.a, self.b, self.c, self.d)
 
     def frac(self) -> "QuadraticNumber":
         return self - self.floor()
 
-    def approx(self) -> float:
-        return float(self.u) + float(self.v) * math.sqrt(self.d)
-
     # -- display (matches the scenario-file grammar) --
 
     def __str__(self):
-        if self.v == 0:
-            return _fmt_fraction(self.u)
+        u, v = self.u, self.v
+        if v == 0:
+            return _fmt_fraction(u)
         root = f"sqrt({self.d})"
-        if self.v == 1:
+        if v == 1:
             s = root
-        elif self.v == -1:
+        elif v == -1:
             s = f"-{root}"
         else:
-            s = f"{_fmt_fraction(self.v)}*{root}"
-        if self.u == 0:
+            s = f"{_fmt_fraction(v)}*{root}"
+        if u == 0:
             return s
-        if self.u > 0:
-            return f"{s}+{_fmt_fraction(self.u)}"
-        return f"{s}-{_fmt_fraction(-self.u)}"
+        if u > 0:
+            return f"{s}+{_fmt_fraction(u)}"
+        return f"{s}-{_fmt_fraction(-u)}"
 
     def __repr__(self):
         return f"QuadraticNumber({self})"
+
+
+_set = object.__setattr__
+_new = object.__new__
+
+
+def _raw(a: int, b: int, c: int, d: int) -> QuadraticNumber:
+    """A QuadraticNumber from integers already in reduced form."""
+    x = _new(QuadraticNumber)
+    _set(x, "a", a)
+    _set(x, "b", b)
+    _set(x, "c", c)
+    _set(x, "d", d)
+    return x
+
+
+def _reduced(a: int, b: int, c: int, d: int) -> QuadraticNumber:
+    """(a + b*sqrt(d))/c for c > 0, divided through by gcd(a, b, c)."""
+    if b == 0:
+        d = 0
+    g = math.gcd(a, b, c)
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    return _raw(a, b, c, d)
+
+
+def quadratic_floor(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d))/c) for c > 0, with sqrt(d) irrational whenever b != 0."""
+    if b == 0:
+        return a // c
+    # b*sqrt(d) is irrational, so its floor is isqrt(b^2 d), or one less
+    # than minus it when b < 0; then floor((a + t)/c) = (a + floor(t)) // c
+    r = math.isqrt(b * b * d)
+    return (a + (r if b > 0 else -r - 1)) // c
+
+
+def quadratic_sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d), with sqrt(d) irrational whenever b != 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # opposite signs: compare a^2 against b^2 d (never equal)
+    if a * a > b * b * d:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
 
 def _fmt_fraction(x: Fraction) -> str:
@@ -226,19 +303,19 @@ def frac_part(x: QuadraticNumber) -> QuadraticNumber:
 def solve_hit(alpha: QuadraticNumber, p: QuadraticNumber):
     """The unique n with n*alpha - p integral, or None.
 
-    Writing alpha = a + b*sqrt(d) (b != 0) and p = u + v*sqrt(d), a solution
-    must match the irrational parts, so n = v/b; it is accepted when that is
-    an integer and n*a - u is integral.  Uniqueness holds because alpha is
-    irrational.
+    Writing alpha = (a1 + b1*sqrt(d))/c1 (b1 != 0) and p = (a2 + b2*sqrt(d))/c2,
+    a solution must match the irrational parts, so n = (b2*c1)/(c2*b1); it
+    is accepted when that is an integer and n*a1/c1 - a2/c2 is integral.
+    Uniqueness holds because alpha is irrational.
     """
     if alpha.is_rational:
         raise RationalAlphaError()
     QuadraticNumber._join(alpha, p)
-    n = p.v / alpha.v
-    if n.denominator != 1:
+    c1, c2 = alpha.c, p.c
+    n, r = divmod(p.b * c1, c2 * alpha.b)
+    if r:
         return None
-    n = n.numerator
-    if (n * alpha.u - p.u).denominator != 1:
+    if (n * alpha.a * c2 - p.a * c1) % (c1 * c2):
         return None
     return n
 

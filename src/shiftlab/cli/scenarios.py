@@ -37,6 +37,21 @@ def _require_keys(mapping, required, optional, where):
         raise ScenarioError(f"{where}: missing keys {missing}")
 
 
+def _int(value, where):
+    """An integer written as a YAML int or a digit string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.strip().lstrip("-").isdigit():
+        return int(value)
+    raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+
+
+def _ints(values, where):
+    if not isinstance(values, list):
+        raise ScenarioError(f"{where}: expected a list, got {type(values).__name__}")
+    return [_int(v, where) for v in values]
+
+
 def _symbol(value):
     """Symbols are small ints where possible, else short strings."""
     if isinstance(value, bool):
@@ -209,11 +224,15 @@ def _build_periodic(body):
 
 
 def _build_set(body):
+    aps = body.get("aps", [])
+    if not isinstance(aps, list) or not all(isinstance(p, list) and len(p) == 2 for p in aps):
+        raise ScenarioError(f"set.aps: expected a list of [a, d] pairs, got {aps!r}")
+    halfline = body.get("halfline")
     return SetOracle(
-        aps=[tuple(p) for p in body.get("aps", [])],
-        halfline=body["halfline"]["from"] if "halfline" in body else None,
-        include=body.get("include", []),
-        exclude=body.get("exclude", []),
+        aps=[(_int(a, "set.aps"), _int(d, "set.aps")) for a, d in aps],
+        halfline=None if halfline is None else _int(halfline["from"], "set.halfline.from"),
+        include=_ints(body.get("include", []), "set.include"),
+        exclude=_ints(body.get("exclude", []), "set.exclude"),
         op=body.get("op", "union"),
     )
 
@@ -293,10 +312,18 @@ def build_code(doc):
 def build_candidate_set(doc, group=None):
     elements = doc["elements"]
     if all(isinstance(e, dict) for e in elements):
-        for e in elements:
-            _require_keys(e, ("r",), ("support",), "candidate-set.elements[]")
-        return [Z3BElement(int(e["r"]), frozenset(int(i) for i in e.get("support", [])))
-                for e in elements]
+        out = []
+        for i, e in enumerate(elements):
+            where = f"candidate-set.elements[{i}]"
+            _require_keys(e, ("r",), ("support",), where)
+            r = _int(e["r"], f"{where}.r")
+            support = _ints(e.get("support", []), f"{where}.support")
+            try:
+                out.append(Z3BElement(r, frozenset(support)))
+            except ValueError as exc:
+                raise ScenarioError(f"{where}: {exc}") from None
+        return out
+    elements = _ints(elements, "candidate-set.elements")
     if group is not None:
         return CandidateSet.group_elements(group, elements)
     return CandidateSet.integers(elements)

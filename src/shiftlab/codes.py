@@ -396,7 +396,7 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     partial rule, and the separation verdict reads only the patterns of the
     orbit-closure representatives.  The extensions of every consistent
     partial are merged in rule-index order; the first that separates, at
-    the first shift whose partial it extends, is the blind enumeration's
+    the first shift whose partial it extends, is the canonical enumeration's
     first hit, found at a fraction of the cost.  A found pair is
     re-verified from scratch and reported as a desk-scale certificate,
     never as a proof over all of Z.  A negative radius is an InputError.
@@ -477,31 +477,6 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
             return SearchResult(True, code=code, shift=t, realization=real,
                                 projection=proj, max_span=max_span, depth=depth,
                                 radius=radius, candidates_tried=tried)
-    return SearchResult(False, max_span=max_span, depth=depth, radius=radius,
-                        candidates_tried=tried)
-
-
-def blind_search_isomorphism_code(target, source, max_span, depth, radius) -> SearchResult:
-    """Literal enumeration used to cross-check the propagated search on small inputs."""
-    in_alpha = tuple(sorted(set(source.alphabet)))
-    out_alpha = tuple(sorted(set(target.alphabet)))
-    tried = 0
-    for offsets in _offset_sets(max_span):
-        patterns = list(product(in_alpha, repeat=len(offsets)))
-        for outs in product(out_alpha, repeat=len(patterns)):
-            rule = dict(zip(patterns, outs))
-            code = BlockCode(offsets, rule, in_alpha, out_alpha)
-            for t in _shift_order(radius):
-                tried += 1
-                real = verify_realization(code, shifted_oracle(source, t), target, radius)
-                if not real.agrees:
-                    continue
-                proj = verify_generalized_projection(code, source, depth, radius)
-                if not proj.separates:
-                    continue
-                return SearchResult(True, code=code, shift=t, realization=real,
-                                    projection=proj, max_span=max_span, depth=depth,
-                                    radius=radius, candidates_tried=tried)
     return SearchResult(False, max_span=max_span, depth=depth, radius=radius,
                         candidates_tried=tried)
 

@@ -18,12 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 
-from .algebra import QuadraticNumber, frac_part, solve_hit
+from .algebra import QuadraticNumber, frac_part, quadratic_floor, quadratic_sign, solve_hit
 from .errors import InputError, MismatchedFieldError, RationalAlphaError, UncoveredOrbitPointError
 
 Q0 = QuadraticNumber(0)
 Q1 = QuadraticNumber(1)
+
+# exact orders: values by compare; arcs by lower endpoint, closed before open
+_BY_VALUE = cmp_to_key(lambda x, y: x.compare(y))
+_BY_LO = cmp_to_key(lambda a, b: a.lo.compare(b.lo) or b.lo_closed - a.lo_closed)
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ class CircleIntervalSet:
         for p in self.points:
             if all(p != q for q in out):
                 out.append(p)
-        return sorted(out, key=lambda q: (q.approx(), q.u, q.v))
+        return sorted(out, key=_BY_VALUE)
 
     def longest_arc_length(self):
         if not self.arcs:
@@ -146,7 +151,7 @@ class CircleIntervalSet:
         pieces = []
         # cursor_open: the point at the cursor is itself excluded from the complement
         cursor, cursor_open = Q0, self.contains(Q0)
-        for a in sorted(self.arcs, key=lambda a: (a.lo.approx(), 0 if a.lo_closed else 1)):
+        for a in sorted(self.arcs, key=_BY_LO):
             if a.lo.compare(cursor) > 0 or (a.lo == cursor and not a.lo_closed and not cursor_open):
                 pieces.append(Arc(cursor, not cursor_open, a.lo, not a.lo_closed))
             cursor, cursor_open = a.hi, a.hi_closed
@@ -292,7 +297,7 @@ def normalize(raw_arcs, raw_points=()) -> CircleIntervalSet:
     for p in raw_points:
         points.append(frac_part(p))
 
-    pieces.sort(key=lambda a: (a.lo.approx(), a.lo.u, a.lo.v, 0 if a.lo_closed else 1))
+    pieces.sort(key=_BY_LO)
     merged = []
     for a in pieces:
         if merged:
@@ -317,14 +322,14 @@ def normalize(raw_arcs, raw_points=()) -> CircleIntervalSet:
             else:
                 merged = merged[1:-1] + [Arc(last.lo, last.lo_closed, Q1, False),
                                          Arc(Q0, True, first.hi, first.hi_closed)]
-                merged.sort(key=lambda a: (a.lo.approx(), a.lo.u, a.lo.v))
+                merged.sort(key=_BY_LO)
     if len(merged) == 1 and merged[0].lo == Q0 and merged[0].hi == Q1 \
             and (merged[0].lo_closed or merged[0].hi_closed):
         merged = [Arc(Q0, True, Q1, False)]
 
     interim = CircleIntervalSet(merged, (), _normalized=True)
     final_points = []
-    for p in sorted(set(points), key=lambda q: (q.approx(), q.u, q.v)):
+    for p in sorted(set(points), key=_BY_VALUE):
         if interim.contains(p):
             continue
         # a point closing an open endpoint extends the arc instead
@@ -403,30 +408,23 @@ class RotationCoding:
     def _integer_form(self):
         """Integer form of the coding over a common denominator.
 
-        Every relevant value u + v*sqrt(d) is scaled by D = lcm of all the
-        denominators to an integer pair (p, q); the orbit walk then needs
+        Every relevant value (a + b*sqrt(d))/c is rescaled to D = lcm of all
+        the c's, as the integer pair (a*D/c, b*D/c); the orbit walk then needs
         only integer additions and sign tests.  It is rebuilt on each call
         rather than stored, so the coding stays immutable after construction.
         """
         labels = self.labels()
-        dens = [self.alpha.u.denominator, self.alpha.v.denominator,
-                self.base.u.denominator, self.base.v.denominator]
-        for label in labels:
-            cell = self.cells[label]
-            for a in cell.arcs:
-                dens += [a.lo.u.denominator, a.lo.v.denominator,
-                         a.hi.u.denominator, a.hi.v.denominator]
-            for p in cell.points:
-                dens += [p.u.denominator, p.v.denominator]
-        D = math.lcm(*dens)
+        cells = [self.cells[label] for label in labels]
+        D = math.lcm(self.alpha.c, self.base.c,
+                     *(e.c for cell in cells for a in cell.arcs for e in (a.lo, a.hi)),
+                     *(p.c for cell in cells for p in cell.points))
 
         def enc(x):
-            return (x.u.numerator * (D // x.u.denominator),
-                    x.v.numerator * (D // x.v.denominator))
+            k = D // x.c
+            return (x.a * k, x.b * k)
 
         table = []
-        for label in labels:
-            cell = self.cells[label]
+        for label, cell in zip(labels, cells):
             arcs = [(enc(a.lo), a.lo_closed, enc(a.hi), a.hi_closed) for a in cell.arcs]
             pts = [enc(p) for p in cell.points]
             seam = any(a.hi_closed and enc(a.hi) == (D, 0) for a in cell.arcs)
@@ -437,31 +435,16 @@ class RotationCoding:
         """Exact coded symbols for n = lo..hi via an incremental orbit walk.
 
         The walk starts from D*{lo*alpha + base} as an integer pair, its
-        floor taken from an integer square root and fixed up by exact sign
-        tests; each further point is an integer-pair addition plus at most
-        one wrap subtraction, and cell membership is decided by integer
-        sign tests.  This is the library's only evaluator of coded symbols.
+        floor taken from one integer square root; each further point is an
+        integer-pair addition plus at most one wrap subtraction, and cell
+        membership is decided by integer sign tests.  This is the library's
+        only evaluator of coded symbols.
         """
         D, d, (ap, aq), (bp, bq), table = self._integer_form()
-
-        def sign(p, q):
-            if q == 0:
-                return (p > 0) - (p < 0)
-            if p == 0:
-                return 1 if q > 0 else -1
-            if (p > 0) == (q > 0):
-                return 1 if p > 0 else -1
-            if p * p > q * q * d:
-                return (p > 0) - (p < 0)
-            return 1 if q > 0 else -1
-
         p, q = lo * ap + bp, lo * aq + bq
-        # |q|*sqrt(d) lies in [root, root + 1), so k starts at most 3 below the floor
-        root = math.isqrt(q * q * d)
-        k = (p + (root if q > 0 else -root)) // D - 2
-        while sign(p - (k + 1) * D, q) >= 0:
-            k += 1
-        p -= k * D
+        p -= quadratic_floor(p, q, D, d) * D
+
+        sign = quadratic_sign
         out = []
         for n in range(lo, hi + 1):
             label_found = None
@@ -472,10 +455,10 @@ class RotationCoding:
                     break
                 ok = False
                 for (lp, lq), lo_cl, (hp, hq), hi_cl in arcs:
-                    c = sign(p - lp, q - lq)
+                    c = sign(p - lp, q - lq, d)
                     if c < 0 or (c == 0 and not lo_cl):
                         continue
-                    c = sign(p - hp, q - hq)
+                    c = sign(p - hp, q - hq, d)
                     if c > 0 or (c == 0 and not hi_cl):
                         continue
                     ok = True
@@ -493,7 +476,7 @@ class RotationCoding:
             out.append(label_found)
             p += ap
             q += aq
-            if sign(p - D, q) >= 0:
+            if sign(p - D, q, d) >= 0:
                 p -= D
         return out
 

@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from shiftlab.algebra import (
     frac_part,
     group_validate,
     is_dedekind,
+    is_squarefree,
     is_normal,
     parse_quadratic,
     qnum_compare,
@@ -53,11 +55,129 @@ def brute_force_subgroups(G):
 
 def decimal_value(x, prec=110):
     getcontext().prec = prec
-    v = Decimal(x.u.numerator) / Decimal(x.u.denominator)
-    if x.v:
-        root = Decimal(x.d).sqrt()
-        v += Decimal(x.v.numerator) / Decimal(x.v.denominator) * root
-    return v
+    v = Decimal(x.a)
+    if x.b:
+        v += Decimal(x.b) * Decimal(x.d).sqrt()
+    return v / Decimal(x.c)
+
+
+class FractionQuadratic:
+    """Oracle: u + v*sqrt(d) as two Fractions, with a fixed-up floor.
+
+    This is the library's earlier representation, kept to cross-check the
+    reduced-integer ``QuadraticNumber`` operation by operation.
+    """
+
+    __slots__ = ("u", "v", "d")
+
+    def __init__(self, u, v=0, d=0):
+        self.u = Fraction(u)
+        self.v = Fraction(v)
+        self.d = 0 if self.v == 0 else d
+        if self.v != 0 and (d < 2 or not is_squarefree(d)):
+            raise MismatchedFieldError(d, d)
+
+    @staticmethod
+    def _join(x, y):
+        if x.d and y.d and x.d != y.d:
+            raise MismatchedFieldError(x.d, y.d)
+        return x.d or y.d
+
+    @classmethod
+    def _coerce(cls, value):
+        return value if isinstance(value, FractionQuadratic) else cls(value)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        d = self._join(self, other)
+        return FractionQuadratic(self.u + other.u, self.v + other.v, d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQuadratic(-self.u, -self.v, self.d)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + self._coerce(other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        d = self._join(self, other)
+        return FractionQuadratic(self.u * other.u + self.v * other.v * d,
+                                 self.u * other.v + other.u * self.v, d)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.v == 0:
+            return FractionQuadratic(1 / self.u)
+        norm = self.u * self.u - self.v * self.v * self.d
+        return FractionQuadratic(self.u / norm, -self.v / norm, self.d)
+
+    def sign(self):
+        u, v = self.u, self.v
+        if v == 0:
+            return (u > 0) - (u < 0)
+        if u == 0:
+            return 1 if v > 0 else -1
+        if u > 0 and v > 0:
+            return 1
+        if u < 0 and v < 0:
+            return -1
+        if u * u > v * v * self.d:
+            return 1 if u > 0 else -1
+        return 1 if v > 0 else -1
+
+    def compare(self, other):
+        return (self - self._coerce(other)).sign()
+
+    def __eq__(self, other):
+        return self.compare(other) == 0
+
+    def floor(self):
+        if self.v == 0:
+            return math.floor(self.u)
+        p, q = self.v.numerator, self.v.denominator
+        t = math.isqrt((p * p * self.d) // (q * q))
+        est = math.floor(self.u) + (t if p > 0 else -t) - 2
+        while (self - (est + 1)).sign() >= 0:
+            est += 1
+        return est
+
+    def frac(self):
+        return self - self.floor()
+
+    def solve_hit(self, p):
+        """The unique n with n*self - p integral, or None."""
+        self._join(self, p)
+        n = p.v / self.v
+        if n.denominator != 1:
+            return None
+        n = n.numerator
+        return n if (n * self.u - p.u).denominator == 1 else None
+
+    def __str__(self):
+        if self.v == 0:
+            return _fmt(self.u)
+        root = f"sqrt({self.d})"
+        if self.v == 1:
+            s = root
+        elif self.v == -1:
+            s = f"-{root}"
+        else:
+            s = f"{_fmt(self.v)}*{root}"
+        if self.u == 0:
+            return s
+        if self.u > 0:
+            return f"{s}+{_fmt(self.u)}"
+        return f"{s}-{_fmt(-self.u)}"
+
+
+def _fmt(x):
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # -- group validation ----------------------------------------------------------
@@ -250,6 +370,91 @@ def test_frac_reconstructs_and_lands_in_unit_interval(x):
     assert f + x.floor() == x
     assert f.sign() >= 0
     assert qnum_compare(f, QuadraticNumber(1)) < 0
+
+
+# -- reduced integers against the Fraction-pair oracle ------------------------------
+
+big_ints = st.one_of(st.integers(-50, 50), st.integers(-10**25, 10**25))
+big_dens = st.one_of(st.integers(1, 20), st.integers(1, 10**22))
+big_rationals = st.builds(Fraction, big_ints, big_dens)
+radicands = st.sampled_from([2, 3, 5, 7, 13, 9999991])
+
+
+@st.composite
+def quadratic_pairs(draw, d=None):
+    """(QuadraticNumber, oracle) for one value, sometimes rational, sometimes
+    within 10^-20 of an integer or of a second drawn value's neighbourhood."""
+    d = draw(radicands) if d is None else d
+    v = draw(st.one_of(st.just(Fraction(0)), big_rationals))
+    u = draw(big_rationals)
+    if v and draw(st.booleans()):
+        # u close to -v*sqrt(d) + m: the value sits next to the integer m
+        scale = 10 ** draw(st.integers(18, 24))
+        m = draw(st.integers(-3, 3))
+        u = Fraction(-FractionQuadratic(0, v * scale, d).floor(), scale) + m
+        u += Fraction(draw(st.integers(-2, 2)), 10 * scale)
+    return QuadraticNumber(u, v, d), FractionQuadratic(u, v, d)
+
+
+def same_value(x, o):
+    assert (x.u, x.v, x.d) == (o.u, o.v, o.d)
+    assert x.c > 0 and math.gcd(x.a, x.b, x.c) == 1 and (x.b != 0 or x.d == 0)
+    assert str(x) == str(o)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_reduced_integers_match_fraction_oracle(data):
+    d = data.draw(radicands)
+    (x, ox), (y, oy) = data.draw(quadratic_pairs(d)), data.draw(quadratic_pairs(d))
+    k = data.draw(st.one_of(big_ints, big_rationals))
+    same_value(x, ox)
+    same_value(x + y, ox + oy)
+    same_value(x - y, ox - oy)
+    same_value(x * y, ox * oy)
+    same_value(x + k, ox + k)
+    same_value(k - x, k - ox)
+    same_value(x * k, ox * k)
+    same_value(-x, -ox)
+    if ox.sign() != 0:
+        same_value(x.inverse(), ox.inverse())
+    assert x.sign() == ox.sign()
+    assert x.compare(y) == ox.compare(oy) == -y.compare(x)
+    assert x.compare(k) == ox.compare(k)
+    assert (x == y) == (ox == oy)
+    assert (x == k) == (ox == k)
+    if x == y:
+        assert hash(x) == hash(y)
+    if x == k:
+        assert hash(x) == hash(k)
+    assert x.floor() == ox.floor()
+    same_value(frac_part(x), ox.frac())
+    if not ox.v == 0:
+        assert solve_hit(x, y) == ox.solve_hit(oy)
+        n = data.draw(st.integers(-10**6, 10**6))
+        p = frac_part(n * x + data.draw(st.integers(-5, 5)))
+        assert solve_hit(x, p) == n
+
+
+@given(quadratic_pairs(d=2), quadratic_pairs(d=5))
+@settings(max_examples=100, deadline=None)
+def test_mixed_fields_rejected_like_the_oracle(xo, yo):
+    (x, ox), (y, oy) = xo, yo
+    mixed = x.d and y.d
+    for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q,
+               lambda p, q: p.compare(q), lambda p, q: p == q):
+        for left, right in ((x, y), (ox, oy)):
+            if mixed:
+                with pytest.raises(MismatchedFieldError):
+                    op(left, right)
+            else:
+                op(left, right)
+    if x.d:
+        if mixed:
+            with pytest.raises(MismatchedFieldError):
+                solve_hit(x, y)
+        else:
+            assert solve_hit(x, y) == ox.solve_hit(oy)
 
 
 # -- quadratic expression grammar ----------------------------------------------------

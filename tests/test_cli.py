@@ -93,6 +93,20 @@ rule:
   "111": 1
 """
 
+# cell 0 is [alpha, 1/2): its first arc starts at a rational 8e-21 above
+# alpha = sqrt(2) - 1, too close for a float to order the two
+NEAR_ALPHA_CODING = """\
+kind: coding
+id: near-alpha
+alpha: sqrt(2)-1
+cells:
+  "0":
+    - {lo: 41421356237309504881/100000000000000000000, lo_closed: true, hi: 1/2, hi_closed: false}
+    - {lo: alpha, lo_closed: true, hi: 9/20, hi_closed: false}
+  "1":
+    - {lo: 1/2, lo_closed: true, hi: alpha, hi_closed: false}
+"""
+
 CANDIDATES = """\
 kind: candidate-set
 id: small
@@ -115,6 +129,10 @@ def files(tmp_path):
         ("f.yaml", PERIOD_FUNCTION), ("b.yaml", B_ORACLE), ("a.yaml", A_ORACLE),
         ("sturmian.yaml", STURMIAN_CODING), ("parity3.yaml", PARITY3_CODE),
         ("cand.yaml", CANDIDATES), ("z3b.yaml", Z3B_CONTEXT),
+        ("near.yaml", NEAR_ALPHA_CODING),
+        ("bad-r.yaml", Z3B_CONTEXT.replace("{r: 1, support: [1, 2]}", "{r: 5, support: [1]}")),
+        ("bad-support.yaml", Z3B_CONTEXT.replace("support: [1, 2]", "support: [0]")),
+        ("bad-ap.yaml", B_ORACLE.replace("aps: [[0, 2]]", "aps: [[a, 2]]")),
     ]:
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
@@ -289,6 +307,23 @@ def test_missing_candidate_file_exits_2(files, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("recur", "eqtech", "--context", "bad-r.yaml"),
+    ("recur", "eqtech", "--context", "bad-support.yaml"),
+    ("seq", "window", "--oracle", "bad-ap.yaml", "--lo", "0", "--hi", "3"),
+])
+def test_malformed_scenario_values_exit_2(files, capsys, argv):
+    assert run_cli(*(files.get(a, a) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_rotation_classify_orders_endpoints_exactly(files, capsys):
+    assert run_cli("rotation", "classify", "--coding", files["near.yaml"]) == 0
+    assert "minimality (set): Minimal" in capsys.readouterr().out
 
 
 def test_recur_eqtech_cli(files, capsys):

@@ -1,10 +1,14 @@
+from itertools import product
+
 import pytest
 
 from shiftlab.algebra import catalog
 from shiftlab.codes import (
     BlockCode,
+    SearchResult,
+    _offset_sets,
+    _shift_order,
     apply_code,
-    blind_search_isomorphism_code,
     code_from_equivariant_map,
     compose_codes,
     identity_code,
@@ -139,6 +143,31 @@ def test_search_step_vs_zero_exhausts():
 def test_search_span_cap_for_binary():
     with pytest.raises(BoundsExceededError):
         search_isomorphism_code(PINNED_A, PINNED_B, 5, 6, 100)
+
+
+def blind_search_isomorphism_code(target, source, max_span, depth, radius) -> SearchResult:
+    """Oracle: literal enumeration of every rule and shift, in the search's order."""
+    in_alpha = tuple(sorted(set(source.alphabet)))
+    out_alpha = tuple(sorted(set(target.alphabet)))
+    tried = 0
+    for offsets in _offset_sets(max_span):
+        patterns = list(product(in_alpha, repeat=len(offsets)))
+        for outs in product(out_alpha, repeat=len(patterns)):
+            rule = dict(zip(patterns, outs))
+            code = BlockCode(offsets, rule, in_alpha, out_alpha)
+            for t in _shift_order(radius):
+                tried += 1
+                real = verify_realization(code, shifted_oracle(source, t), target, radius)
+                if not real.agrees:
+                    continue
+                proj = verify_generalized_projection(code, source, depth, radius)
+                if not proj.separates:
+                    continue
+                return SearchResult(True, code=code, shift=t, realization=real,
+                                    projection=proj, max_span=max_span, depth=depth,
+                                    radius=radius, candidates_tried=tried)
+    return SearchResult(False, max_span=max_span, depth=depth, radius=radius,
+                        candidates_tried=tried)
 
 
 @pytest.mark.parametrize("target,source,span,depth,radius", [

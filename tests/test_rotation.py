@@ -100,6 +100,10 @@ unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
 raw_arcs = st.tuples(unit_rationals, st.booleans(), unit_rationals, st.booleans())
 
 
+def _mod1(x):
+    return frac_part(x) if isinstance(x, QuadraticNumber) else x % 1
+
+
 def _raw_member(x, lo, lo_c, hi, hi_c):
     """Membership per the input grammar.
 
@@ -107,10 +111,10 @@ def _raw_member(x, lo, lo_c, hi, hi_c):
     approached from below); otherwise endpoints reduce mod 1, a reduced
     lo > hi wraps through 0, and lo == hi is a point needing both flags.
     """
-    x, lo = x % 1, lo % 1
+    x, lo = _mod1(x), _mod1(lo)
     if hi == 1:
         return lo < x or (x == lo and lo_c) or (x == 0 and hi_c)
-    hi = hi % 1
+    hi = _mod1(hi)
     if lo == hi:
         return lo_c and hi_c and x == lo
     inside = (lo < x < hi) if lo < hi else (x > lo or x < hi)
@@ -141,6 +145,52 @@ def test_complement_laws_on_random_sets(arc_specs, probes):
     assert c.complement() == s
     for probe in probes:
         assert s.contains(Q(probe)) != c.contains(Q(probe))
+
+
+ROOT2_ALPHA = Q(-1, 1, 2)  # sqrt(2) - 1
+BY_VALUE = cmp_to_key(lambda x, y: x.compare(y))
+
+
+@st.composite
+def near_points(draw):
+    """A point within 1e-15 of {k*alpha} for a small k: the point itself, a
+    rational within 10^-N of it, or it shifted by a multiple of 10^-N."""
+    x = frac_part(draw(st.integers(0, 3)) * ROOT2_ALPHA)
+    scale = 10 ** draw(st.integers(15, 24))
+    step = F(draw(st.integers(-2, 2)), scale)
+    kind = draw(st.sampled_from(["exact", "rational", "shifted"]))
+    if kind == "exact":
+        return x
+    if kind == "rational":
+        return frac_part(Q(F((x * scale).floor(), scale) + step))
+    return frac_part(x + step)
+
+
+near_arcs = st.tuples(near_points(), st.booleans(),
+                      st.one_of(near_points(), st.just(Q(1))), st.booleans())
+
+
+def _probes(values):
+    """Every value, 0, and the midpoint of each gap between sorted values."""
+    cuts = sorted({_mod1(v) for v in values} | {Q(0)}, key=BY_VALUE) + [Q(1)]
+    return cuts[:-1] + [(x + y) * F(1, 2) for x, y in zip(cuts, cuts[1:])]
+
+
+@given(st.lists(near_arcs, min_size=1, max_size=5), st.lists(near_points(), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_exact_order_within_float_resolution(arc_specs, point_specs):
+    s = normalize([Arc(*spec) for spec in arc_specs], point_specs)
+    for a, b in zip(s.arcs, s.arcs[1:]):
+        # sorted, disjoint, and merged wherever they touch
+        c = a.hi.compare(b.lo)
+        assert c < 0 or (c == 0 and not a.hi_closed and not b.lo_closed), s
+    c = s.complement()
+    values = [e for lo, _, hi, _ in arc_specs for e in (lo, hi)] + point_specs
+    for probe in _probes(values):
+        want = any(_raw_member(probe, *spec) for spec in arc_specs) \
+            or any(probe == p for p in point_specs)
+        assert s.contains(probe) == want, (arc_specs, point_specs, probe)
+        assert c.contains(probe) != want, (arc_specs, point_specs, probe)
 
 
 def test_complement_involution_and_disjointness():
