@@ -36,6 +36,7 @@ from .errors import (
     NotClosedError,
     OrderBoundExceededError,
     RationalAlphaError,
+    VerificationFailedError,
 )
 
 SUBGROUP_ORDER_BOUND = 16
@@ -89,6 +90,10 @@ class QuadraticNumber:
 
     def __setattr__(self, *a):
         raise AttributeError("QuadraticNumber is immutable")
+
+    # copy and pickle would restore the slots through __setattr__
+    def __reduce__(self):
+        return _raw, (self.a, self.b, self.c, self.d)
 
     @property
     def u(self) -> Fraction:
@@ -543,7 +548,7 @@ def is_dedekind(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> DedekindRe
             for b in H:
                 if G.mul(b, a) not in aH:
                     return DedekindResult(False, (H, a, b))
-        raise AssertionError("non-normal subgroup without a coset witness")
+        raise VerificationFailedError("non-normal subgroup without a coset witness")
     return DedekindResult(True)
 
 

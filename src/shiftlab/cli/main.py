@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when a verdict was produced (whatever the verdict says),
-2 on input errors, 3 when a bound was exceeded.  ``--workers`` and
-``--seed`` are accepted for interface stability; scans are sequential and
-deterministic, so neither can change a verdict.
+2 on input errors, 3 when a bound was exceeded, 4 when an internal
+re-check of a result failed.
 """
 
 from __future__ import annotations
@@ -20,14 +19,13 @@ from ..codes import (
     verify_generalized_projection,
     verify_realization,
 )
-from ..errors import BoundExceeded, InputError
+from ..errors import BoundExceeded, InputError, VerificationFailedError
 from ..recurrence import chromatic_recurrence_check, eqtech_search, reverify_eqtech, \
     syndetic_return_check
 from ..rotation import boundary_hits, classify_minimality, classify_word, \
     strongly_dyn_syndetic
 from ..systems import build_orbit_system, equivariant_isomorphism, is_furstenberg_system_of
-from ..zshift import WordPattern, eval_window, occurrences, \
-    uniform_recurrence_certificate
+from ..zshift import WordPattern, occurrences, uniform_recurrence_certificate
 from . import scenarios
 from .reports import Report
 from .repro import repro_registry, run_repro
@@ -45,10 +43,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", help="emit the structured report")
     common.add_argument("--out", type=Path, help="directory for report files")
-    common.add_argument("--workers", type=int,
-                        help="accepted for compatibility; scans are sequential")
-    common.add_argument("--seed", type=int,
-                        help="randomized sampling seed; never affects verdicts")
     return common
 
 
@@ -56,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     p = argparse.ArgumentParser(prog="shiftlab", parents=[common],
                                 description="exact symbolic dynamics workbench")
-    p.set_defaults(json=False, out=None, workers=1, seed=0)
+    p.set_defaults(json=False, out=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     def leaf(group, name):
@@ -286,7 +280,7 @@ def dispatch(args) -> Report:
     if args.command == "seq":
         oracle = _load(args.oracle, "oracle", scenarios.build_oracle)
         if args.subcommand == "window":
-            values = eval_window(oracle, args.lo, args.hi)
+            values = oracle.window(args.lo, args.hi)
             return Report("seq window",
                           {"lo": args.lo, "hi": args.hi, "values": values},
                           "exact",
@@ -413,9 +407,10 @@ def main(argv=None) -> int:
     except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 3
+    except VerificationFailedError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 4
     wall_ms = (time.perf_counter() - started) * 1000.0
-    # --workers and --seed stay out of the report core: verdicts never depend
-    # on them, and structured reports must be byte-identical across worker counts
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         slug = report.command.replace(" ", "-")

@@ -1,8 +1,8 @@
 """Report objects: one verdict, two renderings.
 
 The structured JSON tree is deterministic (sorted keys, no timing data),
-so repeated runs and different worker counts produce identical bytes; the
-wall time rides outside the deterministic core under ``wall_time_ms``.
+so repeated runs produce identical bytes; the wall time rides outside the
+deterministic core under ``wall_time_ms``.
 Every verdict carries a caveat flag: ``exact``, ``windowed`` or
 ``search-exhausted``.
 """

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import AlphabetMismatchError, BoundsExceededError, InputError
+from .errors import AlphabetMismatchError, BoundsExceededError, InputError, VerificationFailedError
 from .zshift import (
     CodeImageOracle,
     RotationOracle,
@@ -166,13 +166,12 @@ class Representative:
     ext_lo: int
     periodic: tuple | None = None   # (period, tuple pattern aligned at index 0)
 
-    def value(self, i: int):
-        if self.ext_lo <= i < self.ext_lo + len(self.extended):
-            return self.extended[i - self.ext_lo]
-        if self.periodic is not None:
-            period, pattern = self.periodic
-            return pattern[i % period]
-        raise IndexError(f"representative not defined at {i}")
+    def patterns(self, offsets, depth: int):
+        """The patterns a code with these offsets reads at shifts -depth..depth."""
+        start = -depth - self.ext_lo
+        if start + offsets[0] < 0 or start + offsets[-1] + 2 * depth >= len(self.extended):
+            raise IndexError(f"representative does not cover offsets {offsets}")
+        return zip(*(self.extended[start + o:start + o + 2 * depth + 1] for o in offsets))
 
 
 def windowed_orbit_representatives(oracle: SequenceOracle, depth: int, radius: int,
@@ -188,28 +187,22 @@ def windowed_orbit_representatives(oracle: SequenceOracle, depth: int, radius: i
     buf = oracle.window(-radius + lo_i, radius + hi_i)
     reps = {}
     for t in range(-radius, radius + 1):
-        ext = tuple(buf[t + i + radius - lo_i] for i in range(lo_i, hi_i + 1))
+        ext = tuple(buf[t + radius:t + radius + hi_i - lo_i + 1])
         center = ext[(-depth - lo_i):(-depth - lo_i) + 2 * depth + 1]
         if center not in reps:
             reps[center] = Representative(center, ext, lo_i)
     tails = oracle.tails()
     if tails is not None:
-        for pattern_at, period in _tail_patterns(oracle, tails):
+        period = tails.period
+        for word in (oracle.window(tails.right_from, tails.right_from + period - 1),
+                     oracle.window(tails.left_upto - period + 1, tails.left_upto)):
             for phase in range(period):
-                aligned = tuple(pattern_at((i + phase) % period) for i in range(period))
+                aligned = tuple(word[phase:] + word[:phase])
                 ext = tuple(aligned[i % period] for i in range(lo_i, hi_i + 1))
                 center = tuple(aligned[i % period] for i in range(-depth, depth + 1))
                 rep = Representative(center, ext, lo_i, periodic=(period, aligned))
                 reps[center] = rep  # periodic structure wins over a plain window word
     return list(reps.values())
-
-
-def _tail_patterns(oracle, tails):
-    right = oracle.window(tails.right_from, tails.right_from + tails.period - 1)
-    left = oracle.window(tails.left_upto - tails.period + 1, tails.left_upto)
-    period = tails.period
-    yield (lambda i, w=tuple(right): w[i % period]), period
-    yield (lambda i, w=tuple(left): w[i % period]), period
 
 
 @dataclass
@@ -263,8 +256,7 @@ def _separation(code, reps, depth, radius) -> ProjectionResult:
     """The separation verdict of verify_generalized_projection on given representatives."""
     outputs = {}
     for rep in reps:
-        out = tuple(code.rule[tuple(rep.value(s + o) for o in code.offsets)]
-                    for s in range(-depth, depth + 1))
+        out = tuple(code.rule[p] for p in rep.patterns(code.offsets, depth))
         outputs.setdefault(out, []).append(rep)
     collisions = [group for group in outputs.values() if len(group) > 1]
     if not collisions:
@@ -356,8 +348,7 @@ def _patterns_read(offsets, reps, depth):
     phase of a periodic limit word."""
     read = set()
     for rep in reps:
-        for s in range(-depth, depth + 1):
-            read.add(tuple(rep.value(s + o) for o in offsets))
+        read.update(rep.patterns(offsets, depth))
         if rep.periodic is not None:
             period, pattern = rep.periodic
             for s in range(period):
@@ -426,12 +417,7 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
         rel = [o - offsets[0] for o in offsets]
         # encoded source pattern starting at each buffer position; pattern
         # number i of the canonical pattern list encodes to i
-        enc = []
-        for j in range(len(have) - rel[-1]):
-            v = 0
-            for r in rel:
-                v = v * nsym + digit[have[j + r]]
-            enc.append(v)
+        enc = [_encode(p, digit, nsym) for p in zip(*(have[r:] for r in rel))]
         patterns = list(product(in_alpha, repeat=len(offsets)))
         partials = []       # (shift, forced output digits) in shift order
         for t in _shift_order(radius):
@@ -473,7 +459,7 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
                      if all(digits[i] == d for i, d in forced.items()))
             real = verify_realization(code, shifted_oracle(source, t), target, radius)
             if not real.agrees:
-                raise AssertionError("forced rule failed its own realization recheck")
+                raise VerificationFailedError("forced rule failed its own realization recheck")
             return SearchResult(True, code=code, shift=t, realization=real,
                                 projection=proj, max_span=max_span, depth=depth,
                                 radius=radius, candidates_tried=tried)
@@ -602,5 +588,5 @@ def code_from_equivariant_map(group, source_system, target_system, mapping) -> G
     for i, x in enumerate(source_system.points):
         image = extracted.apply(group, x)
         if image != target_system.points[mapping[i]]:
-            raise AssertionError("extracted local rule does not reproduce the map")
+            raise VerificationFailedError("extracted local rule does not reproduce the map")
     return extracted

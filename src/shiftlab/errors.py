@@ -1,10 +1,10 @@
 """Exception hierarchy shared by all shiftlab modules.
 
-Two base classes matter for the CLI: ``InputError`` maps to exit code 2
-(bad files, malformed tables, mismatched contexts) and ``BoundExceeded``
-maps to exit code 3 (a requested computation is over a hard size cap).
-``VerificationFailed`` signals an internal consistency failure and is
-never expected on valid inputs; it is deliberately not an ``InputError``.
+Three classes set the CLI's exit code: ``InputError`` 2 (bad files,
+malformed tables, mismatched contexts), ``BoundExceeded`` 3 (a requested
+computation is over a hard size cap) and ``VerificationFailedError`` 4, an
+internal consistency failure that is never expected on valid inputs and is
+deliberately not an ``InputError``.
 """
 
 

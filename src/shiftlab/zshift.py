@@ -3,7 +3,9 @@
 Oracles are immutable and evaluate deterministically at every integer:
 periodic words, sets built from arithmetic progressions / half-lines /
 finite corrections, rotation-coded sequences, images under block codes,
-and finite patches over an inner oracle.  On top of evaluation this module
+and finite patches over an inner oracle.  Each has one evaluator, which
+fills a whole window; a code image or a patch reads its inner oracle once.
+On top of evaluation this module
 extracts windowed languages, finds word occurrences, measures gap
 statistics, and produces uniform-recurrence certificates; a windowed
 refutation is only a candidate unless the rotation backend can settle the
@@ -67,19 +69,23 @@ class EventualTails:
 
 
 class SequenceOracle:
-    """Base class: a total deterministic map Z -> alphabet."""
+    """Base class: a total deterministic map Z -> alphabet, read by ``window``."""
 
     alphabet: tuple
-
-    def value(self, n: int):
-        raise NotImplementedError
 
     def window(self, lo: int, hi: int):
         if lo > hi:
             raise InputError(f"window [{lo}, {hi}] is empty")
         if hi - lo + 1 > WINDOW_CAP:
             raise WindowTooLargeError(hi - lo + 1, WINDOW_CAP)
-        return [self.value(n) for n in range(lo, hi + 1)]
+        return self._symbols(lo, hi)
+
+    def value(self, n: int):
+        return self.window(n, n)[0]
+
+    def _symbols(self, lo: int, hi: int):
+        """The subclass's one evaluator: symbols lo..hi, lo <= hi, as a fresh list."""
+        raise NotImplementedError
 
     def tails(self) -> EventualTails | None:
         return None
@@ -96,8 +102,10 @@ class PeriodicOracle(SequenceOracle):
         self.word = word
         self.alphabet = tuple(sorted(set(word)))
 
-    def value(self, n):
-        return self.word[n % len(self.word)]
+    def _symbols(self, lo, hi):
+        p = len(self.word)
+        tiled = self.word[lo % p:] + self.word * ((hi - lo) // p + 1)
+        return list(tiled[:hi - lo + 1])
 
     def tails(self):
         return EventualTails(period=len(self.word), left_upto=0, right_from=0)
@@ -112,7 +120,7 @@ class SetOracle(SequenceOracle):
     The base set is the union (or intersection) of the two-sided arithmetic
     progressions {a + k d : k in Z} and the half-line {n >= from}; with
     op="complement" the complement of the union is taken.  ``include`` and
-    ``exclude`` are finite postfix corrections, applied in that order.
+    ``exclude`` are finite postfix corrections; a point in both is included.
     """
 
     def __init__(self, aps=(), halfline=None, include=(), exclude=(), op="union"):
@@ -127,21 +135,23 @@ class SetOracle(SequenceOracle):
         self.op = op
         self.alphabet = (0, 1)
 
-    def _base(self, n):
-        votes = [n % d == a % d for a, d in self.aps]
+    def _symbols(self, lo, hi):
+        # votes[i] counts the generators (APs and the half-line) holding lo + i
+        votes = [0] * (hi - lo + 1)
+        generators = [slice((a - lo) % d, None, d) for a, d in self.aps]
         if self.halfline is not None:
-            votes.append(n >= self.halfline)
-        if self.op == "inter":
-            return bool(votes) and all(votes)
-        hit = any(votes)
-        return (not hit) if self.op == "complement" else hit
-
-    def value(self, n):
-        if n in self.include:
-            return 1
-        if n in self.exclude:
-            return 0
-        return 1 if self._base(n) else 0
+            generators.append(slice(max(self.halfline - lo, 0), None))
+        for part in generators:
+            votes[part] = [v + 1 for v in votes[part]]
+        # a point is in the base set when at least `need` generators hold it
+        need = max(len(generators), 1) if self.op == "inter" else 1
+        inside, outside = (0, 1) if self.op == "complement" else (1, 0)
+        out = [inside if v >= need else outside for v in votes]
+        for fix, symbol in ((self.exclude, 0), (self.include, 1)):
+            for n in fix:
+                if lo <= n <= hi:
+                    out[n - lo] = symbol
+        return out
 
     def tails(self):
         period = math.lcm(*(d for _, d in self.aps)) if self.aps else 1
@@ -171,15 +181,14 @@ class RotationOracle(SequenceOracle):
         self.coding = coding
         self.alphabet = tuple(coding.labels())
 
+    def _symbols(self, lo, hi):
+        return self.coding.orbit_symbols(lo, hi)
+
+    # Same result as the inherited value.  It stays defined on the class
+    # because bench/layers.py traces RotationOracle.value by name, and
+    # bench/selftest.py fails when a traced name is absent.
     def value(self, n):
         return self.coding.orbit_symbols(n, n)[0]
-
-    def window(self, lo, hi):
-        if lo > hi:
-            raise InputError(f"window [{lo}, {hi}] is empty")
-        if hi - lo + 1 > WINDOW_CAP:
-            raise WindowTooLargeError(hi - lo + 1, WINDOW_CAP)
-        return self.coding.orbit_symbols(lo, hi)
 
     def describe(self):
         return {"rotation": {
@@ -192,7 +201,7 @@ class RotationOracle(SequenceOracle):
 class CodeImageOracle(SequenceOracle):
     """Pointwise image of an inner oracle under a block code.
 
-    Evaluation at n touches only the inner positions n + offsets.
+    A window reads the inner oracle once, widened by the code's offsets.
     """
 
     def __init__(self, code, inner: SequenceOracle):
@@ -204,8 +213,12 @@ class CodeImageOracle(SequenceOracle):
         self.inner = inner
         self.alphabet = tuple(code.output_alphabet)
 
-    def value(self, n):
-        return self.code.rule[tuple(self.inner.value(n + o) for o in self.code.offsets)]
+    def _symbols(self, lo, hi):
+        first, last = self.code.offsets[0], self.code.offsets[-1]
+        buf = self.inner.window(lo + first, hi + last)
+        # column k has inner(n + offsets[k]) at n - lo; zip stops at the last
+        columns = [buf[o - first:] for o in self.code.offsets]
+        return [self.code.rule[pattern] for pattern in zip(*columns)]
 
     def tails(self):
         t = self.inner.tails()
@@ -226,8 +239,12 @@ class OverrideOracle(SequenceOracle):
         self.patch = {int(k): v for k, v in patch.items()}
         self.alphabet = tuple(sorted(set(inner.alphabet) | set(self.patch.values())))
 
-    def value(self, n):
-        return self.patch.get(n, self.inner.value(n))
+    def _symbols(self, lo, hi):
+        out = self.inner.window(lo, hi)
+        for n, symbol in self.patch.items():
+            if lo <= n <= hi:
+                out[n - lo] = symbol
+        return out
 
     def tails(self):
         t = self.inner.tails()
@@ -246,11 +263,6 @@ class OverrideOracle(SequenceOracle):
 # ---------------------------------------------------------------------------
 # Windowed analysis
 # ---------------------------------------------------------------------------
-
-def eval_window(oracle: SequenceOracle, lo: int, hi: int):
-    """Exact symbols oracle(lo..hi)."""
-    return oracle.window(lo, hi)
-
 
 def occurrences(oracle: SequenceOracle, word: WordPattern, lo: int, hi: int):
     """All h in [lo, hi] such that oracle(offset + h) matches the word."""

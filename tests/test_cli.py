@@ -15,6 +15,7 @@ from shiftlab.cli.scenarios import (
     emit_scenario,
     parse_scenario,
 )
+from shiftlab.codes import RealizationResult
 from shiftlab.errors import ScenarioError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -207,6 +208,23 @@ def test_bound_exceeded_exits_3(files, capsys):
                    "--max-len", "100", "--window", "10") == 3
 
 
+@pytest.mark.parametrize("target,fault,argv", [
+    # every subgroup reported non-normal: the Dedekind test finds no coset witness
+    ("shiftlab.algebra.is_normal", lambda *args: False, ["group", "analyze", "z4.yaml"]),
+    # a found code fails its realization re-check
+    ("shiftlab.codes.verify_realization",
+     lambda code, source, target, radius: RealizationResult(False, radius, (0, 1, 0)),
+     ["code", "search", "--target", "b.yaml", "--source", "b.yaml", "--window", "20"]),
+])
+def test_internal_verification_failure_exits_4(files, capsys, monkeypatch, target, fault,
+                                                argv):
+    monkeypatch.setattr(target, fault)
+    assert run_cli(*(files.get(a, a) for a in argv)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_negative_verdicts_still_exit_0(files, capsys):
     assert run_cli("code", "search", "--target", files["a.yaml"],
                    "--source", files["b.yaml"], "--max-span", "1",
@@ -378,12 +396,11 @@ def test_structured_reports_are_byte_identical_across_runs():
     assert a == b
 
 
-def test_worker_count_gives_byte_identical_report_cores(files, capsys):
+def test_repeated_runs_give_byte_identical_report_cores(files, capsys):
     outputs = []
-    for workers in ("1", "4"):
+    for _ in range(2):
         assert run_cli("rotation", "word", "--coding", files["sturmian.yaml"],
-                       "--symbols", "0,0", "--offsets", "0,1", "--json",
-                       "--workers", workers) == 0
+                       "--symbols", "0,0", "--offsets", "0,1", "--json") == 0
         doc = json.loads(capsys.readouterr().out)
         doc.pop("wall_time_ms", None)
         outputs.append(json.dumps(doc, sort_keys=True))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -234,6 +236,17 @@ def test_cell_symbol_sturmian_boundary_hit(sturmian):
 def test_cell_symbol_four_colouring_start(four_colouring):
     assert [cell_symbol(four_colouring, n) for n in range(3)] == [1, 2, 2]
     assert four_colouring.orbit_symbols(0, 2) == [1, 2, 2]
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))])
+def test_values_sets_and_codings_copy_and_pickle(four_colouring, clone):
+    assert clone(ALPHA) == ALPHA and clone(ALPHA).d == 5
+    cell = four_colouring.cells[2]
+    assert clone(cell) == cell
+    twin = clone(four_colouring)
+    assert twin == four_colouring
+    assert twin.orbit_symbols(-50, 50) == four_colouring.orbit_symbols(-50, 50)
 
 
 POINT_LABEL = 9
