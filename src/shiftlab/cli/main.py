@@ -32,7 +32,10 @@ from .repro import repro_registry, run_repro
 
 
 def _int_list(text):
-    return [int(x) for x in str(text).split(",") if x != ""]
+    try:
+        return [int(x) for x in str(text).split(",") if x != ""]
+    except ValueError:
+        raise InputError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _symbol_list(text):

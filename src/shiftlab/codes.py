@@ -26,6 +26,7 @@ from .zshift import (
     RotationOracle,
     SequenceOracle,
     WordPattern,
+    _EncodedWindow,
 )
 
 SEARCH_TUPLE_CAP = 10**6
@@ -34,7 +35,10 @@ MAX_PROJECTION_DEPTH = 24
 
 @dataclass(frozen=True)
 class BlockCode:
-    """Offsets g1 < ... < gk plus a total local rule on the input alphabet."""
+    """Offsets g1 < ... < gk plus a total local rule on the input alphabet.
+
+    Every rule value must lie in the output alphabet, which defaults to the
+    rule's values; an oracle's alphabet is read from it."""
 
     offsets: tuple
     rule: dict
@@ -56,6 +60,10 @@ class BlockCode:
         if not self.output_alphabet:
             object.__setattr__(self, "output_alphabet",
                                tuple(sorted(set(self.rule.values()))))
+        unlisted = set(self.rule.values()) - set(self.output_alphabet)
+        if unlisted:
+            raise InputError(f"rule values {sorted(unlisted, key=repr)} are outside the "
+                             f"output alphabet")
         object.__setattr__(self, "rule", dict(self.rule))
 
     @property
@@ -489,17 +497,12 @@ class PatternCheckResult:
         return d
 
 
-def _nonempty_exact(oracle, buf, off, gs, eps, radius):
+def _nonempty_exact(oracle, window, gs, eps, radius):
     """(nonempty, exact): membership of the tuple-intersection, decided exactly
     when the oracle admits tail analysis or a rotation backend.
 
-    ``buf[n + off]`` is oracle(n) for every n the window scan reads."""
-    hit = None
-    for h in range(-radius, radius + 1):
-        if all(buf[g + h + off] == e for g, e in zip(gs, eps)):
-            hit = h
-            break
-    if hit is not None:
+    ``window`` is the oracle's encoded window over every n the scan reads."""
+    if window.starts(gs, eps, -radius, radius):
         return True, True
     if isinstance(oracle, RotationOracle) and set(oracle.alphabet) == {0, 1}:
         by_offset = {}
@@ -541,12 +544,13 @@ def intersection_pattern_check(a: SequenceOracle, b: SequenceOracle, shifts, ari
         raise BoundsExceededError(f"{total} tuples exceed the cap {SEARCH_TUPLE_CAP}")
     lo = -radius + min(shifts, default=0)
     hi = radius + max(shifts, default=0)
-    buf_a, buf_b = a.window(lo, hi), b.window(lo, hi)
+    win_a = _EncodedWindow(a.alphabet, a.window(lo, hi), lo)
+    win_b = _EncodedWindow(b.alphabet, b.window(lo, hi), lo)
     all_exact = True
     for gs in product(shifts, repeat=arity):
         for eps in product((0, 1), repeat=arity):
-            na, ea = _nonempty_exact(a, buf_a, -lo, gs, eps, radius)
-            nb, eb = _nonempty_exact(b, buf_b, -lo, gs, eps, radius)
+            na, ea = _nonempty_exact(a, win_a, gs, eps, radius)
+            nb, eb = _nonempty_exact(b, win_b, gs, eps, radius)
             all_exact = all_exact and ea and eb
             if na != nb:
                 witness = {"shifts": list(gs), "values": list(eps),

@@ -406,78 +406,90 @@ class RotationCoding:
         return frac_part(n * self.alpha + self.base)
 
     def _integer_form(self):
-        """Integer form of the coding over a common denominator.
+        """Integer form of the coding over a common denominator, as a breakpoint table.
 
         Every relevant value (a + b*sqrt(d))/c is rescaled to D = lcm of all
-        the c's, as the integer pair (a*D/c, b*D/c); the orbit walk then needs
-        only integer additions and sign tests.  It is rebuilt on each call
-        rather than stored, so the coding stays immutable after construction.
+        the c's, as the integer pair (a*D/c, b*D/c).  The breakpoints are 0,
+        every arc endpoint below 1 and every isolated point, sorted by exact
+        sign tests and closed by the sentinel (D, 0) for the seam.  Each
+        breakpoint gets the label of the cell holding it, and so does each
+        open gap up to the next breakpoint; None marks a point no cell
+        holds.  The table is rebuilt on each call rather than stored, so the
+        coding stays immutable after construction.
         """
         labels = self.labels()
         cells = [self.cells[label] for label in labels]
         D = math.lcm(self.alpha.c, self.base.c,
                      *(e.c for cell in cells for a in cell.arcs for e in (a.lo, a.hi)),
                      *(p.c for cell in cells for p in cell.points))
+        d = self.alpha.d
 
         def enc(x):
             k = D // x.c
             return (x.a * k, x.b * k)
 
-        table = []
-        for label, cell in zip(labels, cells):
-            arcs = [(enc(a.lo), a.lo_closed, enc(a.hi), a.hi_closed) for a in cell.arcs]
-            pts = [enc(p) for p in cell.points]
-            seam = any(a.hi_closed and enc(a.hi) == (D, 0) for a in cell.arcs)
-            table.append((label, arcs, pts, seam))
-        return D, self.alpha.d, enc(self.alpha), enc(self.base), table
+        arcs = [(label, enc(a.lo), a.lo_closed, enc(a.hi), a.hi_closed)
+                for label, cell in zip(labels, cells) for a in cell.arcs]
+        points = [(label, enc(p)) for label, cell in zip(labels, cells) for p in cell.points]
+        seam = (D, 0)
+        cuts = {(0, 0), *(x for _, x in points), *(a[1] for a in arcs), *(a[3] for a in arcs)}
+        cuts.discard(seam)
+        cuts = sorted(cuts, key=cmp_to_key(
+            lambda x, y: quadratic_sign(x[0] - y[0], x[1] - y[1], d)))
+        index = {x: k for k, x in enumerate(cuts)}
+        index[seam] = len(cuts)
+        at_point, in_gap = [None] * len(cuts), [None] * len(cuts)
+        for label, x, x_closed, y, y_closed in arcs:
+            i, k = index[x], index[y]
+            in_gap[i:k] = [label] * (k - i)
+            if x_closed:
+                at_point[i] = label
+            if y_closed:
+                at_point[k % len(cuts)] = label  # hi = 1 closed holds the seam point 0
+        for label, x in points:
+            at_point[index[x]] = label
+        return D, d, enc(self.alpha), enc(self.base), cuts + [seam], at_point, in_gap
 
     def orbit_symbols(self, lo: int, hi: int):
         """Exact coded symbols for n = lo..hi via an incremental orbit walk.
 
-        The walk starts from D*{lo*alpha + base} as an integer pair, its
+        The walk starts from x = D*{lo*alpha + base} as an integer pair, its
         floor taken from one integer square root; each further point is an
-        integer-pair addition plus at most one wrap subtraction, and cell
-        membership is decided by integer sign tests.  This is the library's
-        only evaluator of coded symbols.
+        integer-pair addition.  A gap index j into the breakpoint table of
+        ``_integer_form`` follows x: it advances while x is at or above the
+        next breakpoint (an inlined integer sign test) and returns to 0 when
+        x wraps past the seam.  x is the breakpoint j itself, by an exact
+        pair comparison, or lies in the open gap after it, and that names
+        its label.  This is the library's only evaluator of coded symbols.
         """
-        D, d, (ap, aq), (bp, bq), table = self._integer_form()
+        D, d, (ap, aq), (bp, bq), cuts, at_point, in_gap = self._integer_form()
+        last = len(cuts) - 1  # the seam sentinel (D, 0)
         p, q = lo * ap + bp, lo * aq + bq
         p -= quadratic_floor(p, q, D, d) * D
 
-        sign = quadratic_sign
         out = []
+        j = 0
+        (cur_p, cur_q), (next_p, next_q) = cuts[0], cuts[1]
         for n in range(lo, hi + 1):
-            label_found = None
-            zero = p == 0 and q == 0
-            for label, arcs, pts, seam in table:
-                if zero and seam:
-                    label_found = label
+            while True:
+                # is x below the next breakpoint?  sign of u + v*sqrt(d) = x - next
+                u, v = p - next_p, q - next_q
+                if u < 0:
+                    if v <= 0 or u * u > v * v * d:
+                        break
+                elif v < 0 and u * u < v * v * d:
                     break
-                ok = False
-                for (lp, lq), lo_cl, (hp, hq), hi_cl in arcs:
-                    c = sign(p - lp, q - lq, d)
-                    if c < 0 or (c == 0 and not lo_cl):
-                        continue
-                    c = sign(p - hp, q - hq, d)
-                    if c > 0 or (c == 0 and not hi_cl):
-                        continue
-                    ok = True
-                    break
-                if not ok:
-                    for pp, pq in pts:
-                        if pp == p and pq == q:
-                            ok = True
-                            break
-                if ok:
-                    label_found = label
-                    break
-            if label_found is None:
+                j += 1
+                if j == last:
+                    p -= D
+                    j = 0
+                (cur_p, cur_q), (next_p, next_q) = cuts[j], cuts[j + 1]
+            label = at_point[j] if p == cur_p and q == cur_q else in_gap[j]
+            if label is None:
                 raise UncoveredOrbitPointError(n, f"({p}+{q}*sqrt({d}))/{D}")
-            out.append(label_found)
+            out.append(label)
             p += ap
             q += aq
-            if sign(p - D, q, d) >= 0:
-                p -= D
         return out
 
     def indicator(self, label) -> "RotationCoding":

@@ -9,7 +9,10 @@ On top of evaluation this module
 extracts windowed languages, finds word occurrences, measures gap
 statistics, and produces uniform-recurrence certificates; a windowed
 refutation is only a candidate unless the rotation backend can settle the
-word exactly.
+word exactly.  Every word scan goes through one encoded matcher: the
+window becomes a string with one character per alphabet symbol, searched
+by ``str.find`` and narrowed by single-character tests rather than
+position by position in Python.
 
 Oracles other than rotation codings are eventually periodic in both
 directions; ``tails()`` exposes that structure (period and thresholds) and
@@ -264,20 +267,78 @@ class OverrideOracle(SequenceOracle):
 # Windowed analysis
 # ---------------------------------------------------------------------------
 
+class _EncodedWindow:
+    """An oracle window as a str, one character per alphabet symbol.
+
+    A word is matched in two steps: ``str.find`` locates its longest run of
+    consecutive constrained offsets, in C, and ``narrow`` then keeps the
+    hits that hold the right character at each other offset.  The cost is
+    one C scan plus one character test per surviving hit and offset, however
+    far apart the offsets lie.  ``occurrences``, the recurrence certificate
+    and the intersection-pattern check share it.
+    """
+
+    __slots__ = ("lo", "text", "_chars")
+
+    def __init__(self, alphabet, buf, lo: int):
+        self._chars = {s: chr(i) for i, s in enumerate(alphabet)}
+        self.text = "".join(map(self._chars.__getitem__, buf))
+        self.lo = lo  # the position of text[0]
+
+    def starts(self, offsets, symbols, lo: int, hi: int):
+        """Every h in [lo, hi], increasing, with symbols[k] at h + offsets[k] for all k.
+
+        The window must cover [lo + min(offsets), hi + max(offsets)].  Offsets
+        may repeat and come in any order; two symbols at one offset match
+        nowhere, and neither does a symbol the window never holds.
+        """
+        want = {}
+        for o, s in zip(offsets, symbols):
+            c = self._chars.get(s)
+            if c is None or want.setdefault(o, c) != c:
+                return []
+        if not want:  # no constraint: every h matches
+            return list(range(lo, hi + 1))
+        keys = sorted(want)
+        first = last = run_first = keys[0]
+        for prev, o in zip(keys, keys[1:]):
+            if o != prev + 1:
+                run_first = o
+            if o - run_first > last - first:
+                first, last = run_first, o
+        word = "".join(want[o] for o in range(first, last + 1))
+        text, d = self.text, first - self.lo  # the run of a start h begins at text[h + d]
+        end = hi + d + len(word)
+        hits, i = [], text.find(word, lo + d, end)
+        while i >= 0:
+            hits.append(i - d)
+            i = text.find(word, i + 1, end)
+        for o in keys:
+            if not first <= o <= last:
+                hits = self.narrow(hits, o, want[o])
+        return hits
+
+    def narrow(self, hits, offset: int, char: str):
+        """The h in hits whose window character at h + offset is char."""
+        text, d = self.text, offset - self.lo
+        return [h for h in hits if text[h + d] == char]
+
+
 def occurrences(oracle: SequenceOracle, word: WordPattern, lo: int, hi: int):
-    """All h in [lo, hi] such that oracle(offset + h) matches the word."""
+    """All h in [lo, hi] such that oracle(offset + h) matches the word.
+
+    The oracle is read once, over the window the word can reach, and
+    scanned by one encoded match; lo > hi is an InputError.
+    """
     bad = [s for s in word.symbols if s not in oracle.alphabet]
     if bad:
         raise AlphabetMismatchError(f"word symbols {bad} are outside the oracle alphabet")
     if lo > hi:
-        return []
+        raise InputError(f"window [{lo}, {hi}] is empty")
     buf_lo = lo + word.offsets[0]
-    buf = oracle.window(buf_lo, hi + word.offsets[-1])
-    out = []
-    for h in range(lo, hi + 1):
-        if all(buf[h + o - buf_lo] == s for o, s in zip(word.offsets, word.symbols)):
-            out.append(h)
-    return out
+    window = _EncodedWindow(oracle.alphabet, oracle.window(buf_lo, hi + word.offsets[-1]),
+                            buf_lo)
+    return window.starts(word.offsets, word.symbols, lo, hi)
 
 
 def initial_words(oracle: SequenceOracle, max_len: int):
@@ -350,28 +411,36 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
     oracle is rotation-coded and the word's locus classifies as finite or
     empty.  If the exact backend instead proves the violating word
     syndetic, the certificate is inconclusive at these parameters.  A
-    negative radius is an InputError.
+    negative radius, or a max_len or gap_bound below 1, is an InputError.
+
+    The prefix occurrences come from one scan for the first symbol; each
+    longer prefix keeps those of the one before whose next symbol agrees.
     """
     if radius < 0:
         raise InputError(f"recurrence window radius must be non-negative, got {radius}")
+    if max_len < 1:
+        raise InputError(f"max_len must be at least 1, got {max_len}")
+    if gap_bound is not None and gap_bound < 1:
+        raise InputError(f"gap bound must be at least 1, got {gap_bound}")
     if max_len > MAX_WORD_LENGTH or radius > MAX_WINDOW_RADIUS:
         raise BoundsExceededError(
             f"max_len <= {MAX_WORD_LENGTH} and radius <= {MAX_WINDOW_RADIUS} required")
     if gap_bound is None:
         gap_bound = max(1, radius // 2)
     buf = oracle.window(-radius, radius + max_len - 1)
-    prefix = tuple(buf[radius:radius + max_len])
+    window = _EncodedWindow(oracle.alphabet, buf, -radius)
     worst = 0.0
     violations = []
+    occ = window.starts((0,), (buf[radius],), -radius, radius)
     for length in range(1, max_len + 1):
-        target = prefix[:length]
-        occ = [h for h in range(-radius, radius + 1)
-               if tuple(buf[h + radius:h + radius + length]) == target]
+        if length > 1:
+            # the prefix occurs at h iff the shorter one does and one more symbol agrees
+            occ = window.narrow(occ, length - 1, window.text[radius + length - 1])
         stats = max_gap(occ, -radius, radius)
         if stats.worst <= gap_bound:
             worst = max(worst, stats.worst)
         else:
-            violations.append((WordPattern.contiguous(target), occ, stats))
+            violations.append((WordPattern.contiguous(buf[radius:radius + length]), occ, stats))
     if not violations:
         return RecurrenceCertificate("verified", max_len, radius, gap_bound,
                                      g_star=worst, exact=True)

@@ -1,9 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.cli.main import main
 from shiftlab.cli.repro import repro_registry, run_repro
@@ -106,6 +109,19 @@ cells:
     - {lo: alpha, lo_closed: true, hi: 9/20, hi_closed: false}
   "1":
     - {lo: 1/2, lo_closed: true, hi: alpha, hi_closed: false}
+"""
+
+# the sturmian coding as an oracle, with string labels
+STURMIAN_ORACLE = """\
+kind: oracle
+id: sturmian-seq
+rotation:
+  alpha: sqrt(5)-2
+  cells:
+    "a":
+      - {lo: alpha, lo_closed: true, hi: 2*alpha, hi_closed: true}
+    "b":
+      - {lo: 2*alpha, lo_closed: false, hi: alpha, hi_closed: false}
 """
 
 CANDIDATES = """\
@@ -337,6 +353,80 @@ def test_malformed_scenario_values_exit_2(files, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--max-len", "0"), ("--max-len", "-3"), ("--gap-bound", "0"), ("--gap-bound", "-1"),
+])
+def test_recur_rejects_vacuous_parameters(files, capsys, flags):
+    # max_len < 1 used to certify an empty word list, and gap_bound < 1 to
+    # refute every word, both with exit 0
+    assert run_cli("seq", "recur", "--oracle", files["b.yaml"], "--window", "10", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "must be at least 1" in err
+
+
+def test_occur_rejects_reversed_bounds_like_window(files, capsys):
+    errors = []
+    for argv in (("seq", "occur", "--oracle", files["b.yaml"], "--symbols", "1",
+                  "--offsets", "0", "--lo", "5", "--hi", "1"),
+                 ("seq", "window", "--oracle", files["b.yaml"], "--lo", "5", "--hi", "1")):
+        assert run_cli(*argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "input error: window [5, 1] is empty\n"
+
+
+def _knob(draw, extremes):
+    return draw(st.integers(-30, 30) | st.sampled_from(extremes))
+
+
+@st.composite
+def seq_argv(draw):
+    """argv for seq window|occur|recur with zero, negative, reversed and
+    oversized numbers; every flag is written --flag=value."""
+    sub = draw(st.sampled_from(("window", "occur", "recur")))
+    oracle = draw(st.sampled_from(("a.yaml", "b.yaml", "sturmian-seq.yaml")))
+    argv = ["seq", sub, "--oracle", oracle]
+    if sub == "recur":
+        argv.append(f"--max-len={_knob(draw, (-10**8, 64, 65, 10**8))}")
+        argv.append(f"--window={_knob(draw, (-10**8, 10**6 + 1, 10**8))}")
+        if draw(st.booleans()):
+            argv.append(f"--gap-bound={_knob(draw, (-10**8, 10**8))}")
+        return argv
+    lo = _knob(draw, (-10**8, 10**8))
+    hi = draw(st.sampled_from((lo, lo - 1, lo + 3)) | st.integers(-10**8, 10**8))
+    argv += [f"--lo={lo}", f"--hi={hi}"]
+    if sub == "occur":
+        offsets = draw(st.lists(st.integers(-3, 5).map(str) | st.just("x"), max_size=3))
+        symbols = draw(st.lists(st.sampled_from(("0", "1", "2", "a", "b")), max_size=3))
+        argv += [f"--offsets={','.join(offsets)}", f"--symbols={','.join(symbols)}"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def seq_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("seq-fuzz")
+    for name, text in (("a.yaml", A_ORACLE), ("b.yaml", B_ORACLE),
+                       ("sturmian-seq.yaml", STURMIAN_ORACLE)):
+        (folder / name).write_text(text, encoding="utf-8")
+    return folder
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=seq_argv())
+def test_seq_boundary_fuzz_exits_cleanly(seq_files, argv):
+    argv = [str(seq_files / a) if a.endswith(".yaml") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert err == ""
 
 
 def test_rotation_classify_orders_endpoints_exactly(files, capsys):

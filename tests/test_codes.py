@@ -1,6 +1,8 @@
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.algebra import catalog
 from shiftlab.codes import (
@@ -23,7 +25,7 @@ from shiftlab.codes import (
 )
 from shiftlab.errors import AlphabetMismatchError, BoundsExceededError, InputError
 from shiftlab.systems import build_orbit_system, equivariant_isomorphism
-from shiftlab.zshift import PeriodicOracle, SetOracle
+from shiftlab.zshift import OverrideOracle, PeriodicOracle, SetOracle
 
 PINNED_A = SetOracle(aps=[(1, 2)], halfline=1, include=[0], op="inter")   # {0,1,3,5,...}
 PINNED_B = SetOracle(aps=[(0, 2)], halfline=2, op="inter")                # {2,4,6,...}
@@ -44,6 +46,12 @@ def test_code_validation():
     with pytest.raises(InputError):
         BlockCode((0, 1), {(0, 0): 0}, (0, 1))  # not total
 
+
+def test_code_rejects_rule_values_outside_its_output_alphabet():
+    with pytest.raises(InputError, match=r"rule values \[2\] are outside the output alphabet"):
+        BlockCode((0,), {(0,): 0, (1,): 2}, (0, 1), (0, 1))
+    with pytest.raises(InputError):
+        BlockCode((0,), {(0,): 0, (1,): 2}, (0, 1), (0, 0))
 
 def test_identity_code_preserves_values():
     img = apply_code(identity_code((0, 1)), PINNED_B)
@@ -235,6 +243,69 @@ def test_pattern_check_distinguishes_step_from_zero():
     assert res.exact
     assert res.witness == {"shifts": [0], "values": [1],
                            "nonempty_a": True, "nonempty_b": False}
+
+
+def windowed_first_mismatch(a, b, shifts, arity, radius):
+    """Reference for the pattern check's window scan: the first (gs, eps) in
+    canonical order whose nonemptiness on [-radius, radius] differs, found
+    by a test at every position, or None."""
+    shifts = sorted(set(shifts))
+    lo = -radius + min(shifts)
+    va, vb = a.window(lo, radius + max(shifts)), b.window(lo, radius + max(shifts))
+
+    def nonempty(values, gs, eps):
+        return any(all(values[g + h - lo] == e for g, e in zip(gs, eps))
+                   for h in range(-radius, radius + 1))
+
+    for gs in product(shifts, repeat=arity):
+        for eps in product((0, 1), repeat=arity):
+            na, nb = nonempty(va, gs, eps), nonempty(vb, gs, eps)
+            if na != nb:
+                return {"shifts": list(gs), "values": list(eps),
+                        "nonempty_a": na, "nonempty_b": nb}
+    return None
+
+
+@pytest.mark.parametrize("a,b,shifts,arity,radius", [
+    # (0, 0) with values (0, 1) asks two symbols at one position: empty for both
+    (STEP, ZERO, [0, 1], 2, 20),
+    # the only point of A sits at h = -radius
+    (SetOracle(include=[-5]), ZERO, [0], 1, 5),
+    (SetOracle(include=[7]), ZERO, [-2, 0], 2, 5),
+])
+def test_pattern_check_agrees_with_the_per_position_reference(a, b, shifts, arity, radius):
+    res = intersection_pattern_check(a, b, shifts, arity, radius)
+    assert res.witness == windowed_first_mismatch(a, b, shifts, arity, radius)
+
+
+binary_sets = st.builds(
+    SetOracle, st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 5)), max_size=2),
+    st.none() | st.integers(-10, 10), st.lists(st.integers(-12, 12), max_size=2),
+    st.lists(st.integers(-12, 12), max_size=2), st.sampled_from(("union", "inter", "complement")))
+binary_oracles = binary_sets | st.builds(
+    PeriodicOracle, st.lists(st.integers(0, 1), min_size=1, max_size=6)) | st.builds(
+    OverrideOracle, binary_sets, st.dictionaries(st.integers(-12, 12), st.integers(0, 1),
+                                                 max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=binary_oracles, b=binary_oracles,
+       shifts=st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+       arity=st.integers(1, 3), radius=st.integers(0, 15))
+def test_pattern_check_scan_matches_the_per_position_reference(a, b, shifts, arity, radius):
+    # without a rotation oracle, every nonempty verdict comes from the window scan
+    res = intersection_pattern_check(a, b, shifts, arity, radius)
+    assert res.witness == windowed_first_mismatch(a, b, shifts, arity, radius)
+
+
+def test_pattern_check_with_far_apart_shifts_costs_no_more_than_its_window():
+    # shifts (0, 99999) leave 99998 free offsets between two constraints, and
+    # the tuples asking one value at both are empty, so every start is scanned
+    alternating = PeriodicOracle((0, 1))
+    t = time.perf_counter()
+    res = intersection_pattern_check(alternating, alternating, [0, 99_999], 2, 20_000)
+    assert time.perf_counter() - t < 5.0
+    assert res.witness is None
 
 
 def test_pattern_check_requires_binary():

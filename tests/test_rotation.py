@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 from functools import cmp_to_key
@@ -6,7 +7,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab.algebra import QuadraticNumber, frac_part
+from shiftlab.algebra import QuadraticNumber, frac_part, quadratic_floor, quadratic_sign
 from shiftlab.errors import (
     InputError,
     MismatchedFieldError,
@@ -311,6 +312,85 @@ def test_integer_walk_matches_fraction_oracle(data):
     assert coding.orbit_symbols(lo, hi) == want
     oracle = RotationOracle(coding)
     assert [oracle.value(n) for n in range(lo, hi + 1)] == want
+
+
+def per_arc_walk(coding, lo, hi):
+    """Second reference for coded symbols: the integer orbit walk that tests
+    every arc and point of every label at each step, with no breakpoint table."""
+    labels = coding.labels()
+    cells = [coding.cells[label] for label in labels]
+    D = math.lcm(coding.alpha.c, coding.base.c,
+                 *(e.c for cell in cells for a in cell.arcs for e in (a.lo, a.hi)),
+                 *(p.c for cell in cells for p in cell.points))
+
+    def enc(x):
+        return (x.a * (D // x.c), x.b * (D // x.c))
+
+    d, (ap, aq), (bp, bq) = coding.alpha.d, enc(coding.alpha), enc(coding.base)
+    table = []
+    for label, cell in zip(labels, cells):
+        arcs = [(enc(a.lo), a.lo_closed, enc(a.hi), a.hi_closed) for a in cell.arcs]
+        seam = any(a.hi_closed and enc(a.hi) == (D, 0) for a in cell.arcs)
+        table.append((label, arcs, [enc(p) for p in cell.points], seam))
+    p, q = lo * ap + bp, lo * aq + bq
+    p -= quadratic_floor(p, q, D, d) * D
+    out = []
+    for n in range(lo, hi + 1):
+        found = None
+        for label, arcs, pts, seam in table:
+            inside = (p, q) == (0, 0) and seam
+            for (lp, lq), lo_cl, (hp, hq), hi_cl in arcs:
+                c_lo, c_hi = quadratic_sign(p - lp, q - lq, d), quadratic_sign(p - hp, q - hq, d)
+                if (c_lo > 0 or (c_lo == 0 and lo_cl)) and (c_hi < 0 or (c_hi == 0 and hi_cl)):
+                    inside = True
+            if inside or (p, q) in pts:
+                found = label
+                break
+        if found is None:
+            raise UncoveredOrbitPointError(n, f"({p}+{q}*sqrt({d}))/{D}")
+        out.append(found)
+        p, q = p + ap, q + aq
+        if quadratic_sign(p - D, q, d) >= 0:
+            p -= D
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_breakpoint_walk_matches_per_arc_walk_at_hit_times(data):
+    # windows that start at, end at or consist of a time when the orbit meets
+    # an isolated point, an arc endpoint or the seam
+    coding, times = data.draw(random_codings())
+    t = data.draw(st.sampled_from(times))
+    width = data.draw(st.integers(0, 40))
+    lo, hi = data.draw(st.sampled_from(((t, t + width), (t - width, t), (t, t))))
+    want = per_arc_walk(coding, lo, hi)
+    assert coding.orbit_symbols(lo, hi) == want
+    assert [cell_symbol(coding, n) for n in (lo, hi)] == [want[0], want[-1]]
+    assert [coding.orbit_symbols(n, n) for n in (lo, hi)] == [[want[0]], [want[-1]]]
+
+
+def test_breakpoint_walk_matches_per_arc_walk_over_long_windows(sturmian, four_colouring,
+                                                                  third_interval):
+    for coding in (sturmian, four_colouring, third_interval):
+        for lo, hi in ((-3000, 3000), (10**9, 10**9 + 500), (-10**12 - 500, -10**12)):
+            assert coding.orbit_symbols(lo, hi) == per_arc_walk(coding, lo, hi)
+
+
+def test_uncovered_orbit_point_raises_the_same_error():
+    # alpha is its own cell; with that cell taken away after validation, the
+    # orbit meets an uncovered point at n = 1
+    cells = {0: CircleIntervalSet([Arc(Q(0), True, ALPHA, False)]),
+             1: CircleIntervalSet([Arc(ALPHA, False, Q(1), False)]),
+             2: CircleIntervalSet((), [ALPHA])}
+    coding = RotationCoding(ALPHA, cells)
+    del coding.cells[2]
+    with pytest.raises(UncoveredOrbitPointError) as ref:
+        per_arc_walk(coding, -5, 5)
+    with pytest.raises(UncoveredOrbitPointError) as got:
+        coding.orbit_symbols(-5, 5)
+    assert str(got.value) == str(ref.value)
+    assert coding.orbit_symbols(2, 9) == per_arc_walk(coding, 2, 9)
 
 
 def test_mixed_field_coding_rejected():

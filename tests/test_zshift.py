@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -14,12 +15,13 @@ from shiftlab.errors import (
     InputError,
     WindowTooLargeError,
 )
-from shiftlab.rotation import Arc, CircleIntervalSet, RotationCoding
+from shiftlab.rotation import Arc, CircleIntervalSet, RotationCoding, classify_word
 from shiftlab.zshift import (
     CodeImageOracle,
     GapStats,
     OverrideOracle,
     PeriodicOracle,
+    RecurrenceCertificate,
     RotationOracle,
     SetOracle,
     WordPattern,
@@ -275,6 +277,140 @@ def test_occurrences_agree_with_naive_reevaluation(lo, width, symbols, seed):
     assert got == naive
 
 
+def test_occurrences_reject_reversed_bounds():
+    with pytest.raises(InputError, match=r"window \[5, 1\] is empty"):
+        occurrences(PINNED_B, WordPattern((0,), (1,)), 5, 1)
+
+
+# -- scans against the per-position references ------------------------------------------
+
+def scan_occurrences(oracle, word, lo, hi):
+    """Reference for ``occurrences``: one window read, then a test at every position."""
+    buf_lo = lo + word.offsets[0]
+    buf = oracle.window(buf_lo, hi + word.offsets[-1])
+    return [h for h in range(lo, hi + 1)
+            if all(buf[h + o - buf_lo] == s for o, s in zip(word.offsets, word.symbols))]
+
+
+def rescanning_certificate(oracle, max_len, radius, gap_bound=None):
+    """Reference for ``uniform_recurrence_certificate``: each prefix length
+    rescans all 2r + 1 positions with a tuple comparison."""
+    if gap_bound is None:
+        gap_bound = max(1, radius // 2)
+    buf = oracle.window(-radius, radius + max_len - 1)
+    prefix = tuple(buf[radius:radius + max_len])
+    worst, violations = 0.0, []
+    for length in range(1, max_len + 1):
+        target = prefix[:length]
+        occ = [h for h in range(-radius, radius + 1)
+               if tuple(buf[h + radius:h + radius + length]) == target]
+        stats = max_gap(occ, -radius, radius)
+        if stats.worst <= gap_bound:
+            worst = max(worst, stats.worst)
+        else:
+            violations.append((WordPattern.contiguous(target), occ, stats))
+    if not violations:
+        return RecurrenceCertificate("verified", max_len, radius, gap_bound,
+                                     g_star=worst, exact=True)
+    word, occ, stats = max(violations, key=lambda v: (v[2].worst, -len(v[0].symbols)))
+    evidence = {
+        "occurrences": occ[:50] + (["..."] if len(occ) > 50 else []),
+        "count": len(occ),
+        "max_gap": stats.max_gap, "left_slack": stats.left_slack,
+        "right_slack": stats.right_slack, "window": [-radius, radius],
+    }
+    if isinstance(oracle, RotationOracle):
+        wc = classify_word(oracle.coding, word)
+        if wc.kind in ("finite", "empty"):
+            return RecurrenceCertificate("candidate_refutation", max_len, radius, gap_bound,
+                                         word=word, evidence=evidence, exact=True,
+                                         word_class=wc)
+        return RecurrenceCertificate("inconclusive", max_len, radius, gap_bound,
+                                     word=word, evidence=evidence)
+    return RecurrenceCertificate("candidate_refutation", max_len, radius, gap_bound,
+                                 word=word, evidence=evidence)
+
+
+# symbols 10 and 46 encode as a newline and a dot, characters that a
+# pattern-based matcher would treat specially
+WIDE = PeriodicOracle(list(range(60)) + [1, 2, 48, 10, 3])
+
+
+@pytest.mark.parametrize("word", [
+    WordPattern((0, 2), (46, 48)), WordPattern((0, 2), (9, 11)), WordPattern((0, 1), (10, 11)),
+    WordPattern((-1, 1, 3), (45, 47, 49)), WordPattern((0, 3), (2, 3)), WordPattern((0,), (10,)),
+])
+def test_words_over_a_wide_alphabet_agree_with_the_reference(word):
+    want = scan_occurrences(WIDE, word, -200, 200)
+    assert want  # every word here occurs
+    assert occurrences(WIDE, word, -200, 200) == want
+
+
+def test_scans_over_a_repeated_output_alphabet():
+    # a code may list a symbol twice in its output alphabet; every symbol
+    # still gets its own character
+    code = BlockCode((0,), {(0,): 0, (1,): 2}, (0, 1), (0, 2, 0))
+    oracle = CodeImageOracle(code, PeriodicOracle((0, 1, 1)))
+    for word in (WordPattern((0,), (0,)), WordPattern((0, 3), (2, 2)), WordPattern((0, 1), (0, 2))):
+        assert occurrences(oracle, word, -9, 9) == scan_occurrences(oracle, word, -9, 9) != []
+    assert (uniform_recurrence_certificate(oracle, 3, 9).describe()
+            == rescanning_certificate(oracle, 3, 9).describe())
+
+
+def test_sparse_word_scan_costs_no_more_than_its_window():
+    # 99999 free offsets between two constrained ones: the scan must not
+    # step through them at every start
+    oracle = PeriodicOracle((0, 1, 1))
+    word = WordPattern((0, 99999), (0, 0))
+    t = time.perf_counter()
+    got = occurrences(oracle, word, -200_000, 200_000)
+    assert time.perf_counter() - t < 5.0
+    assert got == [h for h in range(-200_000, 200_001) if h % 3 == 0]
+    assert occurrences(oracle, WordPattern((0, 100_000), (0, 0)), -200_000, 200_000) == []
+
+
+@st.composite
+def scan_oracles(draw):
+    """Nested oracles, the same relabelled to string symbols, and periodic
+    words over 48 to 100 symbols (so that symbol indices 10 and 46 occur)."""
+    kind = draw(st.sampled_from(("nested", "strings", "wide")))
+    if kind == "wide":
+        size = draw(st.integers(48, 100))
+        word = draw(st.permutations(range(size)))
+        word += draw(st.lists(st.integers(0, size - 1), max_size=20))
+        return PeriodicOracle(word)
+    oracle = draw(nested_oracles())
+    if kind == "nested":
+        return oracle
+    names = draw(st.lists(st.sampled_from(("a", "b", ".", "*", "\n", "(", "\\", "ab")),
+                          min_size=len(oracle.alphabet), max_size=len(oracle.alphabet)))
+    rule = {(s,): name for s, name in zip(oracle.alphabet, names)}
+    return CodeImageOracle(BlockCode((0,), rule, oracle.alphabet), oracle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle=scan_oracles(), data=st.data())
+def test_scans_agree_with_the_per_position_references(oracle, data):
+    offsets = sorted(data.draw(st.sets(st.integers(-4, 8), min_size=1, max_size=4)))
+    if data.draw(st.booleans()):  # read the word off the oracle, so that it occurs
+        at = data.draw(st.integers(-30, 30))
+        symbols = [oracle.value(at + o) for o in offsets]
+    else:
+        symbols = data.draw(st.lists(st.sampled_from(oracle.alphabet),
+                                     min_size=len(offsets), max_size=len(offsets)))
+    word = WordPattern(tuple(offsets), tuple(symbols))
+    lo = data.draw(st.integers(-40, 40))
+    hi = lo + data.draw(st.integers(0, 40))
+    assert occurrences(oracle, word, lo, hi) == scan_occurrences(oracle, word, lo, hi)
+
+    max_len = data.draw(st.integers(1, 8))
+    radius = data.draw(st.integers(0, 40))
+    gap_bound = data.draw(st.none() | st.integers(1, 20))
+    got = uniform_recurrence_certificate(oracle, max_len, radius, gap_bound)
+    assert got.describe() == rescanning_certificate(oracle, max_len, radius,
+                                                    gap_bound).describe()
+
+
 # -- initial words ------------------------------------------------------------------------
 
 def test_initial_words_periodic():
@@ -356,6 +492,13 @@ def test_rotation_certificate_inconclusive_when_backend_proves_syndetic():
     cert = uniform_recurrence_certificate(RotationOracle(coding), 2, 1000, 1)
     assert cert.verdict == "inconclusive"
     assert cert.word is not None
+
+
+@pytest.mark.parametrize("max_len,gap_bound", [(0, None), (-3, None), (4, 0), (4, -1)])
+def test_certificate_rejects_vacuous_parameters(max_len, gap_bound):
+    # max_len < 1 checks no word at all; gap_bound < 1 no gap can meet
+    with pytest.raises(InputError):
+        uniform_recurrence_certificate(PeriodicOracle((0, 1)), max_len, 10, gap_bound)
 
 
 def test_certificate_bounds():
