@@ -27,10 +27,17 @@ from .zshift import (
     SequenceOracle,
     WordPattern,
     _EncodedWindow,
+    centered,
 )
 
 SEARCH_TUPLE_CAP = 10**6
 MAX_PROJECTION_DEPTH = 24
+
+
+def _over_cap(base, exponent, factor=1):
+    """factor * base**exponent > SEARCH_TUPLE_CAP, for base, factor >= 1, without
+    building a huge power: any base >= 2 passes the cap within bit_length steps."""
+    return factor * base ** min(exponent, SEARCH_TUPLE_CAP.bit_length()) > SEARCH_TUPLE_CAP
 
 
 @dataclass(frozen=True)
@@ -252,6 +259,8 @@ def verify_generalized_projection(code: BlockCode, oracle: SequenceOracle,
 
 
 def _check_projection_bounds(depth, radius):
+    if depth < 0:
+        raise InputError(f"projection depth must be non-negative, got {depth}")
     if radius < 0:
         raise InputError(f"projection window radius must be non-negative, got {radius}")
     if depth > MAX_PROJECTION_DEPTH:
@@ -336,13 +345,6 @@ def _offset_sets(max_span):
     return out
 
 
-def _shift_order(radius):
-    yield 0
-    for t in range(1, radius + 1):
-        yield t
-        yield -t
-
-
 def _encode(pattern, digit, nsym):
     v = 0
     for s in pattern:
@@ -398,15 +400,17 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     the first shift whose partial it extends, is the canonical enumeration's
     first hit, found at a fraction of the cost.  A found pair is
     re-verified from scratch and reported as a desk-scale certificate,
-    never as a proof over all of Z.  A negative radius is an InputError.
+    never as a proof over all of Z.  A negative radius, max_span or depth is
+    an InputError.
     """
-    if radius < 0:
-        raise InputError(f"search window radius must be non-negative, got {radius}")
+    for name, value in (("window radius", radius), ("max_span", max_span), ("depth", depth)):
+        if value < 0:
+            raise InputError(f"search {name} must be non-negative, got {value}")
     in_alpha = tuple(sorted(set(source.alphabet)))
     out_alpha = tuple(sorted(set(target.alphabet)))
     if len(in_alpha) <= 2 and max_span > 4:
         raise BoundsExceededError("max_span is capped at 4 for binary alphabets")
-    if len(in_alpha) ** (max_span + 1) * (2 * radius + 1) > SEARCH_TUPLE_CAP:
+    if _over_cap(len(in_alpha), max_span + 1, 2 * radius + 1):
         raise BoundsExceededError("search space exceeds the tuple cap")
 
     want = target.window(-radius, radius)
@@ -415,10 +419,7 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     nsym = len(in_alpha)
     tried = 0
     # conflicts cluster near the structured center, so scan n center-out
-    scan = [0]
-    for n in range(1, radius + 1):
-        scan.append(n)
-        scan.append(-n)
+    scan = list(centered(radius))
     for offsets in _offset_sets(max_span):
         # one buffer wide enough for every shift of the realization window
         have = source.window(-2 * radius + offsets[0], 2 * radius + offsets[-1])
@@ -428,7 +429,7 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
         enc = [_encode(p, digit, nsym) for p in zip(*(have[r:] for r in rel))]
         patterns = list(product(in_alpha, repeat=len(offsets)))
         partials = []       # (shift, forced output digits) in shift order
-        for t in _shift_order(radius):
+        for t in centered(radius):
             forced = {}
             ok = True
             off = t + 2 * radius
@@ -514,12 +515,7 @@ def _nonempty_exact(oracle, window, gs, eps, radius):
         from . import rotation as _rotation
         return _rotation.classify_word(oracle.coding, word).kind != "empty", True
     tails = oracle.tails()
-    if tails is not None:
-        span = max(abs(g) for g in gs)
-        needed = max(abs(tails.right_from), abs(tails.left_upto)) + span + tails.period
-        if radius >= needed:
-            return False, True  # window covers both transients plus a full period
-    return False, False
+    return False, tails is not None and tails.covers(max(abs(g) for g in gs), radius)
 
 
 def intersection_pattern_check(a: SequenceOracle, b: SequenceOracle, shifts, arity: int,
@@ -531,17 +527,21 @@ def intersection_pattern_check(a: SequenceOracle, b: SequenceOracle, shifts, ari
     for A exactly when it is for B.  The first mismatching tuple in
     canonical order is returned.  Verdicts are exact when both sides decide
     emptiness exactly (tail analysis or rotation backend), else windowed.
-    Each oracle is read once, over one window; a negative radius is an
-    InputError.
+    Each oracle is read once, over one window; a negative radius, an arity
+    below 1 or an empty shift list is an InputError.
     """
     shifts = tuple(sorted(set(int(s) for s in shifts)))
     if set(a.alphabet) - {0, 1} or set(b.alphabet) - {0, 1}:
         raise AlphabetMismatchError("intersection patterns need binary oracles")
     if radius < 0:
         raise InputError(f"pattern window radius must be non-negative, got {radius}")
-    total = (len(shifts) * 2) ** arity
-    if total > SEARCH_TUPLE_CAP:
-        raise BoundsExceededError(f"{total} tuples exceed the cap {SEARCH_TUPLE_CAP}")
+    if arity < 1:
+        raise InputError(f"pattern arity must be at least 1, got {arity}")
+    if not shifts:
+        raise InputError("intersection patterns need at least one shift")
+    if _over_cap(len(shifts) * 2, arity):
+        raise BoundsExceededError(
+            f"{len(shifts) * 2}**{arity} tuples exceed the cap {SEARCH_TUPLE_CAP}")
     lo = -radius + min(shifts, default=0)
     hi = radius + max(shifts, default=0)
     win_a = _EncodedWindow(a.alphabet, a.window(lo, hi), lo)

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .algebra import FiniteGroup, Z3BElement, z3b_f
 from .errors import BoundsExceededError, InputError
-from .zshift import SequenceOracle
+from .zshift import SequenceOracle, centered
 
 EQTECH_SUPPORT_CAP = 12
 
@@ -47,13 +47,6 @@ class CandidateSet:
         if any(not 0 <= g < group.order for g in elements):
             raise InputError("candidate element out of range")
         return cls(tuple(elements))
-
-
-def _centered(radius):
-    yield 0
-    for h in range(1, radius + 1):
-        yield h
-        yield -h
 
 
 def _scan_window(R: CandidateSet, oracle: SequenceOracle, radius: int):
@@ -86,14 +79,6 @@ class RecurrenceVerdict:
         return d
 
 
-def _miss_is_exact(oracle: SequenceOracle, g: int, radius: int) -> bool:
-    tails = oracle.tails()
-    if tails is None:
-        return False
-    needed = max(abs(tails.right_from), abs(tails.left_upto)) + abs(g) + tails.period
-    return radius >= needed
-
-
 def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int,
                                group: FiniteGroup | None = None) -> RecurrenceVerdict:
     """First (g, colour, h) with h and h+g (or g*h over a finite group) alike.
@@ -115,17 +100,18 @@ def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int,
                 return RecurrenceVerdict(True, g=g, colour=best[0], h=best[1], exact=True)
         return RecurrenceVerdict(False, radius=group.order, exact=True)
     buf, off = _scan_window(R, coloring, radius)
+    tails = coloring.tails()
     exact = True
     for g in R.elements:
         best = None
-        for h in _centered(radius):
+        for h in centered(radius):
             colour = buf[h + off]
             # centered order: the first match of a colour is its earliest h
             if colour == buf[h + g + off] and (best is None or colour < best[0]):
                 best = (colour, h)
         if best is not None:
             return RecurrenceVerdict(True, g=g, colour=best[0], h=best[1])
-        exact = exact and _miss_is_exact(coloring, g, radius)
+        exact = exact and tails is not None and tails.covers(abs(g), radius)
     return RecurrenceVerdict(False, radius=radius, exact=exact)
 
 
@@ -143,12 +129,13 @@ def syndetic_return_check(R: CandidateSet, subset: SequenceOracle, radius: int,
                     return RecurrenceVerdict(True, g=g, h=h, exact=True)
         return RecurrenceVerdict(False, radius=group.order, exact=True)
     buf, off = _scan_window(R, subset, radius)
+    tails = subset.tails()
     exact = True
     for g in R.elements:
-        for h in _centered(radius):
+        for h in centered(radius):
             if buf[h + off] == 1 and buf[h + g + off] == 1:
                 return RecurrenceVerdict(True, g=g, h=h)
-        exact = exact and _miss_is_exact(subset, g, radius)
+        exact = exact and tails is not None and tails.covers(abs(g), radius)
     return RecurrenceVerdict(False, radius=radius, exact=exact)
 
 
@@ -182,10 +169,13 @@ def eqtech_search(S, support_bound: int, search_bound: int | None = None) -> Eqt
     Wanted: z3b_f(x) != z3b_f(c*x) while z3b_f(a * x^-1 * b) agrees with
     z3b_f(a * (c*x)^-1 * b) for every a, b in S.  Pairs are scanned by
     total support size, then lexicographically; the first hit returns with
-    the full (a, b) verification transcript.
+    the full (a, b) verification transcript.  A negative search bound is an
+    InputError.
     """
     if search_bound is None:
         search_bound = support_bound
+    if search_bound < 0:
+        raise InputError(f"search bound must be non-negative, got {search_bound}")
     if search_bound > EQTECH_SUPPORT_CAP:
         raise BoundsExceededError(f"search bound {search_bound} exceeds {EQTECH_SUPPORT_CAP}")
     S = list(S)

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 
-from .algebra import QuadraticNumber, frac_part, quadratic_floor, quadratic_sign, solve_hit
+from .algebra import QuadraticNumber, _reduced, frac_part, quadratic_floor, quadratic_sign, \
+    solve_hit
 from .errors import InputError, MismatchedFieldError, RationalAlphaError, UncoveredOrbitPointError
 
 Q0 = QuadraticNumber(0)
@@ -110,21 +111,6 @@ class CircleIntervalSet:
                 arcs.remove(last)
                 arcs.append(Arc(last.lo, last.lo_closed, first.hi, first.hi_closed))
         return arcs
-
-    def boundary_points(self):
-        """Endpoints of logical arcs plus the isolated points, deduplicated."""
-        if self.is_full_circle():
-            return list(self.points)
-        out = []
-        for a in self.logical_arcs():
-            for p in (a.lo, a.hi):
-                p = frac_part(p)
-                if all(p != q for q in out):
-                    out.append(p)
-        for p in self.points:
-            if all(p != q for q in out):
-                out.append(p)
-        return sorted(out, key=_BY_VALUE)
 
     def longest_arc_length(self):
         if not self.arcs:
@@ -381,23 +367,16 @@ class RotationCoding:
         for x in values:
             if x.d and x.d != self.alpha.d:
                 raise MismatchedFieldError(self.alpha.d, x.d)
-        labels = sorted(self.cells, key=str)
-        for i, l1 in enumerate(labels):
-            for l2 in labels[i + 1:]:
-                inter = self.cells[l1].intersect(self.cells[l2])
-                if not inter.is_empty():
-                    raise InputError(f"cells {l1!r} and {l2!r} overlap: {inter!r}")
-        union = CircleIntervalSet(
-            [a for c in self.cells.values() for a in c.arcs],
-            [p for c in self.cells.values() for p in c.points],
-        )
-        uncovered = union.complement()
-        if uncovered.has_interior():
-            raise InputError(f"cells leave an uncovered arc: {uncovered!r}")
-        for p in uncovered.points:
-            if solve_hit(self.alpha, p - self.base) is not None:
-                raise InputError(f"uncovered point {p} is hit by the orbit")
-        self._uncovered = uncovered.points
+        D, d, _, _, cuts, at_point, in_gap = self._integer_form()  # rejects overlaps
+        for j, label in enumerate(in_gap):
+            if label is None:
+                raise InputError(f"cells leave an uncovered arc: "
+                                 f"({_reduced(*cuts[j], D, d)}, {_reduced(*cuts[j + 1], D, d)})")
+        for (p, q), label in zip(cuts, at_point):
+            if label is None:
+                x = _reduced(p, q, D, d)
+                if solve_hit(self.alpha, x - self.base) is not None:
+                    raise InputError(f"uncovered point {x} is hit by the orbit")
 
     def labels(self):
         return sorted(self.cells, key=str)
@@ -413,9 +392,10 @@ class RotationCoding:
         every arc endpoint below 1 and every isolated point, sorted by exact
         sign tests and closed by the sentinel (D, 0) for the seam.  Each
         breakpoint gets the label of the cell holding it, and so does each
-        open gap up to the next breakpoint; None marks a point no cell
-        holds.  The table is rebuilt on each call rather than stored, so the
-        coding stays immutable after construction.
+        open gap up to the next breakpoint; None marks a point or gap no cell
+        holds, and one that two cells claim is an InputError.  This is the
+        coding's one description of its partition, rebuilt on each call so
+        that the coding stays immutable after construction.
         """
         labels = self.labels()
         cells = [self.cells[label] for label in labels]
@@ -428,26 +408,39 @@ class RotationCoding:
             k = D // x.c
             return (x.a * k, x.b * k)
 
+        # an isolated point is the closed arc from the point to itself
         arcs = [(label, enc(a.lo), a.lo_closed, enc(a.hi), a.hi_closed)
                 for label, cell in zip(labels, cells) for a in cell.arcs]
-        points = [(label, enc(p)) for label, cell in zip(labels, cells) for p in cell.points]
+        arcs += [(label, enc(p), True, enc(p), True)
+                 for label, cell in zip(labels, cells) for p in cell.points]
         seam = (D, 0)
-        cuts = {(0, 0), *(x for _, x in points), *(a[1] for a in arcs), *(a[3] for a in arcs)}
+        cuts = {(0, 0), *(a[1] for a in arcs), *(a[3] for a in arcs)}
         cuts.discard(seam)
         cuts = sorted(cuts, key=cmp_to_key(
             lambda x, y: quadratic_sign(x[0] - y[0], x[1] - y[1], d)))
+        m = len(cuts)
         index = {x: k for k, x in enumerate(cuts)}
-        index[seam] = len(cuts)
-        at_point, in_gap = [None] * len(cuts), [None] * len(cuts)
+        index[seam] = m
+        at_point, in_gap = [None] * m, [None] * m
+
+        def overlap(slots, j, label):
+            where = "on the gap after" if slots is in_gap else "at"
+            return InputError(f"cells {slots[j]!r} and {label!r} overlap {where} "
+                              f"{_reduced(*cuts[j], D, d)}")
+
         for label, x, x_closed, y, y_closed in arcs:
             i, k = index[x], index[y]
-            in_gap[i:k] = [label] * (k - i)
-            if x_closed:
-                at_point[i] = label
-            if y_closed:
-                at_point[k % len(cuts)] = label  # hi = 1 closed holds the seam point 0
-        for label, x in points:
-            at_point[index[x]] = label
+            for j in range(i, k):
+                if in_gap[j] is not None:
+                    raise overlap(in_gap, j, label)
+                in_gap[j] = label
+            # the breakpoints inside the arc and its closed ends; hi = 1
+            # closed holds the seam point 0
+            for j in range(i + (not x_closed), k + y_closed):
+                j %= m
+                if at_point[j] is not None:
+                    raise overlap(at_point, j, label)
+                at_point[j] = label
         return D, d, enc(self.alpha), enc(self.base), cuts + [seam], at_point, in_gap
 
     def orbit_symbols(self, lo: int, hi: int):
@@ -490,6 +483,23 @@ class RotationCoding:
             out.append(label)
             p += ap
             q += aq
+        return out
+
+    def _boundaries(self):
+        """(value, labels) for each boundary breakpoint of the table.
+
+        A breakpoint is a boundary when the labels of the gap before it, the
+        point itself and the gap after it are not all the same; the gap
+        before 0 is the last gap.  The labels around it are listed in
+        ``labels()`` order, leaving out None (an uncovered point).
+        """
+        D, d, _, _, cuts, at_point, in_gap = self._integer_form()
+        labels = self.labels()
+        out = []
+        for j, label in enumerate(at_point):
+            around = {in_gap[j - 1], label, in_gap[j]}
+            if len(around) > 1:
+                out.append((_reduced(*cuts[j], D, d), [l for l in labels if l in around]))
         return out
 
     def indicator(self, label) -> "RotationCoding":
@@ -540,21 +550,11 @@ def classify_word(coding: RotationCoding, word) -> WordClass:
 
 def boundary_hits(coding: RotationCoding):
     """All orbit visits to cell-boundary points: (n, point, adjacent labels)."""
-    boundaries = {label: coding.cells[label].boundary_points() for label in coding.labels()}
-    seen = []
-    for label in coding.labels():
-        for p in boundaries[label]:
-            if all(p != q for q in seen):
-                seen.append(p)
     out = []
-    for p in seen:
+    for p, labels in coding._boundaries():
         n = solve_hit(coding.alpha, p - coding.base)
-        if n is None:
-            continue
-        adjacent = [label for label in coding.labels()
-                    if any(p == q for q in boundaries[label])
-                    or coding.cells[label].contains(p)]
-        out.append((n, p, adjacent))
+        if n is not None:
+            out.append((n, p, labels))
     out.sort(key=lambda t: t[0])
     return out
 
@@ -572,10 +572,11 @@ def strongly_dyn_syndetic(coding: RotationCoding, label) -> SyndeticityResult:
     adjusted = bool(cell.points) or any(
         a.lo_closed or a.hi_closed for a in cell.logical_arcs())
     bad = []
-    for p in cell.boundary_points():
-        n = solve_hit(coding.alpha, p - coding.base)
-        if n is not None:
-            bad.append((n, p))
+    for p, labels in coding._boundaries():
+        if label in labels:
+            n = solve_hit(coding.alpha, p - coding.base)
+            if n is not None:
+                bad.append((n, p))
     return SyndeticityResult(strongly=not bad, adjusted=adjusted, bad_hits=bad)
 
 
@@ -595,21 +596,9 @@ class MinimalityResult:
         return self.minimal
 
 
-def _endpoint_set(coding: RotationCoding):
-    pts = []
-    for label in coding.labels():
-        for p in coding.cells[label].boundary_points():
-            if all(p != q for q in pts):
-                pts.append(p)
-        for p in coding.cells[label].points:
-            if all(p != q for q in pts):
-                pts.append(p)
-    return pts
-
-
 def resonance_bound(coding: RotationCoding) -> int:
-    """max |m| over endpoint pairs with e1 - e2 = m*alpha (mod 1)."""
-    pts = _endpoint_set(coding)
+    """max |m| over boundary-point pairs with e1 - e2 = m*alpha (mod 1)."""
+    pts = [p for p, _ in coding._boundaries()]
     M = 0
     for e1 in pts:
         for e2 in pts:

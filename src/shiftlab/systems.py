@@ -341,14 +341,13 @@ def product_flip_extension(G: FiniteGroup, f) -> FiniteSystem:
     standard desk-scale example of a generalised system that only factors.
     """
     inner = build_orbit_system(G, f, "R")
+    # point (p_i, bit) has index 2*i + bit
     points = [(p, bit) for p in inner.points for bit in (0, 1)]
-    index = {p: i for i, p in enumerate(points)}
-    act = [[index[(inner.points[inner.act[g][inner.index[p]]], bit)]
-            for (p, bit) in points] for g in G.elements()]
+    act = [[2 * row[i] + bit for i in range(len(inner.points)) for bit in (0, 1)]
+           for row in inner.act]
     observable = [p[G.identity] for (p, bit) in points]
-    return FiniteSystem(group=G, points=points, act=act,
-                        base=index[(inner.points[inner.base], 0)],
-                        observable=observable, action_kind="action", index=index)
+    return FiniteSystem(group=G, points=points, act=act, base=2 * inner.base,
+                        observable=observable, action_kind="action")
 
 
 # -- Dedekind dichotomy -------------------------------------------------------
@@ -400,9 +399,10 @@ def phi_dedekind(G: FiniteGroup, f) -> PhiDedekindResult:
     source = build_orbit_system(G, f, "R")
     target = build_orbit_system(G, f, "Ltilde")
     mapping = [None] * len(source.points)
+    # act[h][base] is the point that shifting f by h produces (R_g R_h = R_gh,
+    # L_g L_h = L_gh), so no config is shifted again
     for h in G.elements():
-        i = source.index[shift(G, f, h, "right")]
-        j = target.index[shift(G, f, h, "left")]
+        i, j = source.act[h][source.base], target.act[h][target.base]
         if mapping[i] is None:
             mapping[i] = j
         elif mapping[i] != j:

@@ -70,6 +70,20 @@ class EventualTails:
     left_upto: int
     right_from: int
 
+    def covers(self, span: int, radius: int) -> bool:
+        """Whether a scan of [-radius, radius] reading up to ``span`` away sees
+        both transients and a full period, so that a miss in it is a miss on Z."""
+        return radius >= max(abs(self.right_from), abs(self.left_upto)) + span + self.period
+
+
+def centered(radius: int):
+    """0, 1, -1, 2, -2, ..., radius, -radius: the scan order that meets the
+    structure near 0 first."""
+    yield 0
+    for t in range(1, radius + 1):
+        yield t
+        yield -t
+
 
 class SequenceOracle:
     """Base class: a total deterministic map Z -> alphabet, read by ``window``."""

@@ -377,6 +377,35 @@ def test_occur_rejects_reversed_bounds_like_window(files, capsys):
     assert errors[0] == errors[1] == "input error: window [5, 1] is empty\n"
 
 
+@pytest.mark.parametrize("argv", [
+    # --k -1 ended in a ValueError traceback, the others in exit-0 verdicts
+    ("code", "patterns", "--a", "a.yaml", "--b", "b.yaml", "--shifts", "0,1", "--k", "-1"),
+    ("code", "patterns", "--a", "a.yaml", "--b", "b.yaml", "--shifts", "0,1", "--k", "0"),
+    ("code", "patterns", "--a", "a.yaml", "--b", "b.yaml", "--shifts", ",", "--k", "1"),
+    ("code", "search", "--target", "b.yaml", "--source", "b.yaml", "--window", "20",
+     "--max-span", "-1"),
+    ("code", "search", "--target", "b.yaml", "--source", "b.yaml", "--window", "20",
+     "--depth", "-2"),
+    ("code", "verify", "--code", "parity3.yaml", "--source", "b.yaml", "--window", "20",
+     "--depth", "-1"),
+    ("recur", "eqtech", "--context", "z3b.yaml", "--search-bound", "-1"),
+])
+def test_vacuous_code_and_recur_parameters_exit_2(files, capsys, argv):
+    assert run_cli(*(files.get(a, a) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_oversized_pattern_arity_exits_3(files, capsys):
+    # the tuple count 2**(10**8) used to be built in full, and its message
+    # ended in a ValueError traceback
+    assert run_cli("code", "patterns", "--a", files["a.yaml"], "--b", files["b.yaml"],
+                   "--shifts", "0", "--k", str(10**8)) == 3
+    err = capsys.readouterr().err
+    assert err == "bound exceeded: 2**100000000 tuples exceed the cap 1000000\n"
+
+
 def _knob(draw, extremes):
     return draw(st.integers(-30, 30) | st.sampled_from(extremes))
 
@@ -416,7 +445,12 @@ def seq_files(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(argv=seq_argv())
 def test_seq_boundary_fuzz_exits_cleanly(seq_files, argv):
-    argv = [str(seq_files / a) if a.endswith(".yaml") else a for a in argv]
+    _assert_exits_cleanly(seq_files, argv)
+
+
+def _assert_exits_cleanly(folder, argv):
+    """Exit 0, 2, 3 or 4, no traceback, and exactly one stderr line unless 0."""
+    argv = [str(folder / a) if a.endswith(".yaml") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -427,6 +461,57 @@ def test_seq_boundary_fuzz_exits_cleanly(seq_files, argv):
         assert err.count("\n") == 1 and err.endswith("\n"), err
     else:
         assert err == ""
+
+
+@st.composite
+def code_recur_argv(draw):
+    """argv for code verify|search|patterns and recur chromatic|syndetic|eqtech
+    with zero, negative and oversized numbers and malformed --shifts; an
+    oversized value is past a library cap, so it is refused before any work."""
+    family, sub = draw(st.sampled_from((
+        ("code", "verify"), ("code", "search"), ("code", "patterns"),
+        ("recur", "chromatic"), ("recur", "syndetic"), ("recur", "eqtech"))))
+    oracle = draw(st.sampled_from(("a.yaml", "b.yaml", "sturmian-seq.yaml")))
+    window = f"--window={draw(st.integers(-3, 30) | st.sampled_from((-10**8, 10**8)))}"
+    argv = [family, sub]
+    if sub == "verify":
+        argv += ["--code", "parity3.yaml", "--source", oracle, window,
+                 f"--depth={_knob(draw, (-10**8, 25, 10**8))}"]
+        if draw(st.booleans()):
+            argv += ["--target", draw(st.sampled_from(("a.yaml", "b.yaml"))), "--separation"]
+    elif sub == "search":
+        argv += ["--target", draw(st.sampled_from(("a.yaml", "b.yaml"))), "--source", oracle,
+                 window, f"--max-span={draw(st.integers(-3, 3) | st.sampled_from((5, 10**8)))}",
+                 f"--depth={_knob(draw, (-10**8, 25, 10**8))}"]
+    elif sub == "patterns":
+        shifts = draw(st.lists(st.integers(-3, 5).map(str), min_size=1, max_size=3)
+                      | st.lists(st.sampled_from(("x", "", "2", str(10**8))), max_size=3))
+        argv += ["--a", oracle, "--b", draw(st.sampled_from(("a.yaml", "b.yaml"))),
+                 f"--shifts={','.join(shifts)}", window,
+                 f"--k={draw(st.integers(-3, 3) | st.sampled_from((-10**8, 10**8)))}"]
+    elif sub == "eqtech":
+        argv += ["--context", "z3b.yaml",
+                 f"--support-bound={_knob(draw, (-10**8, 13, 10**8))}"]
+        if draw(st.booleans()):
+            argv.append(f"--search-bound={draw(st.integers(-3, 4) | st.sampled_from((13, 10**8)))}")
+    else:
+        argv += ["--set", "cand.yaml", "--coloring" if sub == "chromatic" else "--oracle",
+                 oracle, window]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def code_recur_files(seq_files):
+    for name, text in (("parity3.yaml", PARITY3_CODE), ("cand.yaml", CANDIDATES),
+                       ("z3b.yaml", Z3B_CONTEXT)):
+        (seq_files / name).write_text(text, encoding="utf-8")
+    return seq_files
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=code_recur_argv())
+def test_code_and_recur_boundary_fuzz_exits_cleanly(code_recur_files, argv):
+    _assert_exits_cleanly(code_recur_files, argv)
 
 
 def test_rotation_classify_orders_endpoints_exactly(files, capsys):

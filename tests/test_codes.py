@@ -9,7 +9,6 @@ from shiftlab.codes import (
     BlockCode,
     SearchResult,
     _offset_sets,
-    _shift_order,
     apply_code,
     code_from_equivariant_map,
     compose_codes,
@@ -25,7 +24,7 @@ from shiftlab.codes import (
 )
 from shiftlab.errors import AlphabetMismatchError, BoundsExceededError, InputError
 from shiftlab.systems import build_orbit_system, equivariant_isomorphism
-from shiftlab.zshift import OverrideOracle, PeriodicOracle, SetOracle
+from shiftlab.zshift import OverrideOracle, PeriodicOracle, SetOracle, centered
 
 PINNED_A = SetOracle(aps=[(1, 2)], halfline=1, include=[0], op="inter")   # {0,1,3,5,...}
 PINNED_B = SetOracle(aps=[(0, 2)], halfline=2, op="inter")                # {2,4,6,...}
@@ -163,7 +162,7 @@ def blind_search_isomorphism_code(target, source, max_span, depth, radius) -> Se
         for outs in product(out_alpha, repeat=len(patterns)):
             rule = dict(zip(patterns, outs))
             code = BlockCode(offsets, rule, in_alpha, out_alpha)
-            for t in _shift_order(radius):
+            for t in centered(radius):
                 tried += 1
                 real = verify_realization(code, shifted_oracle(source, t), target, radius)
                 if not real.agrees:

@@ -7,7 +7,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab.algebra import QuadraticNumber, frac_part, quadratic_floor, quadratic_sign
+from shiftlab.algebra import QuadraticNumber, frac_part, quadratic_floor, quadratic_sign, solve_hit
 from shiftlab.errors import (
     InputError,
     MismatchedFieldError,
@@ -18,6 +18,7 @@ from shiftlab.rotation import (
     Arc,
     CircleIntervalSet,
     RotationCoding,
+    SyndeticityResult,
     boundary_hits,
     classify_minimality,
     classify_word,
@@ -611,3 +612,184 @@ def test_engineered_resonance_refutes_via_long_word():
     assert not res.minimal
     assert res.witness.symbols == (0, 0, 0, 0)
     assert res.occurrences == [0]
+
+
+# -- set-algebra references for the partition table --------------------------------------
+
+def reference_validate(alpha, cells, base):
+    """Validation by set algebra: pairwise intersections, then the complement
+    of the union, whose points must all be missed by the orbit."""
+    labels = sorted(cells, key=str)
+    for i, l1 in enumerate(labels):
+        for l2 in labels[i + 1:]:
+            inter = cells[l1].intersect(cells[l2])
+            if not inter.is_empty():
+                raise InputError(f"cells {l1!r} and {l2!r} overlap: {inter!r}")
+    union = CircleIntervalSet(
+        [a for c in cells.values() for a in c.arcs],
+        [p for c in cells.values() for p in c.points],
+    )
+    uncovered = union.complement()
+    if uncovered.has_interior():
+        raise InputError(f"cells leave an uncovered arc: {uncovered!r}")
+    for p in uncovered.points:
+        if solve_hit(alpha, p - base) is not None:
+            raise InputError(f"uncovered point {p} is hit by the orbit")
+
+
+def reference_boundary_points(cell):
+    """Endpoints of the cell's logical arcs plus its isolated points, deduplicated."""
+    if cell.is_full_circle():
+        return list(cell.points)
+    out = []
+    for a in cell.logical_arcs():
+        for p in (a.lo, a.hi):
+            p = frac_part(p)
+            if all(p != q for q in out):
+                out.append(p)
+    for p in cell.points:
+        if all(p != q for q in out):
+            out.append(p)
+    return sorted(out, key=BY_VALUE)
+
+
+def reference_boundary_hits(coding):
+    boundaries = {label: reference_boundary_points(coding.cells[label])
+                  for label in coding.labels()}
+    seen = []
+    for label in coding.labels():
+        for p in boundaries[label]:
+            if all(p != q for q in seen):
+                seen.append(p)
+    out = []
+    for p in seen:
+        n = solve_hit(coding.alpha, p - coding.base)
+        if n is None:
+            continue
+        adjacent = [label for label in coding.labels()
+                    if any(p == q for q in boundaries[label])
+                    or coding.cells[label].contains(p)]
+        out.append((n, p, adjacent))
+    out.sort(key=lambda t: t[0])
+    return out
+
+
+def reference_resonance_bound(coding):
+    pts = []
+    for label in coding.labels():
+        for p in reference_boundary_points(coding.cells[label]) + list(coding.cells[label].points):
+            if all(p != q for q in pts):
+                pts.append(p)
+    M = 0
+    for e1 in pts:
+        for e2 in pts:
+            m = solve_hit(coding.alpha, e1 - e2)
+            if m is not None:
+                M = max(M, abs(m))
+    return M
+
+
+def reference_strongly_dyn_syndetic(coding, label):
+    cell = coding.cells[label]
+    adjusted = bool(cell.points) or any(
+        a.lo_closed or a.hi_closed for a in cell.logical_arcs())
+    bad = []
+    for p in reference_boundary_points(cell):
+        n = solve_hit(coding.alpha, p - coding.base)
+        if n is not None:
+            bad.append((n, p))
+    return SyndeticityResult(strongly=not bad, adjusted=adjusted, bad_hits=bad)
+
+
+@st.composite
+def partition_inputs(draw):
+    """(alpha, cells, base) for a coding cut at rationals (0 included), at
+    k*alpha and at orbit points k*alpha + base.  Each cut goes to the arc on
+    its left, the arc on its right, an isolated-point cell or no cell (a
+    point left uncovered, which the orbit meets only at an orbit-point cut);
+    the arc through the seam crosses it, or ends on it written as 0 or as 1.
+    Some draws then drop one arc (an uncovered arc) or add one arc or point
+    to a cell (usually an overlap)."""
+    d = draw(st.sampled_from((2, 3, 5, 7)))
+    c = draw(st.sampled_from((1, 2, 3)))
+    alpha = frac_part(Q(F(draw(st.integers(-3, 3)), c), F(draw(st.sampled_from((1, -1, 2))), c), d))
+    base = draw(st.sampled_from((Q(0), Q(F(3, 7)), frac_part(draw(st.integers(-4, 4)) * alpha))))
+    cuts = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(("rational", "multiple", "hit")))
+        if kind == "rational":
+            q = draw(st.sampled_from((1, 2, 5, 12)))
+            cut = Q(F(draw(st.integers(0, q - 1)), q))
+        else:
+            k = draw(st.integers(-4, 4))
+            cut = frac_part(k * alpha + (base if kind == "hit" else 0))
+        if all(cut != other for other in cuts):
+            cuts.append(cut)
+    assume(len(cuts) >= 2)
+    cuts.sort(key=BY_VALUE)
+    m = len(cuts)
+    owner = [draw(st.sampled_from(("left", "right", "point", "none"))) for _ in range(m)]
+    pieces = []
+    for i in range(m):
+        hi = cuts[(i + 1) % m]
+        if hi == Q(0) and draw(st.booleans()):
+            hi = Q(1)  # the same arc end, written as the seam approached from below
+        piece = Arc(cuts[i], owner[i] == "right", hi, owner[(i + 1) % m] == "left")
+        pieces.append((draw(st.integers(0, 2)), piece))
+    points = [(draw(st.sampled_from((POINT_LABEL, 0))), cuts[i])
+              for i in range(m) if owner[i] == "point"]
+    mutation = draw(st.sampled_from(("none", "none", "drop", "arc", "point")))
+    values = cuts + [Q(F(draw(st.integers(0, 11)), 12))]
+    if mutation == "drop":
+        del pieces[draw(st.integers(0, m - 1))]
+    elif mutation == "arc":
+        lo, hi = draw(st.sampled_from(values)), draw(st.sampled_from(values + [Q(1)]))
+        pieces.append((draw(st.integers(0, 2)),
+                       Arc(lo, draw(st.booleans()), hi, draw(st.booleans()))))
+    elif mutation == "point":
+        points.append((draw(st.sampled_from((0, 1, 2, POINT_LABEL))), draw(st.sampled_from(values))))
+    arcs_of, points_of = {}, {}
+    for label, piece in pieces:
+        arcs_of.setdefault(label, []).append(piece)
+    for label, p in points:
+        points_of.setdefault(label, []).append(p)
+    cells = {label: CircleIntervalSet(arcs_of.get(label, ()), points_of.get(label, ()))
+             for label in {*arcs_of, *points_of}}
+    return alpha, cells, base
+
+
+def _same_partition_answers(coding):
+    reference_validate(coding.alpha, coding.cells, coding.base)
+
+    def shown(hits):
+        return [(n, str(p), labels) for n, p, labels in hits]
+
+    assert shown(boundary_hits(coding)) == shown(reference_boundary_hits(coding))
+    assert resonance_bound(coding) == reference_resonance_bound(coding)
+    for label in coding.labels():
+        got, want = (f(coding, label) for f in (strongly_dyn_syndetic,
+                                                reference_strongly_dyn_syndetic))
+        assert (got.strongly, got.adjusted) == (want.strongly, want.adjusted), label
+        assert [(n, str(p)) for n, p in got.bad_hits] == [(n, str(p)) for n, p in want.bad_hits]
+
+
+@settings(max_examples=400, deadline=None)
+@given(partition_inputs())
+def test_partition_table_matches_set_algebra(inputs):
+    # accept/reject agreement with set-algebra validation, then the same
+    # boundary hits, resonance bound and per-label syndeticity, on the coding
+    # and on each of its indicator codings
+    alpha, cells, base = inputs
+    try:
+        reference_validate(alpha, cells, base)
+        rejected = None
+    except InputError as exc:
+        rejected = exc
+    try:
+        coding = RotationCoding(alpha, dict(cells), base)
+    except InputError as exc:
+        assert rejected is not None, (cells, exc)
+        return
+    assert rejected is None, (cells, rejected)
+    for c in [coding] + [coding.indicator(label) for label in coding.labels()]:
+        _same_partition_answers(c)

@@ -73,6 +73,18 @@ def reshift_orbit_system(G, f, mode):
     return points, act, index[seed], observable
 
 
+def reshift_pairing(G, f, source, target):
+    """Brute-force oracle for the coset pairing of phi_dedekind: shift f by
+    each h both ways and look both configs up."""
+    mapping = [None] * len(source.points)
+    for h in G.elements():
+        i = source.index[shift(G, f, h, "right")]
+        j = target.index[shift(G, f, h, "left")]
+        assert mapping[i] in (None, j), "pairing is not well defined"
+        mapping[i] = j
+    return mapping
+
+
 def action_law_loop(S, kind):
     """Brute-force oracle: the exhaustive composition-law check, never memoized."""
     G = S.group
@@ -297,6 +309,19 @@ def test_phi_r_on_product_extension_is_a_proper_factor():
     assert len(ext) == 2 * len(res.target)
 
 
+def test_product_extension_matches_the_config_round_trip():
+    # reference: act found by looking each shifted (config, bit) pair up
+    for G, f in ((Z4, (0, 1, 0, 1)), (S3, (0, 1, 2, 0, 1, 2)), (CATALOG["q8"], tuple(range(8)))):
+        ext = product_flip_extension(G, f)
+        inner = build_orbit_system(G, f, "R")
+        index = {p: i for i, p in enumerate(ext.points)}
+        act = [[index[(inner.points[inner.act[g][inner.index[p]]], bit)] for p, bit in ext.points]
+               for g in G.elements()]
+        assert ext.act == act
+        assert ext.points[ext.base] == (inner.points[inner.base], 0)
+        assert ext.index == index
+
+
 def test_phi_r_corrupted_observable_raises_seed_mismatch():
     f = (0, 1, 0, 1)
     S = build_orbit_system(Z4, f, "R")
@@ -348,6 +373,18 @@ def test_phi_dedekind_all_partitions_of_q8():
         phi_dedekind(q8, f)  # raises on any verification failure
         count += 1
     assert count == BELL[8]
+
+
+def test_coset_pairing_matches_reshift_oracle():
+    groups = 0
+    for name, G in sorted(CATALOG.items()):
+        if not G.is_dedekind().dedekind:
+            continue
+        groups += 1
+        for f in set_partitions(G.order):
+            res = phi_dedekind(G, f)
+            assert res.mapping == reshift_pairing(G, f, res.source, res.target), (name, f)
+    assert groups == 12
 
 
 def test_dedekind_dichotomy_on_catalog():

@@ -18,6 +18,7 @@ from shiftlab.errors import (
 from shiftlab.rotation import Arc, CircleIntervalSet, RotationCoding, classify_word
 from shiftlab.zshift import (
     CodeImageOracle,
+    EventualTails,
     GapStats,
     OverrideOracle,
     PeriodicOracle,
@@ -25,6 +26,7 @@ from shiftlab.zshift import (
     RotationOracle,
     SetOracle,
     WordPattern,
+    centered,
     initial_words,
     max_gap,
     occurrences,
@@ -537,3 +539,12 @@ def test_set_oracle_validation():
         SetOracle(aps=[(0, 0)])
     with pytest.raises(InputError):
         SetOracle(op="xor")
+
+
+def test_shared_scan_order_and_tail_bound():
+    # the code search, its blind oracle and the recurrence scans all read
+    # these two definitions, so pin them here
+    assert list(centered(2)) == [0, 1, -1, 2, -2] and list(centered(0)) == [0]
+    tails = EventualTails(period=3, left_upto=-4, right_from=6)
+    assert tails.covers(2, 11) and not tails.covers(2, 10)
+    assert EventualTails(period=1, left_upto=-9, right_from=0).covers(0, 10)
