@@ -349,7 +349,10 @@ def parse_quadratic(text: str, alpha: QuadraticNumber | None = None) -> Quadrati
         if not m:
             raise ScenarioError(f"cannot tokenize quadratic expression {text!r} at {s[pos:]!r}")
         if m.lastgroup == "rat":
-            tokens.append(("rat", Fraction(m.group("rat"))))
+            try:
+                tokens.append(("rat", Fraction(m.group("rat"))))
+            except ZeroDivisionError:
+                raise ScenarioError(f"zero denominator in quadratic expression {text!r}") from None
         elif m.lastgroup == "sqrt":
             d = int(m.group("sqrt")[5:-1])
             if not is_squarefree(d) or d < 2:

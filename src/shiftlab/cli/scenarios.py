@@ -68,7 +68,11 @@ def parse_scenario(text: str) -> dict:
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ScenarioError(f"not valid YAML: {exc}") from exc
+        # the parser's own message spans several lines; report one
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ScenarioError(f"not valid YAML: {problem}{where}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a YAML mapping")
     kind = doc.get("kind")
@@ -94,11 +98,11 @@ def emit_scenario(doc: dict) -> str:
 def _validate_group(doc):
     _require_keys(doc, ("kind", "id"), ("order", "table", "names", "catalog"), "group")
     if "catalog" in doc:
-        if doc["catalog"] not in catalog():
+        if not isinstance(doc["catalog"], str) or doc["catalog"] not in catalog():
             raise ScenarioError(f"unknown catalog group {doc['catalog']!r}")
         return
     _require_keys(doc, ("kind", "id", "order", "table"), ("names",), "group")
-    if not isinstance(doc["table"], list):
+    if not isinstance(doc["table"], list) or not all(isinstance(r, list) for r in doc["table"]):
         raise ScenarioError("group table must be a list of rows")
 
 
@@ -149,6 +153,8 @@ def _validate_coding_payload(body, where):
         if isinstance(cell, dict):
             _require_keys(cell, (), ("arcs", "points"), f"{where}.cells[{label}]")
             arcs = cell.get("arcs", [])
+            if not isinstance(cell.get("points", []), list):
+                raise ScenarioError(f"{where}: cell {label!r} points must be a list")
         else:
             arcs = cell
         if not isinstance(arcs, list):

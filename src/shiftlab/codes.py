@@ -157,10 +157,10 @@ def verify_realization(code: BlockCode, source: SequenceOracle,
     image = apply_code(code, source)
     got = image.window(-radius, radius)
     want = target.window(-radius, radius)
-    for i, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            return RealizationResult(False, radius, (i - radius, g, w))
-    return RealizationResult(True, radius)
+    if got == want:
+        return RealizationResult(True, radius)
+    i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+    return RealizationResult(False, radius, (i - radius, got[i], want[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +385,48 @@ def _extensions(forced, read, size, nout):
         yield key, digits
 
 
+def _forced_rule(enc, scan, t):
+    """The partial rule {pattern code: output digit} that shift t forces, or
+    None at the first position that forces one pattern two ways."""
+    forced = {}
+    for i, wanted in scan:
+        if forced.setdefault(enc[i + t], wanted) != wanted:
+            return None
+    return forced
+
+
+def _consistent_shifts(source, offsets, digit, scan, radius):
+    """(t, forced) for every shift t, in centered order, at which some rule on
+    these offsets carries the shifted source onto the target window, with the
+    partial rule that window forces.
+
+    ``scan`` lists (n + 2 * radius, target output digit at n) for n in
+    [-radius, radius], in scan order.  The source is read once, over every
+    shift, and encoded column by column: shift t reads the pattern code
+    ``enc[n + 2 * radius + t]`` at n.  When that buffer repeats with the
+    source's tail period P (checked on the buffer itself), shifts t and
+    t + P read the same patterns against the same target, so only the first
+    shift of each residue class mod P is scanned and the others reuse its
+    verdict.
+    """
+    nsym = len(digit)
+    have = list(map(digit.__getitem__,
+                    source.window(-2 * radius + offsets[0], 2 * radius + offsets[-1])))
+    enc = have
+    for o in offsets[1:]:
+        enc = [e * nsym + x for e, x in zip(enc, have[o - offsets[0]:])]
+    tails = source.tails()
+    period = tails.period if tails is not None else 0
+    repeats = 0 < period < len(enc) and enc[period:] == enc[:-period]
+    shifts = list(centered(radius))
+    # without a repeat every shift is its own class; either way the first
+    # `classes` shifts in centered order are consecutive integers, so they
+    # are the first shift of each residue class
+    classes = period if repeats else len(shifts)
+    verdicts = {t % classes: _forced_rule(enc, scan, t) for t in shifts[:classes]}
+    return [(t, verdicts[t % classes]) for t in shifts if verdicts[t % classes] is not None]
+
+
 def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
                             max_span: int, depth: int, radius: int) -> SearchResult:
     """First (code, shift) realizing target from the shifted source and separating.
@@ -402,6 +444,10 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     re-verified from scratch and reported as a desk-scale certificate,
     never as a proof over all of Z.  A negative radius, max_span or depth is
     an InputError.
+
+    A source whose window repeats with its tail period P is decided once
+    per residue class of shifts mod P; ``candidates_tried`` still counts
+    every (offset set, shift) pair.
     """
     for name, value in (("window radius", radius), ("max_span", max_span), ("depth", depth)):
         if value < 0:
@@ -413,43 +459,23 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     if _over_cap(len(in_alpha), max_span + 1, 2 * radius + 1):
         raise BoundsExceededError("search space exceeds the tuple cap")
 
-    want = target.window(-radius, radius)
     digit = {s: i for i, s in enumerate(in_alpha)}
     out_digit = {s: i for i, s in enumerate(out_alpha)}
+    want = target.window(-radius, radius)
+    # conflicts cluster near the structured center, so scan n center-out
+    scan = [(n + 2 * radius, out_digit[want[n + radius]]) for n in centered(radius)]
     nsym = len(in_alpha)
     tried = 0
-    # conflicts cluster near the structured center, so scan n center-out
-    scan = list(centered(radius))
     for offsets in _offset_sets(max_span):
-        # one buffer wide enough for every shift of the realization window
-        have = source.window(-2 * radius + offsets[0], 2 * radius + offsets[-1])
-        rel = [o - offsets[0] for o in offsets]
-        # encoded source pattern starting at each buffer position; pattern
-        # number i of the canonical pattern list encodes to i
-        enc = [_encode(p, digit, nsym) for p in zip(*(have[r:] for r in rel))]
-        patterns = list(product(in_alpha, repeat=len(offsets)))
-        partials = []       # (shift, forced output digits) in shift order
-        for t in centered(radius):
-            forced = {}
-            ok = True
-            off = t + 2 * radius
-            for n in scan:
-                pat = enc[n + off]
-                wanted = out_digit[want[n + radius]]
-                seen = forced.get(pat)
-                if seen is None:
-                    forced[pat] = wanted
-                elif seen != wanted:
-                    ok = False
-                    break
-            tried += 1
-            if ok:
-                partials.append((t, forced))
+        partials = _consistent_shifts(source, offsets, digit, scan, radius)
+        tried += 2 * radius + 1
         if not partials:
             continue
         _check_projection_bounds(depth, radius)
         reps = windowed_orbit_representatives(
             source, depth, radius, ext_lo=offsets[0], ext_hi=offsets[-1])
+        # pattern number i of the canonical pattern list encodes to i
+        patterns = list(product(in_alpha, repeat=len(offsets)))
         read = {_encode(p, digit, nsym) for p in _patterns_read(offsets, reps, depth)}
         distinct = {frozenset(forced.items()): forced for _, forced in partials}
         streams = [_extensions(forced, read, len(patterns), len(out_alpha))

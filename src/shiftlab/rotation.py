@@ -562,22 +562,18 @@ def boundary_hits(coding: RotationCoding):
 @dataclass
 class SyndeticityResult:
     strongly: bool
-    adjusted: bool                 # True when the named cell was not open
     bad_hits: list                 # (n, point) orbit visits to the closure boundary
 
 
 def strongly_dyn_syndetic(coding: RotationCoding, label) -> SyndeticityResult:
     """No orbit visit to cl(U) minus U, for U the (interior of the) named cell."""
-    cell = coding.cells[label]
-    adjusted = bool(cell.points) or any(
-        a.lo_closed or a.hi_closed for a in cell.logical_arcs())
     bad = []
     for p, labels in coding._boundaries():
         if label in labels:
             n = solve_hit(coding.alpha, p - coding.base)
             if n is not None:
                 bad.append((n, p))
-    return SyndeticityResult(strongly=not bad, adjusted=adjusted, bad_hits=bad)
+    return SyndeticityResult(strongly=not bad, bad_hits=bad)
 
 
 # -- minimality ------------------------------------------------------------------

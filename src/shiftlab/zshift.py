@@ -235,7 +235,7 @@ class CodeImageOracle(SequenceOracle):
         buf = self.inner.window(lo + first, hi + last)
         # column k has inner(n + offsets[k]) at n - lo; zip stops at the last
         columns = [buf[o - first:] for o in self.code.offsets]
-        return [self.code.rule[pattern] for pattern in zip(*columns)]
+        return list(map(self.code.rule.__getitem__, zip(*columns)))
 
     def tails(self):
         t = self.inner.tails()

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from shiftlab.cli.main import main
@@ -512,6 +513,126 @@ def code_recur_files(seq_files):
 @given(argv=code_recur_argv())
 def test_code_and_recur_boundary_fuzz_exits_cleanly(code_recur_files, argv):
     _assert_exits_cleanly(code_recur_files, argv)
+
+
+# wrong-kind, malformed and out-of-range scenario files for the group,
+# system and rotation families; generated tables and values are added per draw
+FAMILY_FILES = {
+    "z4.yaml": Z4_GROUP, "broken.yaml": BROKEN_GROUP, "f.yaml": PERIOD_FUNCTION,
+    "sturmian.yaml": STURMIAN_CODING, "near.yaml": NEAR_ALPHA_CODING, "b.yaml": B_ORACLE,
+    "s3.yaml": "kind: group\nid: s3\ncatalog: s3\n",
+    "catalog-list.yaml": "kind: group\nid: c\ncatalog: [z4]\n",
+    "ragged.yaml": "kind: group\nid: r\norder: 2\ntable:\n  - [0, 1]\n  - [1]\n",
+    "out-of-range.yaml": "kind: group\nid: r\norder: 2\ntable:\n  - [0, 1]\n  - [1, 2]\n",
+    "order-0.yaml": "kind: group\nid: r\norder: 0\ntable: []\n",
+    "scalar-rows.yaml": "kind: group\nid: r\norder: 2\ntable: [1, null]\n",
+    "empty-values.yaml": "kind: function\nid: f\nvalues: []\n",
+    "short-values.yaml": "kind: function\nid: f\nvalues: [0, 1]\n",
+    "odd-values.yaml": "kind: function\nid: f\nvalues: [[0], {a: 1}, null, x]\n",
+    "not-yaml.yaml": "kind: [\n",
+    "a-list.yaml": "- 1\n- 2\n",
+    "rational-alpha.yaml": STURMIAN_CODING.replace("sqrt(5)-2", "1/3"),
+    "zero-denominator.yaml": STURMIAN_CODING.replace("2*alpha, hi_closed: true", "1/0"),
+    "gap.yaml": STURMIAN_CODING.replace("hi: alpha, hi_closed: false", "hi: 1/2"),
+    "overlap.yaml": STURMIAN_CODING.replace("hi: 2*alpha, hi_closed: true", "hi: 1/2"),
+    "scalar-points.yaml": STURMIAN_CODING.replace(
+        '"1":\n    - {lo: 2*alpha, lo_closed: false, hi: alpha, hi_closed: false}',
+        '"1": {arcs: [{lo: 2*alpha, lo_closed: false, hi: alpha, hi_closed: false}], '
+        'points: 5}'),
+}
+GROUP_FILES = ("z4.yaml", "broken.yaml", "s3.yaml", "catalog-list.yaml", "ragged.yaml",
+               "out-of-range.yaml", "order-0.yaml", "scalar-rows.yaml", "drawn-group.yaml",
+               "f.yaml", "not-yaml.yaml", "a-list.yaml", "missing.yaml")
+FUNCTION_FILES = ("f.yaml", "empty-values.yaml", "short-values.yaml", "odd-values.yaml",
+                  "drawn-function.yaml", "z4.yaml", "not-yaml.yaml", "missing.yaml")
+CODING_FILES = ("sturmian.yaml", "near.yaml", "rational-alpha.yaml", "zero-denominator.yaml",
+                "gap.yaml", "overlap.yaml", "scalar-points.yaml", "b.yaml", "not-yaml.yaml",
+                "missing.yaml")
+MODES = ("R", "L", "Ltilde", "anti")
+
+
+@st.composite
+def family_argv(draw, folder):
+    """argv for group analyze, system build|iso|furstenberg, rotation
+    classify|word|boundary and repro.  A drawn group table (ragged, out of
+    range or of order 0) and drawn function values are written to the folder."""
+    entry = st.integers(-1, 4) | st.sampled_from(("x", None, 1.5))
+    rows = draw(st.lists(st.lists(entry, max_size=4) | entry, max_size=4))
+    (folder / "drawn-group.yaml").write_text(yaml.safe_dump(
+        {"kind": "group", "id": "drawn", "order": draw(st.integers(-1, 4)), "table": rows}),
+        encoding="utf-8")
+    values = draw(st.lists(st.integers(0, 2) | st.sampled_from(("a", None)), max_size=6))
+    (folder / "drawn-function.yaml").write_text(yaml.safe_dump(
+        {"kind": "function", "id": "drawn", "values": values}), encoding="utf-8")
+    family = draw(st.sampled_from(("group", "system", "rotation", "repro")))
+    if family == "group":
+        return ["group", "analyze", draw(st.sampled_from(GROUP_FILES))]
+    if family == "system":
+        sub = draw(st.sampled_from(("build", "iso", "furstenberg")))
+        argv = ["system", sub, "--group", draw(st.sampled_from(GROUP_FILES)),
+                "--function", draw(st.sampled_from(FUNCTION_FILES))]
+        if sub == "iso":
+            argv += ["--left-mode", draw(st.sampled_from(MODES)),
+                     "--right-mode", draw(st.sampled_from(MODES))]
+            if draw(st.booleans()):
+                argv += ["--function2", draw(st.sampled_from(FUNCTION_FILES))]
+            return argv
+        argv += ["--mode", draw(st.sampled_from(MODES))]
+        if sub == "build" and draw(st.booleans()):
+            argv.append("--dump")
+        if sub == "furstenberg" and draw(st.booleans()):
+            argv += ["--query", draw(st.sampled_from(FUNCTION_FILES))]
+        return argv
+    if family == "rotation":
+        sub = draw(st.sampled_from(("classify", "word", "boundary")))
+        argv = ["rotation", sub, "--coding", draw(st.sampled_from(CODING_FILES))]
+        if sub == "classify":
+            scope = draw(st.sampled_from(("set", "colouring", "whole-colouring", "0", "1",
+                                          "7", "x", "")))
+            argv.append(f"--scope={scope}")
+        elif sub == "word":
+            symbols = draw(st.lists(st.sampled_from(("0", "1", "2", "a", "")), max_size=3))
+            offsets = draw(st.lists(st.integers(-3, 5).map(str) | st.sampled_from(
+                ("x", "1.5", "")), max_size=3))
+            argv += [f"--symbols={','.join(symbols)}", f"--offsets={','.join(offsets)}"]
+        return argv
+    # dedekind-catalog is left to its golden test: it takes about a second
+    ids = [i for i in repro_registry() if i != "dedekind-catalog"]
+    return ["repro", draw(st.sampled_from(["--list", "no-such-fixture"] + ids))]
+
+
+@pytest.fixture(scope="module")
+def family_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("family-fuzz")
+    for name, text in FAMILY_FILES.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    return folder
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_group_system_rotation_boundary_fuzz_exits_cleanly(family_files, data):
+    _assert_exits_cleanly(family_files, data.draw(family_argv(family_files)))
+
+
+@pytest.mark.parametrize("name,message", [
+    ("scalar-rows.yaml", "group table must be a list of rows"),
+    ("catalog-list.yaml", "unknown catalog group ['z4']"),
+    ("not-yaml.yaml", "not valid YAML: expected the node content, but found '<stream end>' "
+                      "at line 2, column 1"),
+])
+def test_malformed_group_files_exit_2_with_one_line(family_files, capsys, name, message):
+    assert run_cli("group", "analyze", str(family_files / name)) == 2
+    assert capsys.readouterr().err == f"input error: {family_files / name}: {message}\n"
+
+
+@pytest.mark.parametrize("name,message", [
+    ("zero-denominator.yaml", "zero denominator in quadratic expression '1/0'"),
+    ("scalar-points.yaml", "coding: cell '1' points must be a list"),
+])
+def test_malformed_coding_files_exit_2_with_one_line(family_files, capsys, name, message):
+    assert run_cli("rotation", "boundary", "--coding", str(family_files / name)) == 2
+    assert capsys.readouterr().err == f"input error: {family_files / name}: {message}\n"
 
 
 def test_rotation_classify_orders_endpoints_exactly(files, capsys):

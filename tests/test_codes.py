@@ -1,13 +1,18 @@
 import time
+from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftlab.algebra import catalog
+from shiftlab import codes
+from shiftlab.algebra import QuadraticNumber, catalog
 from shiftlab.codes import (
     BlockCode,
     SearchResult,
+    _consistent_shifts,
+    _encode,
     _offset_sets,
     apply_code,
     code_from_equivariant_map,
@@ -24,7 +29,15 @@ from shiftlab.codes import (
 )
 from shiftlab.errors import AlphabetMismatchError, BoundsExceededError, InputError
 from shiftlab.systems import build_orbit_system, equivariant_isomorphism
-from shiftlab.zshift import OverrideOracle, PeriodicOracle, SetOracle, centered
+from shiftlab.rotation import Arc, CircleIntervalSet, RotationCoding
+from shiftlab.zshift import (
+    CodeImageOracle,
+    OverrideOracle,
+    PeriodicOracle,
+    RotationOracle,
+    SetOracle,
+    centered,
+)
 
 PINNED_A = SetOracle(aps=[(1, 2)], halfline=1, include=[0], op="inter")   # {0,1,3,5,...}
 PINNED_B = SetOracle(aps=[(0, 2)], halfline=2, op="inter")                # {2,4,6,...}
@@ -200,6 +213,185 @@ def test_search_results_are_reproducible():
     first = search_isomorphism_code(PINNED_A, PINNED_B, 3, 6, 500)
     second = search_isomorphism_code(PINNED_A, PINNED_B, 3, 6, 500)
     assert first.code.rule == second.code.rule and first.shift == second.shift
+
+
+def scan_partials(source, offsets, digit, scan, radius):
+    """Oracle for codes._consistent_shifts: every shift scanned position by
+    position, each pattern encoded on its own, with no shared verdicts."""
+    nsym = len(digit)
+    have = source.window(-2 * radius + offsets[0], 2 * radius + offsets[-1])
+    rel = [o - offsets[0] for o in offsets]
+    enc = [_encode(p, digit, nsym) for p in zip(*(have[r:] for r in rel))]
+    partials = []
+    for t in centered(radius):
+        forced = {}
+        ok = True
+        for i, wanted in scan:
+            pat = enc[i + t]
+            seen = forced.get(pat)
+            if seen is None:
+                forced[pat] = wanted
+            elif seen != wanted:
+                ok = False
+                break
+        if ok:
+            partials.append((t, forced))
+    return partials
+
+
+def scan_of(target, radius):
+    """The (n + 2 * radius, target digit) list a search scans, center-out."""
+    out_digit = {s: i for i, s in enumerate(sorted(set(target.alphabet)))}
+    want = target.window(-radius, radius)
+    return [(n + 2 * radius, out_digit[want[n + radius]]) for n in centered(radius)]
+
+
+def partial_lists(target, source, max_span, radius):
+    """(fast, oracle) partial lists over every offset set of a search."""
+    digit = {s: i for i, s in enumerate(sorted(set(source.alphabet)))}
+    scan = scan_of(target, radius)
+    fast, slow = [], []
+    for offsets in _offset_sets(max_span):
+        for out, scanner in ((fast, _consistent_shifts), (slow, scan_partials)):
+            out.append([(t, sorted(f.items()))
+                        for t, f in scanner(source, offsets, digit, scan, radius)])
+    return fast, slow
+
+
+def assert_search_matches_the_scanning_oracle(target, source, max_span, depth, radius):
+    fast = search_isomorphism_code(target, source, max_span, depth, radius)
+    with mock.patch.object(codes, "_consistent_shifts", scan_partials):
+        slow = search_isomorphism_code(target, source, max_span, depth, radius)
+    assert fast.describe() == slow.describe()
+    assert fast.candidates_tried == slow.candidates_tried
+
+
+def forced_rule_calls(target, source, max_span, radius):
+    """How many shifts _consistent_shifts scans over a whole search's offset sets."""
+    with mock.patch.object(codes, "_forced_rule", side_effect=codes._forced_rule) as spy:
+        digit = {s: i for i, s in enumerate(sorted(set(source.alphabet)))}
+        scan = scan_of(target, radius)
+        for offsets in _offset_sets(max_span):
+            _consistent_shifts(source, offsets, digit, scan, radius)
+    return spy.call_count
+
+
+SQRT2_M1 = QuadraticNumber(-1, 1, 2)
+
+
+@st.composite
+def search_sources(draw, radius):
+    """Periodic words, code images of them, patched ones (inside or outside
+    the search buffer), sets with and without corrections, and a rotation
+    coding of sqrt(2) - 1 cut at a rational."""
+    kind = draw(st.sampled_from(("periodic", "image", "patched", "set", "rotation")))
+    word = draw(st.lists(st.integers(0, 2), min_size=1, max_size=7))
+    periodic = PeriodicOracle(word)
+    if kind == "periodic":
+        return periodic
+    if kind == "image":
+        offsets = tuple(sorted(draw(st.sets(st.integers(-2, 2), min_size=1, max_size=2))))
+        patterns = list(product(periodic.alphabet, repeat=len(offsets)))
+        outs = draw(st.lists(st.integers(0, 1), min_size=len(patterns), max_size=len(patterns)))
+        return CodeImageOracle(BlockCode(offsets, dict(zip(patterns, outs)),
+                                         periodic.alphabet), periodic)
+    if kind == "patched":
+        # the buffer of a span-2 search covers [-2 * radius, 2 * radius + 2]
+        inside = st.integers(-2 * radius, 2 * radius + 2)
+        outside = st.integers(2 * radius + 3, 2 * radius + 40) | st.integers(
+            -2 * radius - 40, -2 * radius - 1)
+        return OverrideOracle(periodic, draw(st.dictionaries(
+            inside | outside, st.integers(0, 2), min_size=1, max_size=2)))
+    if kind == "set":
+        fixes = st.lists(st.integers(-15, 15), max_size=2)
+        return SetOracle(draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 6)),
+                                       min_size=1, max_size=2)),
+                         draw(st.none() | st.integers(-10, 10)), draw(fixes), draw(fixes),
+                         draw(st.sampled_from(("union", "inter", "complement"))))
+    cut = QuadraticNumber(Fraction(draw(st.integers(1, 11)), 12))
+    return RotationOracle(RotationCoding(SQRT2_M1, {
+        0: CircleIntervalSet([Arc(QuadraticNumber(0), True, cut, False)]),
+        1: CircleIntervalSet([Arc(cut, True, QuadraticNumber(1), False)])}))
+
+
+@st.composite
+def search_targets(draw, source, max_span):
+    """A planted code image of the shifted source (a relabel when the code
+    reads one offset), a periodic word whose length neither divides nor is
+    divided by the source's tail period, or an unrelated set."""
+    kind = draw(st.sampled_from(("planted", "periodic", "set")))
+    if kind == "planted":
+        offsets = (0,) + tuple(sorted(draw(st.sets(st.integers(1, max(max_span, 1)),
+                                                   max_size=max_span))))
+        patterns = list(product(source.alphabet, repeat=len(offsets)))
+        outs = draw(st.lists(st.integers(0, 2), min_size=len(patterns), max_size=len(patterns)))
+        code = BlockCode(offsets, dict(zip(patterns, outs)), source.alphabet)
+        return CodeImageOracle(code, shifted_oracle(source, draw(st.integers(-3, 3))))
+    if kind == "periodic":
+        tails = source.tails()
+        period = tails.period if tails is not None else 1
+        length = draw(st.integers(2, 9).filter(
+            lambda n: period == 1 or (n % period and period % n)))
+        return PeriodicOracle(draw(st.lists(st.integers(0, 1), min_size=length,
+                                            max_size=length)))
+    return SetOracle(draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 5)),
+                                   max_size=2)),
+                     draw(st.none() | st.integers(-8, 8)), (), draw(st.lists(
+                         st.integers(-8, 8), max_size=2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), radius=st.integers(0, 60), max_span=st.integers(0, 2))
+def test_shared_class_verdicts_match_the_per_shift_scan(data, radius, max_span):
+    source = data.draw(search_sources(radius))
+    target = data.draw(search_targets(source, max_span))
+    fast, slow = partial_lists(target, source, max_span, radius)
+    assert fast == slow
+    depth = data.draw(st.integers(0, min(radius, 3)))
+    assert_search_matches_the_scanning_oracle(target, source, max_span, depth, radius)
+
+
+def test_search_at_radius_zero_matches_the_scanning_oracle():
+    source, target = PeriodicOracle((0, 1, 1)), PeriodicOracle((1, 0))
+    fast, slow = partial_lists(target, source, 2, 0)
+    assert fast == slow and all(len(p) == 1 for p in fast)
+    assert_search_matches_the_scanning_oracle(target, source, 2, 0, 0)
+
+
+def test_tail_period_beyond_the_buffer_scans_every_shift():
+    # radius 3 gives a 13-position buffer; the source's tail period is 20
+    source = PeriodicOracle((0,) * 19 + (1,))
+    target = SetOracle(aps=[(0, 20)])
+    fast, slow = partial_lists(target, source, 1, 3)
+    assert fast == slow and fast[0]
+    assert forced_rule_calls(target, source, 1, 3) == 2 * 7
+    assert_search_matches_the_scanning_oracle(target, source, 1, 2, 3)
+
+
+def test_a_tail_period_that_is_a_multiple_of_the_true_period():
+    # the union is the even numbers, yet tails() reports lcm(2, 4) = 4
+    source = SetOracle(aps=[(0, 2), (2, 4)])
+    assert source.tails().period == 4
+    target = PeriodicOracle((1, 0))
+    fast, slow = partial_lists(target, source, 2, 30)
+    # either parity is carried onto the target at every shift
+    assert fast == slow and len(fast[0]) == 61
+    assert forced_rule_calls(target, source, 2, 30) == 4 * 4
+    assert_search_matches_the_scanning_oracle(target, source, 2, 3, 30)
+
+
+def test_a_repeating_source_scans_each_residue_class_once_per_offset_set():
+    source, target = PeriodicOracle((0, 1, 1, 0, 1)), SetOracle(aps=[(0, 3)])
+    # every shift conflicts, so every class verdict is a conflict
+    assert partial_lists(target, source, 2, 40)[0] == [[]] * 4
+    assert forced_rule_calls(target, source, 2, 40) == 4 * 5
+    # a patch inside the buffer breaks the repeat: every shift is scanned
+    patched = OverrideOracle(source, {3: 1})
+    assert forced_rule_calls(target, patched, 2, 40) == 4 * 81
+    # a patch outside it does not
+    assert forced_rule_calls(target, OverrideOracle(source, {90: 0}), 2, 40) == 4 * 5
+    res = search_isomorphism_code(target, source, 2, 3, 40)
+    assert not res.found and res.candidates_tried == 4 * 81
 
 
 # -- code algebra invariants -----------------------------------------------------------------

@@ -690,15 +690,12 @@ def reference_resonance_bound(coding):
 
 
 def reference_strongly_dyn_syndetic(coding, label):
-    cell = coding.cells[label]
-    adjusted = bool(cell.points) or any(
-        a.lo_closed or a.hi_closed for a in cell.logical_arcs())
     bad = []
-    for p in reference_boundary_points(cell):
+    for p in reference_boundary_points(coding.cells[label]):
         n = solve_hit(coding.alpha, p - coding.base)
         if n is not None:
             bad.append((n, p))
-    return SyndeticityResult(strongly=not bad, adjusted=adjusted, bad_hits=bad)
+    return SyndeticityResult(strongly=not bad, bad_hits=bad)
 
 
 @st.composite
@@ -769,7 +766,7 @@ def _same_partition_answers(coding):
     for label in coding.labels():
         got, want = (f(coding, label) for f in (strongly_dyn_syndetic,
                                                 reference_strongly_dyn_syndetic))
-        assert (got.strongly, got.adjusted) == (want.strongly, want.adjusted), label
+        assert got.strongly == want.strongly, label
         assert [(n, str(p)) for n, p in got.bad_hits] == [(n, str(p)) for n, p in want.bad_hits]
 
 
