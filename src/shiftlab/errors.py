@@ -110,12 +110,6 @@ class BoundsExceededError(BoundExceeded):
     pass
 
 
-class UncoveredOrbitPointError(InputError):
-    def __init__(self, n, point):
-        self.witness = (n, point)
-        super().__init__(f"orbit point at n={n} ({point}) lies in no cell; the coding file is inconsistent")
-
-
 # -- CLI ------------------------------------------------------------------------
 
 class UnknownIdError(InputError):

@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from types import MappingProxyType
 
 from .algebra import QuadraticNumber, _reduced, frac_part, quadratic_floor, quadratic_sign, \
     solve_hit
-from .errors import InputError, MismatchedFieldError, RationalAlphaError, UncoveredOrbitPointError
+from .errors import InputError, MismatchedFieldError, RationalAlphaError
 
 Q0 = QuadraticNumber(0)
 Q1 = QuadraticNumber(1)
@@ -111,20 +112,6 @@ class CircleIntervalSet:
                 arcs.remove(last)
                 arcs.append(Arc(last.lo, last.lo_closed, first.hi, first.hi_closed))
         return arcs
-
-    def longest_arc_length(self):
-        if not self.arcs:
-            return None
-        if self.is_full_circle():
-            return Q1
-        lengths = [a.length() for a in self.logical_arcs()]
-        # wrapped arc: hi < lo means length = hi + 1 - lo
-        lengths = [(l + 1 if l.sign() < 0 else l) for l in lengths]
-        best = lengths[0]
-        for l in lengths[1:]:
-            if l.compare(best) > 0:
-                best = l
-        return best
 
     # -- set algebra --
 
@@ -339,25 +326,34 @@ def normalize(raw_arcs, raw_points=()) -> CircleIntervalSet:
 # Rotation codings
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RotationCoding:
     """alpha (irrational, reduced mod 1), labelled disjoint cells, base point.
 
     Cells need only cover the orbit of the base point: the uncovered part of
-    the circle must be a finite set of points, each verified never hit.
+    the circle must be a finite set of points, each verified never hit.  A
+    coding is frozen: ``cells`` is a read-only view of a private copy of the
+    mapping it was given, and ``validate`` builds the breakpoint table once
+    and keeps it for every later read.  ``copy`` and ``pickle`` rebuild a
+    coding through the constructor, so a copy is validated too.
     """
 
     alpha: QuadraticNumber
-    cells: dict            # label -> CircleIntervalSet
+    cells: MappingProxyType      # label -> CircleIntervalSet
     base: QuadraticNumber = field(default_factory=lambda: Q0)
     name: str = "coding"
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha.is_rational:
             raise RationalAlphaError()
-        self.alpha = frac_part(self.alpha)
-        self.base = frac_part(self.base)
+        object.__setattr__(self, "alpha", frac_part(self.alpha))
+        object.__setattr__(self, "base", frac_part(self.base))
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
         self.validate()
+
+    def __reduce__(self):
+        return RotationCoding, (self.alpha, dict(self.cells), self.base, self.name)
 
     def validate(self):
         # the integer orbit walk reads every value as a pair over alpha's field
@@ -367,7 +363,8 @@ class RotationCoding:
         for x in values:
             if x.d and x.d != self.alpha.d:
                 raise MismatchedFieldError(self.alpha.d, x.d)
-        D, d, _, _, cuts, at_point, in_gap = self._integer_form()  # rejects overlaps
+        table = self._integer_form()  # rejects overlaps
+        D, d, _, _, cuts, at_point, in_gap = table
         for j, label in enumerate(in_gap):
             if label is None:
                 raise InputError(f"cells leave an uncovered arc: "
@@ -377,12 +374,10 @@ class RotationCoding:
                 x = _reduced(p, q, D, d)
                 if solve_hit(self.alpha, x - self.base) is not None:
                     raise InputError(f"uncovered point {x} is hit by the orbit")
+        object.__setattr__(self, "_table", table)
 
     def labels(self):
         return sorted(self.cells, key=str)
-
-    def orbit_point(self, n: int) -> QuadraticNumber:
-        return frac_part(n * self.alpha + self.base)
 
     def _integer_form(self):
         """Integer form of the coding over a common denominator, as a breakpoint table.
@@ -394,8 +389,8 @@ class RotationCoding:
         breakpoint gets the label of the cell holding it, and so does each
         open gap up to the next breakpoint; None marks a point or gap no cell
         holds, and one that two cells claim is an InputError.  This is the
-        coding's one description of its partition, rebuilt on each call so
-        that the coding stays immutable after construction.
+        coding's one description of its partition: ``validate`` builds it
+        once and keeps it as ``_table``, which every later question reads.
         """
         labels = self.labels()
         cells = [self.cells[label] for label in labels]
@@ -441,21 +436,24 @@ class RotationCoding:
                 if at_point[j] is not None:
                     raise overlap(at_point, j, label)
                 at_point[j] = label
-        return D, d, enc(self.alpha), enc(self.base), cuts + [seam], at_point, in_gap
+        return (D, d, enc(self.alpha), enc(self.base), (*cuts, seam), tuple(at_point),
+                tuple(in_gap))
 
     def orbit_symbols(self, lo: int, hi: int):
         """Exact coded symbols for n = lo..hi via an incremental orbit walk.
 
         The walk starts from x = D*{lo*alpha + base} as an integer pair, its
         floor taken from one integer square root; each further point is an
-        integer-pair addition.  A gap index j into the breakpoint table of
-        ``_integer_form`` follows x: it advances while x is at or above the
+        integer-pair addition.  A gap index j into the coding's stored
+        breakpoint table follows x: it advances while x is at or above the
         next breakpoint (an inlined integer sign test) and returns to 0 when
         x wraps past the seam.  x is the breakpoint j itself, by an exact
         pair comparison, or lies in the open gap after it, and that names
-        its label.  This is the library's only evaluator of coded symbols.
+        its label; validation has ruled out an unlabelled gap and an
+        unlabelled breakpoint the orbit meets.  This is the library's only
+        evaluator of coded symbols.
         """
-        D, d, (ap, aq), (bp, bq), cuts, at_point, in_gap = self._integer_form()
+        D, d, (ap, aq), (bp, bq), cuts, at_point, in_gap = self._table
         last = len(cuts) - 1  # the seam sentinel (D, 0)
         p, q = lo * ap + bp, lo * aq + bq
         p -= quadratic_floor(p, q, D, d) * D
@@ -463,7 +461,7 @@ class RotationCoding:
         out = []
         j = 0
         (cur_p, cur_q), (next_p, next_q) = cuts[0], cuts[1]
-        for n in range(lo, hi + 1):
+        for _ in range(lo, hi + 1):
             while True:
                 # is x below the next breakpoint?  sign of u + v*sqrt(d) = x - next
                 u, v = p - next_p, q - next_q
@@ -477,23 +475,20 @@ class RotationCoding:
                     p -= D
                     j = 0
                 (cur_p, cur_q), (next_p, next_q) = cuts[j], cuts[j + 1]
-            label = at_point[j] if p == cur_p and q == cur_q else in_gap[j]
-            if label is None:
-                raise UncoveredOrbitPointError(n, f"({p}+{q}*sqrt({d}))/{D}")
-            out.append(label)
+            out.append(at_point[j] if p == cur_p and q == cur_q else in_gap[j])
             p += ap
             q += aq
         return out
 
     def _boundaries(self):
-        """(value, labels) for each boundary breakpoint of the table.
+        """(value, labels) for each boundary breakpoint of the stored table.
 
         A breakpoint is a boundary when the labels of the gap before it, the
         point itself and the gap after it are not all the same; the gap
         before 0 is the last gap.  The labels around it are listed in
         ``labels()`` order, leaving out None (an uncovered point).
         """
-        D, d, _, _, cuts, at_point, in_gap = self._integer_form()
+        D, d, _, _, cuts, at_point, in_gap = self._table
         labels = self.labels()
         out = []
         for j, label in enumerate(at_point):

@@ -434,14 +434,3 @@ def set_partitions(n: int):
         yield ()
         return
     yield from rec(1, 0)
-
-
-def partition_labels(f):
-    """Canonical relabeling of a config by first occurrence."""
-    seen = {}
-    out = []
-    for v in f:
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return tuple(out)

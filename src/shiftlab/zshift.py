@@ -355,14 +355,6 @@ def occurrences(oracle: SequenceOracle, word: WordPattern, lo: int, hi: int):
     return window.starts(word.offsets, word.symbols, lo, hi)
 
 
-def initial_words(oracle: SequenceOracle, max_len: int):
-    """The contiguous prefixes (oracle(0..l-1); offsets 0..l-1) for l = 1..max_len."""
-    if max_len < 1:
-        raise InputError("max_len must be at least 1")
-    buf = oracle.window(0, max_len - 1)
-    return [WordPattern.contiguous(buf[:l]) for l in range(1, max_len + 1)]
-
-
 @dataclass(frozen=True)
 class GapStats:
     max_gap: float

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.algebra import (
     QuadraticNumber,
+    RADICAND_BOUND,
     Z3B_IDENTITY,
     catalog,
     cyclic_group,
@@ -16,13 +17,13 @@ from shiftlab.algebra import (
     is_squarefree,
     is_normal,
     parse_quadratic,
-    qnum_compare,
     solve_hit,
     subgroups,
     z3b,
     z3b_f,
 )
 from shiftlab.errors import (
+    BoundExceeded,
     MismatchedFieldError,
     NoInverseError,
     NotAssociativeError,
@@ -285,9 +286,9 @@ def test_s3_witness_subgroup_is_order_two():
 # -- quadratic numbers ---------------------------------------------------------------
 
 def test_compare_examples():
-    assert qnum_compare(ALPHA, QuadraticNumber(Fraction(1, 7))) == 1
-    assert qnum_compare(ALPHA, ALPHA) == 0
-    assert qnum_compare(2 * ALPHA, QuadraticNumber(Fraction(1, 2))) == -1
+    assert ALPHA.compare(QuadraticNumber(Fraction(1, 7))) == 1
+    assert ALPHA.compare(ALPHA) == 0
+    assert (2 * ALPHA).compare(QuadraticNumber(Fraction(1, 2))) == -1
 
 
 def test_frac_part_examples():
@@ -314,6 +315,38 @@ def test_mismatched_fields_rejected():
 def test_non_squarefree_radicand_rejected():
     with pytest.raises(MismatchedFieldError):
         QuadraticNumber(0, 1, 8)
+
+
+def trial_division_squarefree(d):
+    """Reference squarefree test: no k*k divides d, for every k up to sqrt(d)."""
+    if d < 1:
+        return False
+    k = 2
+    while k * k <= d:
+        if d % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
+def test_squarefree_matches_trial_division():
+    assert [is_squarefree(d) for d in range(-3, 20000)] == \
+        [trial_division_squarefree(d) for d in range(-3, 20000)]
+    # squares of large primes, alone, times a small prime or times a larger
+    # prime, and products of distinct large primes around the cube root
+    p, q, r = 1009, 100003, 1000003
+    for d in (p * p, q * q, r * r, 7 * q * q, 2 * 3 * r * r, p * p * q, p * q * q,
+              p * q, q * r, 997 * p * 1013, 2 * p * q, p ** 3, 4 * q):
+        assert is_squarefree(d) == trial_division_squarefree(d), d
+
+
+def test_large_radicands_end_quickly():
+    # a prime radicand near 10**18 needs about 10**9 divisions up to its square root
+    assert is_squarefree(10**18 + 3)
+    assert not is_squarefree(1000003**2 * (10**6 + 33))
+    assert not is_squarefree(RADICAND_BOUND)
+    with pytest.raises(BoundExceeded):
+        is_squarefree(RADICAND_BOUND + 1)
 
 
 def test_solve_hit_examples():
@@ -350,9 +383,9 @@ def quadratics(draw):
 @given(quadratics(), quadratics(), quadratics())
 @settings(max_examples=150)
 def test_compare_is_a_total_order(x, y, z):
-    assert qnum_compare(x, y) == -qnum_compare(y, x)
-    if qnum_compare(x, y) <= 0 and qnum_compare(y, z) <= 0:
-        assert qnum_compare(x, z) <= 0
+    assert x.compare(y) == -y.compare(x)
+    if x.compare(y) <= 0 and y.compare(z) <= 0:
+        assert x.compare(z) <= 0
 
 
 @given(quadratics(), quadratics())
@@ -360,7 +393,7 @@ def test_compare_is_a_total_order(x, y, z):
 def test_compare_consistent_with_high_precision_decimal(x, y):
     dx, dy = decimal_value(x), decimal_value(y)
     if abs(dx - dy) > Decimal(10) ** -90:
-        assert qnum_compare(x, y) == (1 if dx > dy else -1)
+        assert x.compare(y) == (1 if dx > dy else -1)
 
 
 @given(quadratics())
@@ -369,7 +402,7 @@ def test_frac_reconstructs_and_lands_in_unit_interval(x):
     f = frac_part(x)
     assert f + x.floor() == x
     assert f.sign() >= 0
-    assert qnum_compare(f, QuadraticNumber(1)) < 0
+    assert f.compare(QuadraticNumber(1)) < 0
 
 
 # -- reduced integers against the Fraction-pair oracle ------------------------------

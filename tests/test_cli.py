@@ -462,6 +462,7 @@ def _assert_exits_cleanly(folder, argv):
         assert err.count("\n") == 1 and err.endswith("\n"), err
     else:
         assert err == ""
+    return code
 
 
 @st.composite
@@ -633,6 +634,15 @@ def test_malformed_group_files_exit_2_with_one_line(family_files, capsys, name, 
 def test_malformed_coding_files_exit_2_with_one_line(family_files, capsys, name, message):
     assert run_cli("rotation", "boundary", "--coding", str(family_files / name)) == 2
     assert capsys.readouterr().err == f"input error: {family_files / name}: {message}\n"
+
+
+@pytest.mark.parametrize("radicand,code", [("1000000000000000003", 0),
+                                            ("10000000000000000000000007", 3)])
+def test_huge_prime_radicand_ends_with_one_line(tmp_path, radicand, code):
+    # a prime near 10**18 is decided exactly; one past the squarefree-test bound exits 3
+    (tmp_path / "huge.yaml").write_text(
+        STURMIAN_CODING.replace("sqrt(5)-2", f"sqrt({radicand})-1"), encoding="utf-8")
+    assert _assert_exits_cleanly(tmp_path, ["rotation", "boundary", "--coding", "huge.yaml"]) == code
 
 
 def test_rotation_classify_orders_endpoints_exactly(files, capsys):

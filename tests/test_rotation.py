@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -8,12 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shiftlab.algebra import QuadraticNumber, frac_part, quadratic_floor, quadratic_sign, solve_hit
-from shiftlab.errors import (
-    InputError,
-    MismatchedFieldError,
-    RationalAlphaError,
-    UncoveredOrbitPointError,
-)
+from shiftlab.errors import InputError, MismatchedFieldError, RationalAlphaError
 from shiftlab.rotation import (
     Arc,
     CircleIntervalSet,
@@ -212,14 +208,18 @@ def test_complement_involution_and_disjointness():
 
 # -- cell symbols -----------------------------------------------------------------
 
+def orbit_point(coding, n):
+    return frac_part(n * coding.alpha + coding.base)
+
+
 def cell_symbol(coding, n):
     """Brute-force reference for coded symbols: the n-th orbit point in
     Fraction arithmetic, then exact cell membership."""
-    x = coding.orbit_point(n)
+    x = orbit_point(coding, n)
     for label in coding.labels():
         if coding.cells[label].contains(x):
             return label
-    raise UncoveredOrbitPointError(n, str(x))
+    raise AssertionError(f"orbit point at n={n} ({x}) lies in no cell")
 
 
 def test_cell_symbol_middle_third():
@@ -348,7 +348,7 @@ def per_arc_walk(coding, lo, hi):
                 found = label
                 break
         if found is None:
-            raise UncoveredOrbitPointError(n, f"({p}+{q}*sqrt({d}))/{D}")
+            raise AssertionError(f"orbit point at n={n} (({p}+{q}*sqrt({d}))/{D}) lies in no cell")
         out.append(found)
         p, q = p + ap, q + aq
         if quadratic_sign(p - D, q, d) >= 0:
@@ -378,20 +378,39 @@ def test_breakpoint_walk_matches_per_arc_walk_over_long_windows(sturmian, four_c
             assert coding.orbit_symbols(lo, hi) == per_arc_walk(coding, lo, hi)
 
 
-def test_uncovered_orbit_point_raises_the_same_error():
-    # alpha is its own cell; with that cell taken away after validation, the
-    # orbit meets an uncovered point at n = 1
+def test_coding_is_frozen_and_keeps_its_own_cells():
+    # alpha is its own cell, which the orbit meets at n = 1; neither the
+    # coding nor the caller's dict can take that cell away after validation
     cells = {0: CircleIntervalSet([Arc(Q(0), True, ALPHA, False)]),
              1: CircleIntervalSet([Arc(ALPHA, False, Q(1), False)]),
              2: CircleIntervalSet((), [ALPHA])}
     coding = RotationCoding(ALPHA, cells)
-    del coding.cells[2]
-    with pytest.raises(UncoveredOrbitPointError) as ref:
-        per_arc_walk(coding, -5, 5)
-    with pytest.raises(UncoveredOrbitPointError) as got:
-        coding.orbit_symbols(-5, 5)
-    assert str(got.value) == str(ref.value)
-    assert coding.orbit_symbols(2, 9) == per_arc_walk(coding, 2, 9)
+    symbols = coding.orbit_symbols(-5, 5)
+    locus = word_locus(coding, WordPattern((0,), (2,)))
+    assert symbols == per_arc_walk(coding, -5, 5) and symbols[6] == 2
+    with pytest.raises(FrozenInstanceError):
+        coding.alpha = 2 * ALPHA
+    with pytest.raises(TypeError):
+        del coding.cells[2]
+    del cells[2]
+    cells[0] = CircleIntervalSet([Arc(Q(0), True, Q(1), False)])
+    assert coding.orbit_symbols(-5, 5) == symbols
+    assert word_locus(coding, WordPattern((0,), (2,))) == locus == CircleIntervalSet((), [ALPHA])
+
+
+def test_colouring_scope_builds_one_table_per_coding(monkeypatch, four_colouring):
+    # the coding's own table at construction, then one per indicator coding
+    built = []
+    build = RotationCoding._integer_form
+
+    def counting(coding):
+        built.append(coding.name)
+        return build(coding)
+
+    monkeypatch.setattr(RotationCoding, "_integer_form", counting)
+    coding = RotationCoding(ALPHA, four_colouring.cells, name="four")
+    assert not classify_minimality(coding, scope="colouring").minimal
+    assert built == ["four"] + [f"four[{label}]" for label in coding.labels()]
 
 
 def test_mixed_field_coding_rejected():
@@ -461,10 +480,18 @@ def test_locus_matches_windowed_occurrences_exhaustively(sturmian, four_colourin
             occ = set(occurrences(oracle, word, -2000, 2000))
             J = word_locus(coding, word)
             for h in range(-2000, 2001):
-                assert (h in occ) == J.contains(coding.orbit_point(h)), (coding.name, str(word), h)
+                assert (h in occ) == J.contains(orbit_point(coding, h)), (coding.name, str(word), h)
 
 
 # -- word classification --------------------------------------------------------------
+
+def longest_arc_length(s):
+    """Length of the longest arc of a circle set, an arc across the seam counted whole."""
+    if s.is_full_circle():
+        return Q(1)
+    # a wrapped arc has hi < lo, and its length is hi + 1 - lo
+    lengths = [a.length() for a in s.logical_arcs()]
+    return max((l + 1 if l.sign() < 0 else l for l in lengths), key=BY_VALUE)
 
 def test_classify_double_zero_finite_once(sturmian):
     res = classify_word(sturmian, WordPattern((0, 1), (0, 0)))
@@ -496,7 +523,7 @@ def test_syndetic_gap_sanity_bound(sturmian, third_interval):
                          (third_interval, WordPattern((0,), (1,)))]:
         res = classify_word(coding, word)
         assert res.kind == "syndetic"
-        length = res.locus.longest_arc_length()
+        length = longest_arc_length(res.locus)
         # ceil(1/len) computed exactly via the quadratic floor
         inv = length.inverse()
         ceil_inv = -((-inv).floor())

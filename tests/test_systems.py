@@ -19,7 +19,6 @@ from shiftlab.systems import (
     dedekind_witness_function,
     equivariant_isomorphism,
     is_furstenberg_system_of,
-    partition_labels,
     phi_dedekind,
     product_flip_extension,
     set_partitions,
@@ -422,7 +421,3 @@ def test_system_dump_is_stable():
 def test_set_partition_counts_are_bell_numbers():
     for n in range(1, 7):
         assert sum(1 for _ in set_partitions(n)) == BELL[n]
-
-
-def test_partition_labels_canonicalizes():
-    assert partition_labels((5, 5, 9, 5, 2)) == (0, 0, 1, 0, 2)

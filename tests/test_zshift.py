@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftlab.algebra import QuadraticNumber
+from shiftlab.algebra import QuadraticNumber, frac_part
 from shiftlab.codes import BlockCode
 from shiftlab.errors import (
     AlphabetMismatchError,
@@ -27,7 +27,6 @@ from shiftlab.zshift import (
     SetOracle,
     WordPattern,
     centered,
-    initial_words,
     max_gap,
     occurrences,
     uniform_recurrence_certificate,
@@ -67,7 +66,7 @@ class SpecOracle:
                 return int(bool(votes) and all(votes))
             return int(any(votes) != (o.op == "complement"))
         if isinstance(o, RotationOracle):
-            point = o.coding.orbit_point(n)
+            point = frac_part(n * o.coding.alpha + o.coding.base)
             return next(l for l in o.coding.labels() if o.coding.cells[l].contains(point))
         if isinstance(o, CodeImageOracle):
             return o.code.rule[tuple(self.inner.value(n + g) for g in o.code.offsets)]
@@ -414,6 +413,12 @@ def test_scans_agree_with_the_per_position_references(oracle, data):
 
 
 # -- initial words ------------------------------------------------------------------------
+
+def initial_words(oracle, max_len):
+    """The contiguous prefixes (oracle(0..l-1); offsets 0..l-1) for l = 1..max_len."""
+    buf = oracle.window(0, max_len - 1)
+    return [WordPattern.contiguous(buf[:l]) for l in range(1, max_len + 1)]
+
 
 def test_initial_words_periodic():
     words = initial_words(PeriodicOracle((0, 1)), 2)
