@@ -17,6 +17,8 @@ Three independent pieces live here:
   group, together with the three-valued marker function ``z3b_f`` used by
   the recurrence searches.
 
+``symbol_key`` is the one order on alphabet symbols, used by every layer.
+
 All values are immutable; every operation is pure.
 """
 
@@ -42,6 +44,11 @@ from .errors import (
 
 SUBGROUP_ORDER_BOUND = 16
 RADICAND_BOUND = 10**21
+
+
+def symbol_key(symbol):
+    """The one order on symbols: ints by value, then strings, so {0, "a"} sorts."""
+    return isinstance(symbol, str), symbol
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +374,9 @@ def parse_quadratic(text: str, alpha: QuadraticNumber | None = None) -> Quadrati
                 raise ScenarioError(f"zero denominator in quadratic expression {text!r}") from None
         elif m.lastgroup == "sqrt":
             d = int(m.group("sqrt")[5:-1])
-            if not is_squarefree(d) or d < 2:
+            if d < 2 or not is_squarefree(d):
                 raise ScenarioError(f"sqrt({d}) is not a squarefree radicand >= 2")
-            tokens.append(("atom", QuadraticNumber(0, 1, d)))
+            tokens.append(("atom", _raw(0, 1, 1, d)))  # d is tested, so reduced already
         elif m.lastgroup == "alpha":
             if alpha is None:
                 raise ScenarioError("'alpha' used but no alpha is bound in this context")

@@ -259,7 +259,7 @@ def dispatch(args) -> Report:
                 verdict["per_colour"] = {str(k): v.minimal for k, v in res.per_label.items()}
                 lines.append("per-colour: " + ", ".join(
                     f"{k}:{'Minimal' if v.minimal else 'NotMinimal'}"
-                    for k, v in sorted(res.per_label.items(), key=lambda kv: str(kv[0]))))
+                    for k, v in res.per_label.items()))
             return Report("rotation classify", verdict, "exact", lines=lines)
         if args.subcommand == "word":
             word = _word_from_args(args)

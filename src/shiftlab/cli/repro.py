@@ -211,7 +211,7 @@ def _repro_four_coloring() -> Report:
         f"occurrences {res.occurrences})",
         "per-colour verdicts: " + ", ".join(
             f"{label}:{'Minimal' if sub.minimal else 'NotMinimal'}"
-            for label, sub in sorted(res.per_label.items())),
+            for label, sub in res.per_label.items()),
     ]
     return Report("repro four-coloring", verdict, "exact",
                   params={"alpha": str(ALPHA)}, lines=lines)

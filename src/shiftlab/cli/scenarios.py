@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import yaml
 
-from ..algebra import Z3BElement, group_validate, catalog, parse_quadratic
+from ..algebra import Z3BElement, group_validate, catalog, parse_quadratic, symbol_key
 from ..codes import BlockCode
 from ..errors import ScenarioError
 from ..recurrence import CandidateSet
@@ -307,7 +307,7 @@ def build_code_payload(body):
     if "input_alphabet" in body:
         alphabet = tuple(_symbol(s) for s in body["input_alphabet"])
     else:
-        alphabet = tuple(sorted({s for p in rule for s in p}))
+        alphabet = tuple(sorted({s for p in rule for s in p}, key=symbol_key))
     return BlockCode(offsets, rule, alphabet)
 
 

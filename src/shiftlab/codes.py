@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+from .algebra import symbol_key
 from .errors import AlphabetMismatchError, BoundsExceededError, InputError, VerificationFailedError
 from .zshift import (
     CodeImageOracle,
@@ -66,7 +67,7 @@ class BlockCode:
             raise InputError(f"rule is not total: first missing pattern {missing[0]!r}")
         if not self.output_alphabet:
             object.__setattr__(self, "output_alphabet",
-                               tuple(sorted(set(self.rule.values()))))
+                               tuple(sorted(set(self.rule.values()), key=symbol_key)))
         unlisted = set(self.rule.values()) - set(self.output_alphabet)
         if unlisted:
             raise InputError(f"rule values {sorted(unlisted, key=repr)} are outside the "
@@ -80,13 +81,13 @@ class BlockCode:
     def describe(self):
         return {
             "offsets": list(self.offsets),
-            "rule": {"".join(map(str, k)): v for k, v in sorted(self.rule.items(),
-                                                                key=lambda kv: kv[0])},
+            "rule": {"".join(map(str, k)): v for k, v in sorted(
+                self.rule.items(), key=lambda kv: tuple(map(symbol_key, kv[0])))},
             "input_alphabet": list(self.input_alphabet),
         }
 
     def __hash__(self):
-        return hash((self.offsets, tuple(sorted(self.rule.items()))))
+        return hash((self.offsets, frozenset(self.rule.items())))
 
 
 def identity_code(alphabet) -> BlockCode:
@@ -452,8 +453,8 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     for name, value in (("window radius", radius), ("max_span", max_span), ("depth", depth)):
         if value < 0:
             raise InputError(f"search {name} must be non-negative, got {value}")
-    in_alpha = tuple(sorted(set(source.alphabet)))
-    out_alpha = tuple(sorted(set(target.alphabet)))
+    in_alpha = tuple(sorted(set(source.alphabet), key=symbol_key))
+    out_alpha = tuple(sorted(set(target.alphabet), key=symbol_key))
     if len(in_alpha) <= 2 and max_span > 4:
         raise BoundsExceededError("max_span is capped at 4 for binary alphabets")
     if _over_cap(len(in_alpha), max_span + 1, 2 * radius + 1):

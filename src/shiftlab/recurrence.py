@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import FiniteGroup, Z3BElement, z3b_f
+from .algebra import FiniteGroup, Z3BElement, symbol_key, z3b_f
 from .errors import BoundsExceededError, InputError
 from .zshift import SequenceOracle, centered
 
@@ -85,49 +85,46 @@ def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int,
 
     g runs over the candidate set in increasing order; for each g the scan
     is centered (h = 0, 1, -1, ...) and among the matches the smallest
-    colour with its earliest h wins.  Misses over Z carry a window caveat
-    unless tail analysis covers the whole scan; finite groups are exact.
+    colour in ``symbol_key`` order, with its earliest h, wins.  Misses over
+    Z carry a window caveat unless tail analysis covers the whole scan;
+    finite groups are exact.
     Over Z the scan reads one window, and a negative radius is an InputError.
     """
     if group is not None:
         for g in R.elements:
-            best = None
+            # earliest h of each matching colour, h in increasing order
+            first = {}
             for h in group.elements():
-                if coloring[h] == coloring[group.mul(g, h)]:
-                    cand = (coloring[h], h)
-                    best = cand if best is None else min(best, cand)
-            if best is not None:
-                return RecurrenceVerdict(True, g=g, colour=best[0], h=best[1], exact=True)
+                colour = coloring[h]
+                if colour == coloring[group.mul(g, h)] and colour not in first:
+                    first[colour] = h
+            if first:
+                colour = min(first, key=symbol_key)
+                return RecurrenceVerdict(True, g=g, colour=colour, h=first[colour], exact=True)
         return RecurrenceVerdict(False, radius=group.order, exact=True)
     buf, off = _scan_window(R, coloring, radius)
     tails = coloring.tails()
     exact = True
     for g in R.elements:
-        best = None
+        first = {}
         for h in centered(radius):
             colour = buf[h + off]
             # centered order: the first match of a colour is its earliest h
-            if colour == buf[h + g + off] and (best is None or colour < best[0]):
-                best = (colour, h)
-        if best is not None:
-            return RecurrenceVerdict(True, g=g, colour=best[0], h=best[1])
+            if colour == buf[h + g + off] and colour not in first:
+                first[colour] = h
+        if first:
+            colour = min(first, key=symbol_key)
+            return RecurrenceVerdict(True, g=g, colour=colour, h=first[colour])
         exact = exact and tails is not None and tails.covers(abs(g), radius)
     return RecurrenceVerdict(False, radius=radius, exact=exact)
 
 
-def syndetic_return_check(R: CandidateSet, subset: SequenceOracle, radius: int,
-                          group: FiniteGroup | None = None,
-                          config=None) -> RecurrenceVerdict:
-    """First (g, h) with h and h+g (or g*h) both in the set.
+def syndetic_return_check(R: CandidateSet, subset: SequenceOracle,
+                          radius: int) -> RecurrenceVerdict:
+    """First (g, h) with h and h+g both in the set.
 
-    Over Z the scan reads one window, and a negative radius is an InputError.
+    The scan reads one window, and a negative radius is an InputError.
     """
-    if group is not None:
-        for g in R.elements:
-            for h in group.elements():
-                if config[h] == 1 and config[group.mul(g, h)] == 1:
-                    return RecurrenceVerdict(True, g=g, h=h, exact=True)
-        return RecurrenceVerdict(False, radius=group.order, exact=True)
     buf, off = _scan_window(R, subset, radius)
     tails = subset.tails()
     exact = True

@@ -22,7 +22,7 @@ from functools import cmp_to_key
 from types import MappingProxyType
 
 from .algebra import QuadraticNumber, _reduced, frac_part, quadratic_floor, quadratic_sign, \
-    solve_hit
+    solve_hit, symbol_key
 from .errors import InputError, MismatchedFieldError, RationalAlphaError
 
 Q0 = QuadraticNumber(0)
@@ -58,18 +58,25 @@ class Arc:
 
 
 class CircleIntervalSet:
-    """A normalized finite union of arcs and isolated points on the circle."""
+    """A normalized finite union of arcs and isolated points on the circle; immutable."""
 
     __slots__ = ("arcs", "points")
 
     def __init__(self, arcs=(), points=(), _normalized=False):
-        if _normalized:
-            self.arcs = tuple(arcs)
-            self.points = tuple(points)
-        else:
+        if not _normalized:
             norm = normalize(list(arcs), list(points))
-            self.arcs = norm.arcs
-            self.points = norm.points
+            arcs, points = norm.arcs, norm.points
+        object.__setattr__(self, "arcs", tuple(arcs))
+        object.__setattr__(self, "points", tuple(points))
+
+    def __setattr__(self, *a):
+        raise AttributeError("CircleIntervalSet is immutable")
+
+    __delattr__ = __setattr__
+
+    # copy and pickle would restore the slots through __setattr__
+    def __reduce__(self):
+        return CircleIntervalSet, (self.arcs, self.points, True)
 
     # -- basic predicates --
 
@@ -377,7 +384,7 @@ class RotationCoding:
         object.__setattr__(self, "_table", table)
 
     def labels(self):
-        return sorted(self.cells, key=str)
+        return sorted(self.cells, key=symbol_key)
 
     def _integer_form(self):
         """Integer form of the coding over a common denominator, as a breakpoint table.
@@ -612,7 +619,7 @@ def classify_minimality(coding: RotationCoding, scope="set") -> MinimalityResult
     occurring word has interior locus and so occurs syndetically.
 
     scope="colouring" additionally reports a per-label verdict, each label
-    classified through its indicator coding.
+    classified through its indicator coding, in ``labels()`` order.
     """
     if scope == "colouring":
         overall = _classify_one(coding)

@@ -8,6 +8,10 @@ Furstenberg system of a given function, constructs the canonical map onto
 the right-shift orbit system, and implements the Dedekind dichotomy for
 the seemingly-natural left-shift system.
 
+Every verdict rests on the map forced by act(g, a) -> image(g) from a
+transitive point a, built by ``_orbit_map``; ``_is_equivariant`` is the
+one equivariance check and ``_readings`` the one map x -> (F(act(g, x)))_g.
+
 Conventions: a system's ``act`` is a genuine action (act(g, act(h, x)) =
 act(g*h, x)) when ``action_kind == "action"`` and an anti-action
 (= act(h*g, x)) when ``"anti_action"``.
@@ -16,6 +20,7 @@ act(g*h, x)) when ``action_kind == "action"`` and an anti-action
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .algebra import FiniteGroup
 from .errors import (
@@ -81,14 +86,8 @@ class FiniteSystem:
     def __len__(self):
         return len(self.points)
 
-    def apply(self, g: int, i: int) -> int:
-        return self.act[g][i]
-
-    def orbit_of(self, i: int):
-        return {self.act[g][i] for g in self.group.elements()}
-
     def is_transitive_point(self, i: int) -> bool:
-        return len(self.orbit_of(i)) == len(self.points)
+        return len({row[i] for row in self.act}) == len(self.points)
 
     def satisfies_action_law(self, kind: str | None = None) -> tuple:
         """(ok, witness): exhaustive check of the composition law.
@@ -111,10 +110,6 @@ class FiniteSystem:
             raise VerificationFailedError(f"composition law fails at {witness}")
         if not self.is_transitive_point(self.base):
             raise VerificationFailedError("base point is not transitive")
-
-    def signature(self, i: int, observable=None):
-        obs = self.observable if observable is None else observable
-        return tuple(obs[self.act[g][i]] for g in self.group.elements())
 
     def dump(self) -> str:
         """Deterministic textual listing, used by golden tests."""
@@ -181,41 +176,54 @@ def build_orbit_system(G: FiniteGroup, f, mode: str) -> FiniteSystem:
     return system
 
 
-def _require_compatible(S1: FiniteSystem, S2: FiniteSystem):
-    if S1.group != S2.group:
-        raise GroupMismatchError("systems live over different groups")
-    if S1.action_kind != S2.action_kind:
-        raise GroupMismatchError(
-            f"systems have different action kinds ({S1.action_kind} vs {S2.action_kind})")
+def _orbit_map(S: FiniteSystem, a: int, images) -> tuple:
+    """(mapping, conflict): the map forced by act(g, a) -> images[g].
+
+    mapping[i] is None off the orbit of a; conflict is the first g that
+    sends one point two ways, or None when the map is well defined.
+    """
+    mapping = [None] * len(S.points)
+    for g, image in enumerate(images):
+        i = S.act[g][a]
+        seen = mapping[i]
+        if seen is None:
+            mapping[i] = image
+        elif seen != image:
+            return mapping, g
+    return mapping, None
+
+
+def _is_equivariant(mapping, S1: FiniteSystem, S2: FiniteSystem) -> bool:
+    """mapping(act1(g, i)) == act2(g, mapping(i)) for every g and point i."""
+    return ([mapping[j] for row in S1.act for j in row]
+            == [row[m] for row in S2.act for m in mapping])
+
+
+def _readings(S: FiniteSystem, F) -> list:
+    """Each point's reading (F(act(g, x)))_g as a tuple, in point order."""
+    return list(zip(*[list(map(F.__getitem__, row)) for row in S.act]))
 
 
 def equivariant_isomorphism(S1: FiniteSystem, S2: FiniteSystem):
     """A bijection commuting with the two actions, or None.
 
-    Since the base of S1 is transitive, a candidate is determined by the
-    image of the base; every image index is tried in increasing order and
-    the first consistent bijection (independently re-checked for full
-    equivariance) is returned as a list mapping S1 indices to S2 indices.
+    Since the base of S1 is transitive, a candidate is the orbit map forced
+    by the image y0 of the base; every y0 is tried in increasing order and
+    the first forced map that is an equivariant bijection is returned as a
+    list mapping S1 indices to S2 indices.
     """
-    _require_compatible(S1, S2)
-    n1, n2 = len(S1.points), len(S2.points)
-    if n1 != n2:
+    if S1.group != S2.group:
+        raise GroupMismatchError("systems live over different groups")
+    if S1.action_kind != S2.action_kind:
+        raise GroupMismatchError(
+            f"systems have different action kinds ({S1.action_kind} vs {S2.action_kind})")
+    n = len(S2.points)
+    if len(S1.points) != n:
         return None
-    G = S1.group
-    for y0 in range(n2):
-        mapping = [None] * n1
-        ok = True
-        for g in G.elements():
-            i, j = S1.act[g][S1.base], S2.act[g][y0]
-            if mapping[i] is None:
-                mapping[i] = j
-            elif mapping[i] != j:
-                ok = False
-                break
-        if not ok or None in mapping or len(set(mapping)) != n1:
-            continue
-        if all(mapping[S1.act[g][i]] == S2.act[g][mapping[i]]
-               for g in G.elements() for i in range(n1)):
+    for y0 in range(n):
+        mapping, conflict = _orbit_map(S1, S1.base, map(itemgetter(y0), S2.act))
+        if (conflict is None and None not in mapping and len(set(mapping)) == n
+                and _is_equivariant(mapping, S1, S2)):
             return mapping
     return None
 
@@ -237,9 +245,10 @@ def is_furstenberg_system_of(S: FiniteSystem, f) -> FurstenbergResult:
     Needs a transitive point a and an observable F with F(act(g, a)) = f(g)
     whose orbit separates points.  F is forced by the first condition, so
     the procedure enumerates transitive base candidates, checks that the
-    forced assignment is well defined, and then checks separation via orbit
-    signatures.  The action must satisfy the genuine (not anti) composition
-    law; systems built as anti-actions are re-checked rather than assumed.
+    forced assignment is well defined, and then checks that the readings of
+    F separate points.  The action must satisfy the genuine (not anti)
+    composition law; systems built as anti-actions are re-checked rather
+    than assumed.
     """
     f = tuple(f)
     if len(f) != S.group.order:
@@ -249,35 +258,22 @@ def is_furstenberg_system_of(S: FiniteSystem, f) -> FurstenbergResult:
     if not ok:
         return FurstenbergResult(False, reasons=[
             f"shift family is not an action: law fails at (g,h,point)={witness}"])
-    G = S.group
     npts = len(S.points)
     reasons = []
     for a in range(npts):
         if not S.is_transitive_point(a):
             continue
-        F = [None] * npts
-        bad = None
-        for g in G.elements():
-            j = S.act[g][a]
-            if F[j] is None:
-                F[j] = f[g]
-            elif F[j] != f[g]:
-                bad = g
-                break
+        F, bad = _orbit_map(S, a, f)
         if bad is not None:
             reasons.append(f"candidate {a}: observable forced by the base orbit "
                            f"is not well defined (conflict at g={bad})")
             continue
-        sigs = [S.signature(i, F) for i in range(npts)]
+        sigs = _readings(S, F)
         if len(set(sigs)) == npts:
             return FurstenbergResult(True, base=a, observable=F, reasons=reasons)
-        seen = {}
-        pair = None
-        for i, s in enumerate(sigs):
-            if s in seen:
-                pair = (seen[s], i)
-                break
-            seen[s] = i
+        # the first point whose reading an earlier point already has
+        first = {}
+        pair = next((first[s], i) for i, s in enumerate(sigs) if first.setdefault(s, i) != i)
         reasons.append(f"candidate {a}: observable orbit does not separate points {pair}")
     if not reasons:
         reasons.append("system has no transitive point")
@@ -307,27 +303,22 @@ def construct_phi_R(S: FiniteSystem, f) -> PhiRResult:
     if S.observable is None:
         raise ObservableMissingError()
     f = tuple(f)
-    G = S.group
-    for g in G.elements():
-        got = S.observable[S.act[g][S.base]]
+    readings = _readings(S, S.observable)
+    for g, got in enumerate(readings[S.base]):
         if got != f[g]:
             raise SeedMismatchError(g, got, f[g])
-    target = build_orbit_system(G, f, "R")
+    target = build_orbit_system(S.group, f, "R")
     mapping = []
-    for i in range(len(S.points)):
-        image = tuple(S.observable[S.act[g][i]] for g in G.elements())
+    for i, image in enumerate(readings):
         j = target.index.get(image)
         if j is None:
             raise VerificationFailedError(
                 f"image of point {i} leaves the orbit system of f; "
                 "the input is not a generalised Furstenberg system of f")
         mapping.append(j)
-    for g in G.elements():
-        for i in range(len(S.points)):
-            if mapping[S.act[g][i]] != target.act[g][mapping[i]]:
-                raise VerificationFailedError("canonical map is not equivariant")
-    surjective = set(mapping) == set(range(len(target.points)))
-    if not surjective:
+    if not _is_equivariant(mapping, S, target):
+        raise VerificationFailedError("canonical map is not equivariant")
+    if set(mapping) != set(range(len(target.points))):
         raise VerificationFailedError("canonical map is not surjective")
     injective = len(set(mapping)) == len(mapping)
     return PhiRResult(mapping=mapping, target=target, injective=injective, surjective=True)
@@ -398,21 +389,15 @@ def phi_dedekind(G: FiniteGroup, f) -> PhiDedekindResult:
     f = tuple(f)
     source = build_orbit_system(G, f, "R")
     target = build_orbit_system(G, f, "Ltilde")
-    mapping = [None] * len(source.points)
-    # act[h][base] is the point that shifting f by h produces (R_g R_h = R_gh,
-    # L_g L_h = L_gh), so no config is shifted again
-    for h in G.elements():
-        i, j = source.act[h][source.base], target.act[h][target.base]
-        if mapping[i] is None:
-            mapping[i] = j
-        elif mapping[i] != j:
-            raise VerificationFailedError("coset pairing is not well defined")
+    # the pairing is the orbit map forced by base -> base: act[h][base] is
+    # the point that shifting f by h produces (R_g R_h = R_gh, L_g L_h = L_gh)
+    mapping, conflict = _orbit_map(source, source.base, map(itemgetter(target.base), target.act))
+    if conflict is not None:
+        raise VerificationFailedError("coset pairing is not well defined")
     if None in mapping or len(set(mapping)) != len(target.points):
         raise VerificationFailedError("coset pairing is not a bijection")
-    for g in G.elements():
-        for i in range(len(source.points)):
-            if mapping[source.act[g][i]] != target.act[g][mapping[i]]:
-                raise VerificationFailedError("coset pairing is not equivariant")
+    if not _is_equivariant(mapping, source, target):
+        raise VerificationFailedError("coset pairing is not equivariant")
     return PhiDedekindResult(mapping=mapping, source=source, target=target)
 
 

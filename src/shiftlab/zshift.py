@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import rotation as _rotation
+from .algebra import symbol_key
 from .errors import AlphabetMismatchError, BoundsExceededError, InputError, WindowTooLargeError
 
 WINDOW_CAP = 10**7
@@ -117,7 +118,7 @@ class PeriodicOracle(SequenceOracle):
         if not word:
             raise InputError("periodic word must be nonempty")
         self.word = word
-        self.alphabet = tuple(sorted(set(word)))
+        self.alphabet = tuple(sorted(set(word), key=symbol_key))
 
     def _symbols(self, lo, hi):
         p = len(self.word)
@@ -254,7 +255,7 @@ class OverrideOracle(SequenceOracle):
     def __init__(self, inner: SequenceOracle, patch: dict):
         self.inner = inner
         self.patch = {int(k): v for k, v in patch.items()}
-        self.alphabet = tuple(sorted(set(inner.alphabet) | set(self.patch.values())))
+        self.alphabet = tuple(sorted({*inner.alphabet, *self.patch.values()}, key=symbol_key))
 
     def _symbols(self, lo, hi):
         out = self.inner.window(lo, hi)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftlab import algebra
 from shiftlab.algebra import (
     QuadraticNumber,
     RADICAND_BOUND,
@@ -19,6 +20,7 @@ from shiftlab.algebra import (
     parse_quadratic,
     solve_hit,
     subgroups,
+    symbol_key,
     z3b,
     z3b_f,
 )
@@ -507,6 +509,30 @@ def test_parse_quadratic_rejects_garbage():
         parse_quadratic("alpha")  # unbound
     with pytest.raises(ScenarioError):
         parse_quadratic("1+*2")
+
+
+def test_parse_quadratic_tests_each_radicand_once(monkeypatch):
+    calls = []
+    test = algebra.is_squarefree
+
+    def counting(d):
+        calls.append(d)
+        return test(d)
+
+    monkeypatch.setattr(algebra, "is_squarefree", counting)
+    for text, radicands in (("sqrt(5)-2", [5]), ("sqrt(2)+3*sqrt(2)-sqrt(2)", [2, 2, 2]),
+                            ("1/7-2*alpha", []), ("sqrt(1000000000000000003)-1", [10**18 + 3])):
+        calls.clear()
+        x = parse_quadratic(text, alpha=ALPHA)
+        assert calls == radicands, text
+        assert parse_quadratic(str(x)) == x
+    assert parse_quadratic("sqrt(7)") == QuadraticNumber(0, 1, 7)
+
+
+def test_symbol_key_keeps_plain_alphabets_and_orders_mixed_ones():
+    assert sorted([10, 2, -1, 0], key=symbol_key) == sorted([10, 2, -1, 0]) == [-1, 0, 2, 10]
+    assert sorted(["b", "B", "ab", "a"], key=symbol_key) == sorted(["b", "B", "ab", "a"])
+    assert sorted(["x", 1, "a", 0, -2], key=symbol_key) == [-2, 0, 1, "a", "x"]
 
 
 @given(quadratics())

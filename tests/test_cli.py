@@ -645,6 +645,30 @@ def test_huge_prime_radicand_ends_with_one_line(tmp_path, radicand, code):
     assert _assert_exits_cleanly(tmp_path, ["rotation", "boundary", "--coding", "huge.yaml"]) == code
 
 
+MIXED_FILES = {
+    "mixed-word.yaml": "kind: oracle\nid: mixed\nperiodic: \"0a1\"\n",
+    "binary.yaml": "kind: oracle\nid: binary\nperiodic: \"01\"\n",
+    "mixed-code.yaml": "kind: code\nid: mixed\noffsets: [0]\nrule:\n  \"0\": 0\n  \"1\": a\n",
+    "mixed-coding.yaml": STURMIAN_ORACLE.replace('"a"', '"0"').replace('"b"', '"x"'),
+    "cand.yaml": CANDIDATES,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "window", "--oracle", "mixed-word.yaml", "--lo", "-3", "--hi", "3"],
+    ["code", "apply", "--code", "mixed-code.yaml", "--oracle", "binary.yaml"],
+    ["code", "search", "--target", "mixed-coding.yaml", "--source", "mixed-coding.yaml",
+     "--window", "30"],
+    ["recur", "chromatic", "--set", "cand.yaml", "--coloring", "mixed-coding.yaml",
+     "--window", "30"],
+], ids=["seq-window", "code-apply", "code-search", "recur-chromatic"])
+def test_int_and_str_symbols_mix(tmp_path, argv):
+    # every alphabet here holds both an int and a str symbol
+    for name, text in MIXED_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert _assert_exits_cleanly(tmp_path, argv) == 0
+
+
 def test_rotation_classify_orders_endpoints_exactly(files, capsys):
     assert run_cli("rotation", "classify", "--coding", files["near.yaml"]) == 0
     assert "minimality (set): Minimal" in capsys.readouterr().out

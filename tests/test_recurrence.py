@@ -74,6 +74,16 @@ def test_finite_group_chromatic_check_is_exact():
     assert not res2.found and res2.exact
 
 
+@pytest.mark.parametrize("word", [(1, 1, 0, 0), ("a", "a", 0, 0), ("b", "b", "a", "a")])
+def test_least_colour_wins_over_the_earliest_match(word):
+    # colour word[0] matches at h = 0, the least colour word[2] only at h = 2
+    res = chromatic_recurrence_check(CandidateSet.integers([1]), PeriodicOracle(word), 10)
+    assert (res.found, res.colour, res.h) == (True, word[2], 2)
+    G = catalog()["z4"]
+    res = chromatic_recurrence_check(CandidateSet.group_elements(G, [1]), word, 0, group=G)
+    assert (res.found, res.colour, res.h) == (True, word[2], 2)
+
+
 @pytest.mark.parametrize("check", [chromatic_recurrence_check, syndetic_return_check])
 def test_negative_radius_rejected(check):
     with pytest.raises(InputError):

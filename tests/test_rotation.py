@@ -398,6 +398,29 @@ def test_coding_is_frozen_and_keeps_its_own_cells():
     assert word_locus(coding, WordPattern((0,), (2,))) == locus == CircleIntervalSet((), [ALPHA])
 
 
+def test_circle_sets_are_immutable_and_still_pickle():
+    # emptying the point cell {alpha} used to leave orbit_symbols reading 2
+    # at n = 1 while word_locus of "2" became empty
+    coding = RotationCoding(ALPHA, {0: CircleIntervalSet([Arc(Q(0), True, ALPHA, False)]),
+                                    1: CircleIntervalSet([Arc(ALPHA, False, Q(1), False)]),
+                                    2: CircleIntervalSet((), [ALPHA])})
+    cell = coding.cells[2]
+    for name in ("points", "arcs"):
+        with pytest.raises(AttributeError):
+            setattr(cell, name, ())
+        with pytest.raises(AttributeError):
+            delattr(cell, name)
+    assert cell.points == (ALPHA,) and not cell.arcs
+    assert coding.orbit_symbols(0, 2) == [0, 2, 1]
+    assert word_locus(coding, WordPattern((0,), (2,))) == CircleIntervalSet((), [ALPHA])
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        for s in (cell, coding.cells[1], CircleIntervalSet()):
+            twin = clone(s)
+            assert twin == s and (twin.arcs, twin.points) == (s.arcs, s.points)
+            with pytest.raises(AttributeError):
+                twin.points = ()
+
+
 def test_colouring_scope_builds_one_table_per_coding(monkeypatch, four_colouring):
     # the coding's own table at construction, then one per indicator coding
     built = []

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,12 @@ from shiftlab.errors import (
     GroupNotDedekindError,
     ObservableMissingError,
     SeedMismatchError,
+    VerificationFailedError,
 )
+from shiftlab import systems
 from shiftlab.systems import (
     MODES,
+    FiniteSystem,
     build_orbit_system,
     construct_phi_R,
     dedekind_witness_function,
@@ -95,6 +99,119 @@ def action_law_loop(S, kind):
                     return False, (g, h, i)
     return True, None
 
+
+
+# -- the forced orbit map, written out by hand once per verdict: oracles for
+# _orbit_map, _is_equivariant and _readings --------------------------------------
+
+def isomorphism_loop(S1, S2):
+    """Oracle for equivariant_isomorphism on compatible systems."""
+    n1, n2 = len(S1.points), len(S2.points)
+    if n1 != n2:
+        return None
+    G = S1.group
+    for y0 in range(n2):
+        mapping = [None] * n1
+        ok = True
+        for g in G.elements():
+            i, j = S1.act[g][S1.base], S2.act[g][y0]
+            if mapping[i] is None:
+                mapping[i] = j
+            elif mapping[i] != j:
+                ok = False
+                break
+        if not ok or None in mapping or len(set(mapping)) != n1:
+            continue
+        if all(mapping[S1.act[g][i]] == S2.act[g][mapping[i]]
+               for g in G.elements() for i in range(n1)):
+            return mapping
+    return None
+
+
+def furstenberg_loop(S, f):
+    """Oracle for is_furstenberg_system_of: (accepted, base, observable, reasons)."""
+    ok, witness = action_law_loop(S, "action")
+    if not ok:
+        return False, None, None, [
+            f"shift family is not an action: law fails at (g,h,point)={witness}"]
+    G = S.group
+    npts = len(S.points)
+    reasons = []
+    for a in range(npts):
+        if len({S.act[g][a] for g in G.elements()}) != npts:
+            continue
+        F = [None] * npts
+        bad = None
+        for g in G.elements():
+            j = S.act[g][a]
+            if F[j] is None:
+                F[j] = f[g]
+            elif F[j] != f[g]:
+                bad = g
+                break
+        if bad is not None:
+            reasons.append(f"candidate {a}: observable forced by the base orbit "
+                           f"is not well defined (conflict at g={bad})")
+            continue
+        sigs = [tuple(F[S.act[g][i]] for g in G.elements()) for i in range(npts)]
+        if len(set(sigs)) == npts:
+            return True, a, F, reasons
+        seen = {}
+        pair = None
+        for i, sig in enumerate(sigs):
+            if sig in seen:
+                pair = (seen[sig], i)
+                break
+            seen[sig] = i
+        reasons.append(f"candidate {a}: observable orbit does not separate points {pair}")
+    if not reasons:
+        reasons.append("system has no transitive point")
+    return False, None, None, reasons
+
+
+def pairing_loop(source, target):
+    """Oracle for the verified coset pairing of phi_dedekind."""
+    G = source.group
+    mapping = [None] * len(source.points)
+    for h in G.elements():
+        i, j = source.act[h][source.base], target.act[h][target.base]
+        if mapping[i] is None:
+            mapping[i] = j
+        elif mapping[i] != j:
+            raise VerificationFailedError("coset pairing is not well defined")
+    if None in mapping or len(set(mapping)) != len(target.points):
+        raise VerificationFailedError("coset pairing is not a bijection")
+    for g in G.elements():
+        for i in range(len(source.points)):
+            if mapping[source.act[g][i]] != target.act[g][mapping[i]]:
+                raise VerificationFailedError("coset pairing is not equivariant")
+    return mapping
+
+
+def canonical_map_loop(S, f):
+    """Oracle for construct_phi_R on a system with an observable: (mapping, verdict)."""
+    G = S.group
+    for g in G.elements():
+        got = S.observable[S.act[g][S.base]]
+        if got != f[g]:
+            raise SeedMismatchError(g, got, f[g])
+    target = build_orbit_system(G, f, "R")
+    mapping = []
+    for i in range(len(S.points)):
+        image = tuple(S.observable[S.act[g][i]] for g in G.elements())
+        j = target.index.get(image)
+        if j is None:
+            raise VerificationFailedError(
+                f"image of point {i} leaves the orbit system of f; "
+                "the input is not a generalised Furstenberg system of f")
+        mapping.append(j)
+    for g in G.elements():
+        for i in range(len(S.points)):
+            if mapping[S.act[g][i]] != target.act[g][mapping[i]]:
+                raise VerificationFailedError("canonical map is not equivariant")
+    if set(mapping) != set(range(len(target.points))):
+        raise VerificationFailedError("canonical map is not surjective")
+    return mapping, "isomorphism" if len(set(mapping)) == len(mapping) else "factor"
 
 # -- shift --------------------------------------------------------------------
 
@@ -333,6 +450,113 @@ def test_phi_r_requires_observable():
     S = build_orbit_system(Z4, (0, 1, 0, 1), "Ltilde")
     with pytest.raises(ObservableMissingError):
         construct_phi_R(S, (0, 1, 0, 1))
+
+
+# -- the forced-map verdicts against the hand-written loops ---------------------------
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def corrupt(S, edit):
+    """S with one act entry (or observable value) overwritten; None leaves it."""
+    if edit is not None:
+        row, i, value = edit
+        if row < len(S.act):
+            S.act[row][i % len(S)] = value % len(S)
+        elif S.observable is not None:
+            S.observable[i % len(S)] = value
+    return S
+
+
+@st.composite
+def kernel_case(draw):
+    _, G = draw(st.sampled_from(KERNEL_GROUPS), label="group")
+    k = draw(st.integers(min_value=1, max_value=4), label="symbols")
+    f = tuple(draw(st.lists(st.integers(0, k - 1), min_size=G.order, max_size=G.order),
+                   label="f"))
+    f2 = draw(st.sampled_from((f, tuple(draw(st.permutations(f))))), label="f2")
+    edit = st.tuples(st.integers(0, G.order), st.integers(0, G.order - 1),
+                     st.integers(0, G.order))
+    edits = draw(st.lists(st.none() | edit, min_size=3, max_size=3), label="edits")
+    return G, f, f2, edits
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case(), st.sampled_from(MODES), st.sampled_from(MODES))
+def test_forced_map_verdicts_match_the_hand_written_loops(case, mode1, mode2):
+    G, f, f2, (edit1, edit2, edit_dedekind) = case
+    S1 = corrupt(build_orbit_system(G, f, mode1), edit1)
+    S2 = corrupt(build_orbit_system(G, f2, mode2), edit2)
+    if (mode1 == "anti") == (mode2 == "anti"):
+        assert equivariant_isomorphism(S1, S2) == isomorphism_loop(S1, S2)
+    else:
+        with pytest.raises(GroupMismatchError):
+            equivariant_isomorphism(S1, S2)
+    for S, g in ((S1, f), (S2, f2), (S1, f2)):
+        res = is_furstenberg_system_of(S, g)
+        assert (res.accepted, res.base, res.observable, res.reasons) == furstenberg_loop(S, g)
+    for S, g in ((S1, f), (S2, f2), (corrupt(product_flip_extension(G, f), edit2), f)):
+        if S.observable is not None:
+            got, want = phi_r_outcomes(S, g)
+            assert got == want
+    if G.is_dedekind().dedekind:
+        got, want = dedekind_outcomes(G, f, edit_dedekind)
+        assert got == want
+
+
+def phi_r_outcomes(S, f):
+    """construct_phi_R's (mapping, verdict) and the oracle's, or what each raised."""
+    got = outcome(construct_phi_R, S, f)
+    got = (got.mapping, got.verdict) if isinstance(got, systems.PhiRResult) else got
+    return got, outcome(canonical_map_loop, S, f)
+
+
+def dedekind_outcomes(G, f, edit):
+    """phi_dedekind's mapping and the oracle pairing's, both on a corrupted target."""
+    build = systems.build_orbit_system
+
+    def corrupted_build(G, f, mode):
+        S = build(G, f, mode)
+        return corrupt(S, edit) if mode == "Ltilde" else S
+
+    with mock.patch.object(systems, "build_orbit_system", corrupted_build):
+        got = outcome(phi_dedekind, G, f)
+    got = got.mapping if isinstance(got, systems.PhiDedekindResult) else got
+    return got, outcome(pairing_loop, build(G, f, "R"), corrupted_build(G, f, "Ltilde"))
+
+
+def test_every_one_entry_corruption_fails_alike():
+    """Each single-entry corruption of a small system: same verdict or same error
+    as the oracles, and between them they reach every re-check failure."""
+    failures = set()
+    for name, G in KERNEL_GROUPS:
+        f = tuple(i % 3 for i in range(G.order))
+        for edit in [(g, i, v) for g in range(G.order + 1) for i in range(3) for v in range(3)]:
+            S = corrupt(build_orbit_system(G, f, "R"), edit)
+            T = build_orbit_system(G, f, "Ltilde")
+            for pair in ((S, T), (T, S)):
+                assert outcome(equivariant_isomorphism, *pair) == outcome(isomorphism_loop, *pair)
+            pairs = [phi_r_outcomes(S, f)]
+            if G.is_dedekind().dedekind:
+                pairs.append(dedekind_outcomes(G, f, edit))
+            for got, want in pairs:
+                assert got == want, (name, edit)
+                if isinstance(got, tuple) and got[0] is VerificationFailedError:
+                    failures.add(got[1].split(" of point")[0])
+    # a base that is not transitive leaves the forced map partial, with
+    # as many distinct entries (None among them) as there are points
+    partial = FiniteSystem(group=CATALOG["z2"], points=[(0,), (1,), (2,)],
+                           act=[[0, 1, 2], [1, 0, 2]], base=0, observable=None)
+    assert equivariant_isomorphism(partial, partial) is None
+    assert isomorphism_loop(partial, partial) is None
+    assert failures == {"image", "canonical map is not equivariant",
+                        "coset pairing is not well defined", "coset pairing is not a bijection",
+                        "coset pairing is not equivariant"}
 
 
 # -- Dedekind machinery -----------------------------------------------------------------
