@@ -315,7 +315,7 @@ def build_code(doc):
     return build_code_payload(doc)
 
 
-def build_candidate_set(doc, group=None):
+def build_candidate_set(doc):
     elements = doc["elements"]
     if all(isinstance(e, dict) for e in elements):
         out = []
@@ -329,7 +329,4 @@ def build_candidate_set(doc, group=None):
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from None
         return out
-    elements = _ints(elements, "candidate-set.elements")
-    if group is not None:
-        return CandidateSet.group_elements(group, elements)
-    return CandidateSet.integers(elements)
+    return CandidateSet.integers(_ints(elements, "candidate-set.elements"))

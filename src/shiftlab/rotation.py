@@ -8,17 +8,23 @@ word occurs (its locus on the circle), whether a word occurs syndetically
 or finitely, which boundary points the orbit hits, and whether the coded
 set or colouring is minimal.
 
-Circle sets are normalized to pieces inside [0, 1]: an input arc that
-wraps through 0 is split into two pieces, and abutting pieces that cover
-their junction are merged on the logical (circle) level, so endpoint
-computations never see an artificial cut at 0.
+A circle set is a breakpoint table: its cuts, sorted in [0, 1), one flag
+per cut and one flag per open gap up to the next cut, where the last gap
+runs through 0 to the first cut.  A cut is kept only where membership
+changes, so equal sets have equal tables, and 0 is a point like any
+other.  Complement flips the flags, intersection merges the cut lists and
+ANDs the flags, and rotation moves every cut and restarts the list at the
+least one.  A coding's partition is a table of the same kind, with a label
+where a set has a flag.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from operator import attrgetter
 from types import MappingProxyType
 
 from .algebra import QuadraticNumber, _reduced, frac_part, quadratic_floor, quadratic_sign, \
@@ -28,46 +34,83 @@ from .errors import InputError, MismatchedFieldError, RationalAlphaError
 Q0 = QuadraticNumber(0)
 Q1 = QuadraticNumber(1)
 
-# exact orders: values by compare; arcs by lower endpoint, closed before open
+# the exact order of values, and a key by integers: hashing a rational value
+# would build a Fraction
 _BY_VALUE = cmp_to_key(lambda x, y: x.compare(y))
-_BY_LO = cmp_to_key(lambda a, b: a.lo.compare(b.lo) or b.lo_closed - a.lo_closed)
+_key = attrgetter("a", "b", "c", "d")
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
 class Arc:
-    """A piece lo..hi with 0 <= lo < hi <= 1 and explicit endpoint closure."""
+    """An arc lo..hi with explicit endpoint closure; hi < lo wraps through 0."""
 
     lo: QuadraticNumber
     lo_closed: bool
     hi: QuadraticNumber
     hi_closed: bool
 
-    def contains(self, x: QuadraticNumber) -> bool:
-        c_lo = x.compare(self.lo)
-        c_hi = x.compare(self.hi)
-        if c_lo < 0 or c_hi > 0:
-            return False
-        if c_lo == 0 and not self.lo_closed:
-            return False
-        if c_hi == 0 and not self.hi_closed:
-            return False
-        return True
 
-    def length(self) -> QuadraticNumber:
-        return self.hi - self.lo
+def _span(i, k, m):
+    """The open arc from cut i to cut k of a table of m cuts, as index lists.
+
+    It holds the gaps i, ..., k - 1 and the cuts i + 1, ..., k - 1, counted
+    cyclically; from a cut to itself it is the whole circle but that cut.
+    """
+    gaps = [(i + s) % m for s in range((k - i) % m or m)]
+    return gaps, gaps[1:]
 
 
 class CircleIntervalSet:
-    """A normalized finite union of arcs and isolated points on the circle; immutable."""
+    """A finite union of arcs and isolated points on the circle, as a breakpoint table.
 
-    __slots__ = ("arcs", "points")
+    ``cuts`` are sorted in [0, 1); ``at_cut[j]`` says whether cut j is in
+    the set and ``in_gap[j]`` whether the open gap from cut j to the next
+    one is, the last gap running through 0.  Only cuts where membership
+    changes are kept; with no cut, ``in_gap`` is one flag for the whole
+    circle.  Immutable.
+    """
 
-    def __init__(self, arcs=(), points=(), _normalized=False):
-        if not _normalized:
-            norm = normalize(list(arcs), list(points))
-            arcs, points = norm.arcs, norm.points
-        object.__setattr__(self, "arcs", tuple(arcs))
-        object.__setattr__(self, "points", tuple(points))
+    __slots__ = ("cuts", "at_cut", "in_gap")
+
+    def __init__(self, arcs=(), points=()):
+        """The union of the arcs, each an ``Arc`` or a (lo, lo_closed, hi,
+        hi_closed) tuple, and the points.
+
+        hi written as exactly 1 means the arc runs up to the seam (the point
+        0 approached from below).  Otherwise endpoints reduce mod 1, and the
+        arc runs up from lo to hi, through 0 when hi is below lo; hi == lo
+        with both flags closed is a single point, and with an open flag the
+        arc is empty.
+        """
+        spans, singles = [], [frac_part(p) for p in points]
+        for a in arcs:
+            if not isinstance(a, Arc):
+                a = Arc(*a)
+            lo, hi = frac_part(a.lo), frac_part(a.hi)
+            if lo != hi or a.hi == Q1:
+                spans.append((lo, a.lo_closed, hi, a.hi_closed))
+            elif a.lo_closed and a.hi_closed:
+                singles.append(lo)
+        ends = [x for s in spans for x in (s[0], s[2])] + singles
+        cuts = sorted({_key(x): x for x in ends}.values(), key=_BY_VALUE)
+        index = {_key(x): j for j, x in enumerate(cuts)}
+        m = len(cuts)
+        at_cut, in_gap = [False] * m, [False] * max(m, 1)
+        for lo, lo_closed, hi, hi_closed in spans:
+            i, k = index[_key(lo)], index[_key(hi)]
+            gaps, inside = _span(i, k, m)
+            for j in gaps:
+                in_gap[j] = True
+            for j in inside:
+                at_cut[j] = True
+            if lo_closed:
+                at_cut[i] = True
+            if hi_closed:
+                at_cut[k] = True
+        for x in singles:
+            at_cut[index[_key(x)]] = True
+        _store(self, cuts, at_cut, in_gap)
 
     def __setattr__(self, *a):
         raise AttributeError("CircleIntervalSet is immutable")
@@ -76,257 +119,141 @@ class CircleIntervalSet:
 
     # copy and pickle would restore the slots through __setattr__
     def __reduce__(self):
-        return CircleIntervalSet, (self.arcs, self.points, True)
+        return _from_table, (self.cuts, self.at_cut, self.in_gap)
 
     # -- basic predicates --
 
     def is_empty(self) -> bool:
-        return not self.arcs and not self.points
+        return not self.cuts and not self.in_gap[0]
+
+    def is_full_circle(self) -> bool:
+        return not self.cuts and self.in_gap[0]
 
     def has_interior(self) -> bool:
-        return bool(self.arcs)
+        return any(self.in_gap)
 
     def contains(self, x: QuadraticNumber) -> bool:
         x = frac_part(x)
-        for a in self.arcs:
-            if a.contains(x):
-                return True
-        if any(x == p for p in self.points):
-            return True
-        # the seam: pieces store hi = 1, membership of 0 may come from there
-        if x == Q0:
-            return any(a.hi == Q1 and a.hi_closed for a in self.arcs)
-        return False
+        j = bisect_right(self.cuts, x) - 1
+        # below the first cut, x lies in the last gap (j = -1)
+        return self.at_cut[j] if j >= 0 and self.cuts[j] == x else self.in_gap[j]
 
-    def is_full_circle(self) -> bool:
-        if len(self.arcs) != 1:
-            return False
-        a = self.arcs[0]
-        return a.lo == Q0 and a.hi == Q1 and (a.lo_closed or a.hi_closed)
+    # -- views of the table --
 
-    # -- logical (circle-level) view --
+    @property
+    def points(self):
+        """The isolated points, in increasing order."""
+        gap = self.in_gap
+        return tuple(x for j, x in enumerate(self.cuts)
+                     if self.at_cut[j] and not gap[j - 1] and not gap[j])
 
     def logical_arcs(self):
-        """Arcs with the wrap at 0 rejoined; a wrapped arc has hi < lo."""
-        if self.is_full_circle():
-            return [Arc(Q0, True, Q1, False)]
-        arcs = list(self.arcs)
-        first = next((a for a in arcs if a.lo == Q0), None)
-        last = next((a for a in arcs if a.hi == Q1), None)
-        if first is not None and last is not None and first is not last:
-            if last.hi_closed or first.lo_closed:
-                arcs.remove(first)
-                arcs.remove(last)
-                arcs.append(Arc(last.lo, last.lo_closed, first.hi, first.hi_closed))
-        return arcs
+        """The arcs, one per gap in the set; a wrapped arc has hi < lo.
+
+        An arc ending at the cut 0 from below is written with hi = 1, and
+        the circle minus one point p != 0 is the arc (p, p).
+        """
+        cuts, at = self.cuts, self.at_cut
+        if not cuts:
+            return [Arc(Q0, True, Q1, False)] if self.in_gap[0] else []
+        out = []
+        for j, inside in enumerate(self.in_gap):
+            if inside:
+                k = (j + 1) % len(cuts)
+                hi = Q1 if k == 0 and cuts[0] == Q0 else cuts[k]
+                out.append(Arc(cuts[j], at[j], hi, at[k]))
+        return out
+
+    @property
+    def arcs(self):
+        """The arcs as pieces inside [0, 1] sorted by lo; one wrapping
+        through 0 is split there into [0, hi) and (lo, 1)."""
+        arcs = self.logical_arcs()
+        if arcs and arcs[-1].hi.compare(arcs[-1].lo) <= 0:
+            a = arcs.pop()
+            arcs = [Arc(Q0, True, a.hi, a.hi_closed), *arcs, Arc(a.lo, a.lo_closed, Q1, False)]
+        return tuple(arcs)
 
     # -- set algebra --
 
     def complement(self) -> "CircleIntervalSet":
-        """Circle minus this set; isolated removed points become punctures."""
-        if self.is_empty():
-            return CircleIntervalSet([Arc(Q0, True, Q1, False)], (), _normalized=True)
-        if self.is_full_circle() and not self.points:
-            return CircleIntervalSet()
-        pieces = []
-        # cursor_open: the point at the cursor is itself excluded from the complement
-        cursor, cursor_open = Q0, self.contains(Q0)
-        for a in sorted(self.arcs, key=_BY_LO):
-            if a.lo.compare(cursor) > 0 or (a.lo == cursor and not a.lo_closed and not cursor_open):
-                pieces.append(Arc(cursor, not cursor_open, a.lo, not a.lo_closed))
-            cursor, cursor_open = a.hi, a.hi_closed
-        if cursor.compare(Q1) < 0:
-            pieces.append(Arc(cursor, not cursor_open, Q1, not self.contains(Q0)))
-        result = CircleIntervalSet(pieces, ())
-        # punctures at removed isolated points: drop them from the arcs
-        for p in self.points:
-            result = _puncture(result, p)
-        # membership of 0: covered on the right end iff the last piece reached 1 closed
-        if not self.contains(Q0) and not result.contains(Q0):
-            result = CircleIntervalSet(result.arcs, result.points + (Q0,), _normalized=True)
-        return result
+        return _from_table(self.cuts, [not f for f in self.at_cut],
+                           [not f for f in self.in_gap])
 
     def intersect(self, other: "CircleIntervalSet") -> "CircleIntervalSet":
-        arcs, points = [], []
-        for a in self.arcs:
-            for b in other.arcs:
-                piece = _arc_intersection(a, b)
-                if piece is None:
-                    continue
-                if isinstance(piece, Arc):
-                    arcs.append(piece)
-                else:
-                    points.append(piece)
-        for p in self.points:
-            if other.contains(p):
-                points.append(p)
-        for p in other.points:
-            if self.contains(p):
-                points.append(p)
-        # seam: 0 can be in both via opposite representations (0 vs hi=1)
-        if self.contains(Q0) and other.contains(Q0):
-            points.append(Q0)
-        return CircleIntervalSet(arcs, points)
+        xs, ys = self.cuts, other.cuts
+        cuts, at_cut, in_gap = [], [], []
+        i = j = 0
+        while i < len(xs) or j < len(ys):
+            c = -1 if j == len(ys) else 1 if i == len(xs) else xs[i].compare(ys[j])
+            # a cut of one set only lies in the other's gap before its next cut
+            at_cut.append((self.at_cut[i] if c <= 0 else self.in_gap[i - 1])
+                          and (other.at_cut[j] if c >= 0 else other.in_gap[j - 1]))
+            cuts.append(xs[i] if c <= 0 else ys[j])
+            i += c <= 0
+            j += c >= 0
+            in_gap.append(self.in_gap[i - 1] and other.in_gap[j - 1])
+        return _from_table(cuts, at_cut, in_gap or [self.in_gap[0] and other.in_gap[0]])
 
     def rotate(self, t: QuadraticNumber) -> "CircleIntervalSet":
         """The set translated by t on the circle."""
-        if self.is_full_circle():
+        if not self.cuts:
             return self
-        arcs, points = [], []
-        for a in self.logical_arcs():
-            hi = frac_part(a.hi + t)
-            if hi == Q0:
-                hi = Q1  # an arc ending exactly on the seam keeps hi = 1
-            arcs.append((frac_part(a.lo + t), a.lo_closed, hi, a.hi_closed))
-        for p in self.points:
-            points.append(frac_part(p + t))
-        return CircleIntervalSet([Arc(*a) for a in arcs], points)
+        moved = [x + t for x in self.cuts]
+        floors = [x.floor() for x in moved]
+        # the moved cuts keep their cyclic order; those that passed one more
+        # integer than the first cut did come first
+        r = floors.index(floors[-1])
+        cuts = [x - f for x, f in zip(moved, floors)]
+        return _from_table(cuts[r:] + cuts[:r], self.at_cut[r:] + self.at_cut[:r],
+                           self.in_gap[r:] + self.in_gap[:r])
 
     # -- equality / display --
 
-    def _key(self):
-        return (
-            tuple((a.lo, a.lo_closed, a.hi, a.hi_closed) for a in self.arcs),
-            tuple(self.points),
-        )
-
     def __eq__(self, other):
-        return isinstance(other, CircleIntervalSet) and self._key() == other._key()
+        return isinstance(other, CircleIntervalSet) and \
+            (self.cuts, self.at_cut, self.in_gap) == (other.cuts, other.at_cut, other.in_gap)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.cuts, self.at_cut, self.in_gap))
+
+    def _shown_arcs(self):
+        # the arc (p, p) of a circle minus one point p != 0 would read back as
+        # empty, so it shows as its two pieces at the seam
+        if len(self.cuts) == 1 and self.in_gap[0] and self.cuts[0] != Q0:
+            return self.arcs
+        return self.logical_arcs()
 
     def describe(self):
         """JSON-friendly exact description with endpoint strings."""
         arcs = [{"lo": str(a.lo), "lo_closed": a.lo_closed,
                  "hi": str(a.hi), "hi_closed": a.hi_closed}
-                for a in self.logical_arcs()]
+                for a in self._shown_arcs()]
         return {"arcs": arcs, "points": [str(p) for p in self.points]}
 
     def __repr__(self):
         bits = [f"{'[' if a.lo_closed else '('}{a.lo},{a.hi}{']' if a.hi_closed else ')'}"
-                for a in self.logical_arcs()]
+                for a in self._shown_arcs()]
         bits += [f"{{{p}}}" for p in self.points]
         return "Circle(" + " u ".join(bits) + ")" if bits else "Circle(empty)"
 
 
-def _arc_intersection(a: Arc, b: Arc):
-    lo, lo_cl = (a.lo, a.lo_closed) if a.lo.compare(b.lo) > 0 else (b.lo, b.lo_closed)
-    if a.lo == b.lo:
-        lo_cl = a.lo_closed and b.lo_closed
-    hi, hi_cl = (a.hi, a.hi_closed) if a.hi.compare(b.hi) < 0 else (b.hi, b.hi_closed)
-    if a.hi == b.hi:
-        hi_cl = a.hi_closed and b.hi_closed
-    c = lo.compare(hi)
-    if c > 0:
-        return None
-    if c == 0:
-        return lo if lo_cl and hi_cl else None
-    return Arc(lo, lo_cl, hi, hi_cl)
+def _store(s, cuts, at_cut, in_gap):
+    """Give s the table, less every cut where membership does not change."""
+    keep = [j for j in range(len(cuts)) if not at_cut[j] == in_gap[j - 1] == in_gap[j]]
+    if len(keep) < len(cuts):
+        # a dropped cut has equal gaps on both sides, so each kept cut keeps its own
+        cuts, at_cut = [cuts[j] for j in keep], [at_cut[j] for j in keep]
+        in_gap = [in_gap[j] for j in keep] or in_gap[:1]
+    _set(s, "cuts", tuple(cuts))
+    _set(s, "at_cut", tuple(at_cut))
+    _set(s, "in_gap", tuple(in_gap))
 
 
-def _puncture(s: CircleIntervalSet, p: QuadraticNumber):
-    """Remove the single point p from the set."""
-    p = frac_part(p)
-    arcs, points = [], [q for q in s.points if q != p]
-    for a in s.arcs:
-        if not a.contains(p) and not (p == Q0 and a.hi == Q1 and a.hi_closed):
-            arcs.append(a)
-            continue
-        hit = Q1 if (p == Q0 and a.hi == Q1) else p
-        if a.lo == hit:
-            arcs.append(Arc(a.lo, False, a.hi, a.hi_closed))
-        elif a.hi == hit:
-            arcs.append(Arc(a.lo, a.lo_closed, a.hi, False))
-        else:
-            arcs.append(Arc(a.lo, a.lo_closed, hit, False))
-            arcs.append(Arc(hit, False, a.hi, a.hi_closed))
-    return CircleIntervalSet(arcs, points)
-
-
-def normalize(raw_arcs, raw_points=()) -> CircleIntervalSet:
-    """Reduce arcs/points mod 1, split wraps at 0, merge, absorb points.
-
-    Accepts arcs as ``Arc`` instances or (lo, lo_closed, hi, hi_closed)
-    tuples.  hi written as exactly 1 means the arc runs up to the seam
-    (the point 0 approached from below).  Otherwise endpoints reduce mod
-    1; a reduced hi at or below lo wraps through 0, except that hi == lo
-    with both flags closed denotes a single point and an equal-endpoint
-    arc with an open flag is empty.
-    """
-    pieces = []
-    points = []
-    for a in raw_arcs:
-        if not isinstance(a, Arc):
-            a = Arc(*a)
-        lo, hi = frac_part(a.lo), a.hi if a.hi == Q1 else frac_part(a.hi)
-        c = lo.compare(hi)
-        if c == 0:
-            if a.lo_closed and a.hi_closed:
-                points.append(lo)
-            continue
-        if c < 0:
-            pieces.append(Arc(lo, a.lo_closed, hi, a.hi_closed))
-        else:
-            # wraps through 0; 0 itself goes to the second piece
-            pieces.append(Arc(lo, a.lo_closed, Q1, False))
-            if hi.compare(Q0) > 0:
-                pieces.append(Arc(Q0, True, hi, a.hi_closed))
-            elif a.hi_closed:
-                points.append(Q0)  # the wrap reaches exactly the seam point
-    for p in raw_points:
-        points.append(frac_part(p))
-
-    pieces.sort(key=_BY_LO)
-    merged = []
-    for a in pieces:
-        if merged:
-            m = merged[-1]
-            c = a.lo.compare(m.hi)
-            if c < 0 or (c == 0 and (m.hi_closed or a.lo_closed)):
-                hi, hi_cl = (a.hi, a.hi_closed)
-                if a.hi.compare(m.hi) < 0 or (a.hi == m.hi and m.hi_closed):
-                    hi, hi_cl = m.hi, m.hi_closed
-                merged[-1] = Arc(m.lo, m.lo_closed, hi, hi_cl)
-                continue
-        merged.append(a)
-
-    # wrap seam: a piece ending at 1 and one starting at 0 that cover the seam
-    if len(merged) >= 2:
-        first, last = merged[0], merged[-1]
-        if first.lo == Q0 and last.hi == Q1 and (first.lo_closed or last.hi_closed):
-            covers = first.hi.compare(last.lo) > 0 or (
-                first.hi == last.lo and (first.hi_closed or last.lo_closed))
-            if covers:  # the two seam pieces cover the whole circle
-                merged = [Arc(Q0, True, Q1, False)]
-            else:
-                merged = merged[1:-1] + [Arc(last.lo, last.lo_closed, Q1, False),
-                                         Arc(Q0, True, first.hi, first.hi_closed)]
-                merged.sort(key=_BY_LO)
-    if len(merged) == 1 and merged[0].lo == Q0 and merged[0].hi == Q1 \
-            and (merged[0].lo_closed or merged[0].hi_closed):
-        merged = [Arc(Q0, True, Q1, False)]
-
-    interim = CircleIntervalSet(merged, (), _normalized=True)
-    final_points = []
-    for p in sorted(set(points), key=_BY_VALUE):
-        if interim.contains(p):
-            continue
-        # a point closing an open endpoint extends the arc instead
-        attached = False
-        for i, a in enumerate(merged):
-            if a.lo == p and not a.lo_closed:
-                merged[i] = Arc(a.lo, True, a.hi, a.hi_closed)
-                attached = True
-                break
-            if (a.hi == p or (p == Q0 and a.hi == Q1)) and not a.hi_closed:
-                merged[i] = Arc(a.lo, a.lo_closed, a.hi, True)
-                attached = True
-                break
-        if attached:
-            return normalize(merged, final_points + [q for q in points if q != p and q not in final_points])
-        final_points.append(p)
-    return CircleIntervalSet(tuple(merged), tuple(final_points), _normalized=True)
+def _from_table(cuts, at_cut, in_gap) -> CircleIntervalSet:
+    s = object.__new__(CircleIntervalSet)
+    _store(s, cuts, at_cut, in_gap)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +291,7 @@ class RotationCoding:
 
     def validate(self):
         # the integer orbit walk reads every value as a pair over alpha's field
-        values = [self.base]
-        for c in self.cells.values():
-            values += [e for a in c.arcs for e in (a.lo, a.hi)] + list(c.points)
-        for x in values:
+        for x in (self.base, *(x for c in self.cells.values() for x in c.cuts)):
             if x.d and x.d != self.alpha.d:
                 raise MismatchedFieldError(self.alpha.d, x.d)
         table = self._integer_form()  # rejects overlaps
@@ -390,60 +314,53 @@ class RotationCoding:
         """Integer form of the coding over a common denominator, as a breakpoint table.
 
         Every relevant value (a + b*sqrt(d))/c is rescaled to D = lcm of all
-        the c's, as the integer pair (a*D/c, b*D/c).  The breakpoints are 0,
-        every arc endpoint below 1 and every isolated point, sorted by exact
-        sign tests and closed by the sentinel (D, 0) for the seam.  Each
-        breakpoint gets the label of the cell holding it, and so does each
-        open gap up to the next breakpoint; None marks a point or gap no cell
-        holds, and one that two cells claim is an InputError.  This is the
-        coding's one description of its partition: ``validate`` builds it
-        once and keeps it as ``_table``, which every later question reads.
+        the c's, as the integer pair (a*D/c, b*D/c).  The breakpoints are 0
+        and every cut of every cell, sorted by exact sign tests and closed by
+        the sentinel (D, 0) for the seam.  Each breakpoint gets the label of
+        the cell holding it, and so does each open gap up to the next
+        breakpoint, read off the cells' own tables; None marks a point or gap
+        no cell holds, and one that two cells claim is an InputError.  This
+        is the coding's one description of its partition: ``validate`` builds
+        it once and keeps it as ``_table``, which every later question reads.
         """
         labels = self.labels()
         cells = [self.cells[label] for label in labels]
-        D = math.lcm(self.alpha.c, self.base.c,
-                     *(e.c for cell in cells for a in cell.arcs for e in (a.lo, a.hi)),
-                     *(p.c for cell in cells for p in cell.points))
+        D = math.lcm(self.alpha.c, self.base.c, *(x.c for cell in cells for x in cell.cuts))
         d = self.alpha.d
 
         def enc(x):
             k = D // x.c
             return (x.a * k, x.b * k)
 
-        # an isolated point is the closed arc from the point to itself
-        arcs = [(label, enc(a.lo), a.lo_closed, enc(a.hi), a.hi_closed)
-                for label, cell in zip(labels, cells) for a in cell.arcs]
-        arcs += [(label, enc(p), True, enc(p), True)
-                 for label, cell in zip(labels, cells) for p in cell.points]
-        seam = (D, 0)
-        cuts = {(0, 0), *(a[1] for a in arcs), *(a[3] for a in arcs)}
-        cuts.discard(seam)
-        cuts = sorted(cuts, key=cmp_to_key(
+        # a cell with no cut is read as cut at 0, with its one flag on both sides
+        tables = [(label, [enc(x) for x in cell.cuts] or [(0, 0)],
+                   cell.at_cut or cell.in_gap, cell.in_gap)
+                  for label, cell in zip(labels, cells)]
+        cuts = sorted({(0, 0), *(x for table in tables for x in table[1])}, key=cmp_to_key(
             lambda x, y: quadratic_sign(x[0] - y[0], x[1] - y[1], d)))
         m = len(cuts)
         index = {x: k for k, x in enumerate(cuts)}
-        index[seam] = m
         at_point, in_gap = [None] * m, [None] * m
 
-        def overlap(slots, j, label):
-            where = "on the gap after" if slots is in_gap else "at"
-            return InputError(f"cells {slots[j]!r} and {label!r} overlap {where} "
-                              f"{_reduced(*cuts[j], D, d)}")
+        def claim(slots, j, label):
+            if slots[j] is not None:
+                where = "on the gap after" if slots is in_gap else "at"
+                raise InputError(f"cells {slots[j]!r} and {label!r} overlap {where} "
+                                 f"{_reduced(*cuts[j], D, d)}")
+            slots[j] = label
 
-        for label, x, x_closed, y, y_closed in arcs:
-            i, k = index[x], index[y]
-            for j in range(i, k):
-                if in_gap[j] is not None:
-                    raise overlap(in_gap, j, label)
-                in_gap[j] = label
-            # the breakpoints inside the arc and its closed ends; hi = 1
-            # closed holds the seam point 0
-            for j in range(i + (not x_closed), k + y_closed):
-                j %= m
-                if at_point[j] is not None:
-                    raise overlap(at_point, j, label)
-                at_point[j] = label
-        return (D, d, enc(self.alpha), enc(self.base), (*cuts, seam), tuple(at_point),
+        for label, own, at_cut, gap in tables:
+            own = [index[x] for x in own]
+            for j, i in enumerate(own):
+                if at_cut[j]:
+                    claim(at_point, i, label)
+                if gap[j]:
+                    gaps, inside = _span(i, own[(j + 1) % len(own)], m)
+                    for k in gaps:
+                        claim(in_gap, k, label)
+                    for k in inside:
+                        claim(at_point, k, label)
+        return (D, d, enc(self.alpha), enc(self.base), (*cuts, (D, 0)), tuple(at_point),
                 tuple(in_gap))
 
     def orbit_symbols(self, lo: int, hi: int):

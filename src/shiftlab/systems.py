@@ -303,6 +303,9 @@ def construct_phi_R(S: FiniteSystem, f) -> PhiRResult:
     if S.observable is None:
         raise ObservableMissingError()
     f = tuple(f)
+    if len(f) != S.group.order:
+        raise GroupMismatchError(
+            f"function length {len(f)} does not match group order {S.group.order}")
     readings = _readings(S, S.observable)
     for g, got in enumerate(readings[S.base]):
         if got != f[g]:

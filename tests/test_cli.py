@@ -112,6 +112,17 @@ cells:
     - {lo: 1/2, lo_closed: true, hi: alpha, hi_closed: false}
 """
 
+# cell 1 is the circle minus the point alpha, which the orbit meets only at n = 1
+PUNCTURED_CODING = """\
+kind: coding
+id: punctured
+alpha: sqrt(5)-2
+cells:
+  0: {points: [alpha]}
+  1: {arcs: [{lo: 0, hi: alpha, lo_closed: true, hi_closed: false},
+             {lo: alpha, hi: 1, lo_closed: false, hi_closed: false}]}
+"""
+
 # the sturmian coding as an oracle, with string labels
 STURMIAN_ORACLE = """\
 kind: oracle
@@ -667,6 +678,18 @@ def test_int_and_str_symbols_mix(tmp_path, argv):
     for name, text in MIXED_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     assert _assert_exits_cleanly(tmp_path, argv) == 0
+
+
+def test_rotation_word_on_a_circle_minus_one_point(tmp_path, capsys):
+    # the word "1" occurs at every n != 1; its locus is the whole cell
+    path = tmp_path / "punct.yaml"
+    path.write_text(PUNCTURED_CODING, encoding="utf-8")
+    assert run_cli("rotation", "word", "--coding", str(path), "--symbols", "1",
+                   "--offsets", "0", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["caveat"], doc["verdict"]["kind"]) == ("exact", "syndetic")
+    cell = build_coding(parse_scenario(PUNCTURED_CODING)).cells[1]
+    assert doc["verdict"]["locus"] == cell.describe()
 
 
 def test_rotation_classify_orders_endpoints_exactly(files, capsys):

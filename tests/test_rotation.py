@@ -8,7 +8,8 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab.algebra import QuadraticNumber, frac_part, quadratic_floor, quadratic_sign, solve_hit
+from shiftlab.algebra import QuadraticNumber, frac_part, parse_quadratic, quadratic_floor, \
+    quadratic_sign, solve_hit
 from shiftlab.errors import InputError, MismatchedFieldError, RationalAlphaError
 from shiftlab.rotation import (
     Arc,
@@ -18,7 +19,6 @@ from shiftlab.rotation import (
     boundary_hits,
     classify_minimality,
     classify_word,
-    normalize,
     resonance_bound,
     strongly_dyn_syndetic,
     word_locus,
@@ -58,22 +58,22 @@ def four_colouring():
     return RotationCoding(ALPHA, cells, name="four")
 
 
-# -- normalization ----------------------------------------------------------------
+# -- circle sets ------------------------------------------------------------------
 
 def test_normalize_keeps_plain_arc():
-    s = normalize([arc(0, True, "1/7", False)])
+    s = CircleIntervalSet([arc(0, True, "1/7", False)])
     assert len(s.arcs) == 1 and not s.points
 
 
 def test_normalize_merges_abutting_arcs():
-    s = normalize([arc(0, True, "1/4", True), arc("1/4", False, "1/2", False)])
+    s = CircleIntervalSet([arc(0, True, "1/4", True), arc("1/4", False, "1/2", False)])
     assert len(s.arcs) == 1
     a = s.arcs[0]
     assert a.lo == Q(0) and a.hi == Q(F(1, 2)) and a.lo_closed and not a.hi_closed
 
 
 def test_normalize_splits_wraparound_but_reports_whole():
-    s = normalize([arc("6/7", False, "1/7", False)])
+    s = CircleIntervalSet([arc("6/7", False, "1/7", False)])
     assert len(s.arcs) == 2  # stored split at 0
     logical = s.logical_arcs()
     assert len(logical) == 1
@@ -81,18 +81,19 @@ def test_normalize_splits_wraparound_but_reports_whole():
 
 
 def test_normalize_absorbs_point_into_open_endpoint():
-    s = normalize([arc(0, True, "1/4", False)], [Q(F(1, 4))])
+    s = CircleIntervalSet([arc(0, True, "1/4", False)], [Q(F(1, 4))])
     assert not s.points and s.arcs[0].hi_closed
 
 
 def test_normalize_degenerate_arcs():
-    assert normalize([arc("1/3", True, "1/3", True)]).points == (Q(F(1, 3)),)
-    assert normalize([arc("1/3", True, "1/3", False)]).is_empty()
+    assert CircleIntervalSet([arc("1/3", True, "1/3", True)]).points == (Q(F(1, 3)),)
+    assert CircleIntervalSet([arc("1/3", True, "1/3", False)]).is_empty()
 
 
 def test_equivalent_representations_normalize_identically():
-    via_wrap = normalize([Arc(2 * ALPHA, False, ALPHA, False)])
-    via_pieces = normalize([Arc(Q(0), True, ALPHA, False), Arc(2 * ALPHA, False, Q(1), False)])
+    via_wrap = CircleIntervalSet([Arc(2 * ALPHA, False, ALPHA, False)])
+    via_pieces = CircleIntervalSet([Arc(Q(0), True, ALPHA, False),
+                                    Arc(2 * ALPHA, False, Q(1), False)])
     assert via_wrap == via_pieces
 
 
@@ -179,7 +180,7 @@ def _probes(values):
 @given(st.lists(near_arcs, min_size=1, max_size=5), st.lists(near_points(), max_size=2))
 @settings(max_examples=200, deadline=None)
 def test_exact_order_within_float_resolution(arc_specs, point_specs):
-    s = normalize([Arc(*spec) for spec in arc_specs], point_specs)
+    s = CircleIntervalSet([Arc(*spec) for spec in arc_specs], point_specs)
     for a, b in zip(s.arcs, s.arcs[1:]):
         # sorted, disjoint, and merged wherever they touch
         c = a.hi.compare(b.lo)
@@ -204,6 +205,67 @@ def test_complement_involution_and_disjointness():
         c = s.complement()
         assert s.intersect(c).is_empty()
         assert c.complement() == s
+
+
+# rationals (0 and 1 included) and multiples of alpha
+seam_values = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=6).map(Q),
+    st.integers(-4, 4).map(lambda k: frac_part(k * ALPHA)))
+
+
+@st.composite
+def circle_sets(draw):
+    """(set, membership oracle, values): a union of raw arcs and points, or its
+    complement.  This covers the empty and full sets, a circle minus one point
+    (at 0 or elsewhere) and arcs ending on the seam written as 0 or as 1."""
+    kind = draw(st.sampled_from(("union", "complement", "minus-point", "empty", "full")))
+    arc_specs, point_specs = [], []
+    if kind in ("union", "complement"):
+        arc_specs = draw(st.lists(st.tuples(seam_values, st.booleans(), seam_values,
+                                            st.booleans()), max_size=4))
+        point_specs = draw(st.lists(seam_values, max_size=2))
+    elif kind == "minus-point":
+        point_specs = [draw(st.just(Q(0)) | seam_values)]
+    s = CircleIntervalSet([Arc(*spec) for spec in arc_specs], point_specs)
+    flip = kind in ("complement", "minus-point", "full")
+
+    def member(x):
+        inside = any(_raw_member(x, *spec) for spec in arc_specs) \
+            or any(frac_part(x) == frac_part(p) for p in point_specs)
+        return inside != flip
+
+    values = [e for lo, _, hi, _ in arc_specs for e in (lo, hi)] + point_specs
+    return (s.complement() if flip else s), member, values
+
+
+@given(circle_sets(), circle_sets(), seam_values, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_rotate_intersect_and_complement_keep_membership(first, second, t, negate):
+    # at every cut, at 0 and at each gap midpoint of both sets
+    (s, in_s, s_values), (u, in_u, u_values) = first, second
+    t = -t if negate else t
+    rotated, meet, rest = s.rotate(t), s.intersect(u), s.complement()
+    for x in _probes(s_values + u_values):
+        assert s.contains(x) == in_s(x), (s, x)
+        assert rotated.contains(x + t) == in_s(x), (s, t, rotated, x)
+        assert meet.contains(x) == (in_s(x) and in_u(x)), (s, u, meet, x)
+        assert rest.contains(x) != in_s(x), (s, rest, x)
+
+
+def read_back(description):
+    """The circle set a describe() output denotes, through the scenario value grammar."""
+    return CircleIntervalSet(
+        [Arc(parse_quadratic(a["lo"]), a["lo_closed"], parse_quadratic(a["hi"]), a["hi_closed"])
+         for a in description["arcs"]],
+        [parse_quadratic(p) for p in description["points"]])
+
+
+@given(circle_sets(), seam_values)
+@settings(max_examples=300, deadline=None)
+def test_describe_reads_back_as_the_same_set(drawn, t):
+    s = drawn[0]
+    for shown in (s, s.rotate(t), s.complement()):
+        assert read_back(shown.describe()) == shown, shown.describe()
 
 
 # -- cell symbols -----------------------------------------------------------------
@@ -513,7 +575,7 @@ def longest_arc_length(s):
     if s.is_full_circle():
         return Q(1)
     # a wrapped arc has hi < lo, and its length is hi + 1 - lo
-    lengths = [a.length() for a in s.logical_arcs()]
+    lengths = [a.hi - a.lo for a in s.logical_arcs()]
     return max((l + 1 if l.sign() < 0 else l for l in lengths), key=BY_VALUE)
 
 def test_classify_double_zero_finite_once(sturmian):

@@ -446,6 +446,16 @@ def test_phi_r_corrupted_observable_raises_seed_mismatch():
         construct_phi_R(S, f)
 
 
+@pytest.mark.parametrize("f", [(0, 1), (0, 1, 0, 1, 0)])
+def test_phi_r_rejects_a_function_of_the_wrong_length(f):
+    # the same error and message as the Furstenberg check, shorter or longer
+    S = build_orbit_system(Z4, (0, 1, 0, 1), "R")
+    with pytest.raises(GroupMismatchError) as want:
+        is_furstenberg_system_of(S, f)
+    with pytest.raises(GroupMismatchError, match=f"^{want.value}$"):
+        construct_phi_R(S, f)
+
+
 def test_phi_r_requires_observable():
     S = build_orbit_system(Z4, (0, 1, 0, 1), "Ltilde")
     with pytest.raises(ObservableMissingError):
