@@ -3,9 +3,9 @@
 Whether a candidate set returns some colour class (or a single set) to
 itself is checked by bounded scans that report an explicit witness or a
 window-limited miss; a miss is exact only when the colouring has analysable
-periodic structure (or the underlying group is finite).  The module also
-runs the two-part witness search on Z/3Z (+) B used to show that the naive
-left-shift system fails beyond Boolean groups.
+periodic structure.  The module also runs the two-part witness search on
+Z/3Z (+) B used to show that the naive left-shift system fails beyond
+Boolean groups.
 
 One-sided semantics throughout: a Found verdict is a theorem about the
 input, a NotFoundInWindow verdict is only as strong as its window flag.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import FiniteGroup, Z3BElement, symbol_key, z3b_f
+from .algebra import Z3BElement, symbol_key, z3b_f
 from .errors import BoundsExceededError, InputError
 from .zshift import SequenceOracle, centered
 
@@ -25,7 +25,7 @@ EQTECH_SUPPORT_CAP = 12
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """R* = R minus the identity: nonzero integers or non-identity elements."""
+    """R* = R minus the identity: nonzero integers."""
 
     elements: tuple
 
@@ -37,15 +37,6 @@ class CandidateSet:
         elements = [int(n) for n in elements]
         if any(n == 0 for n in elements):
             raise InputError("0 is not allowed in a candidate set over Z")
-        return cls(tuple(elements))
-
-    @classmethod
-    def group_elements(cls, group: FiniteGroup, elements):
-        elements = [int(g) for g in elements]
-        if any(g == group.identity for g in elements):
-            raise InputError("the identity is not allowed in a candidate set")
-        if any(not 0 <= g < group.order for g in elements):
-            raise InputError("candidate element out of range")
         return cls(tuple(elements))
 
 
@@ -79,29 +70,15 @@ class RecurrenceVerdict:
         return d
 
 
-def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int,
-                               group: FiniteGroup | None = None) -> RecurrenceVerdict:
-    """First (g, colour, h) with h and h+g (or g*h over a finite group) alike.
+def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int) -> RecurrenceVerdict:
+    """First (g, colour, h) with h and h+g alike.
 
     g runs over the candidate set in increasing order; for each g the scan
     is centered (h = 0, 1, -1, ...) and among the matches the smallest
-    colour in ``symbol_key`` order, with its earliest h, wins.  Misses over
-    Z carry a window caveat unless tail analysis covers the whole scan;
-    finite groups are exact.
-    Over Z the scan reads one window, and a negative radius is an InputError.
+    colour in ``symbol_key`` order, with its earliest h, wins.  Misses carry
+    a window caveat unless tail analysis covers the whole scan.
+    The scan reads one window, and a negative radius is an InputError.
     """
-    if group is not None:
-        for g in R.elements:
-            # earliest h of each matching colour, h in increasing order
-            first = {}
-            for h in group.elements():
-                colour = coloring[h]
-                if colour == coloring[group.mul(g, h)] and colour not in first:
-                    first[colour] = h
-            if first:
-                colour = min(first, key=symbol_key)
-                return RecurrenceVerdict(True, g=g, colour=colour, h=first[colour], exact=True)
-        return RecurrenceVerdict(False, radius=group.order, exact=True)
     buf, off = _scan_window(R, coloring, radius)
     tails = coloring.tails()
     exact = True

@@ -16,6 +16,22 @@ other.  Complement flips the flags, intersection merges the cut lists and
 ANDs the flags, and rotation moves every cut and restarts the list at the
 least one.  A coding's partition is a table of the same kind, with a label
 where a set has a flag.
+
+A long coded window is read in blocks.  For an even-index convergent P/Q of
+alpha, eps = Q*alpha - P is positive and x_(n+Q) = x_n + eps.  The Q points
+of one block sit one to each 1/Q of the circle, the successor of x_k being
+x_(k + 1/P mod Q), and by the three-distance theorem (Sos 1958; Lothaire,
+Algebraic Combinatorics on Words, 2002, ch. 2) eps is below every gap
+between neighbours.  So from one block to the next every point moves by eps
+and keeps its neighbours, and only a breakpoint's closed predecessor, the
+point at or just below it, can reach or pass it.  After the first block is
+walked, each later block is the one before it with, per breakpoint, one
+exact sign test of its predecessor's distance minus eps: at zero the point
+takes the breakpoint's label, below zero it takes the label of the gap
+after it, and the point before it becomes the predecessor.  Breakpoints are
+taken in the cyclic order that starts after their widest gap, which
+eps < 1/Q <= 1/m cannot jump, so a point that passes several takes the
+label of the last one.
 """
 
 from __future__ import annotations
@@ -364,45 +380,38 @@ class RotationCoding:
                 tuple(in_gap))
 
     def orbit_symbols(self, lo: int, hi: int):
-        """Exact coded symbols for n = lo..hi via an incremental orbit walk.
+        """Exact coded symbols for n = lo..hi: an orbit walk, then block copies.
 
-        The walk starts from x = D*{lo*alpha + base} as an integer pair, its
-        floor taken from one integer square root; each further point is an
-        integer-pair addition.  A gap index j into the coding's stored
-        breakpoint table follows x: it advances while x is at or above the
-        next breakpoint (an inlined integer sign test) and returns to 0 when
-        x wraps past the seam.  x is the breakpoint j itself, by an exact
-        pair comparison, or lies in the open gap after it, and that names
-        its label; validation has ruled out an unlabelled gap and an
-        unlabelled breakpoint the orbit meets.  This is the library's only
+        Walk: x = D*{lo*alpha + base} as an integer pair, its floor taken
+        from one integer square root; each further point is an integer-pair
+        addition.  A gap index j into the coding's stored breakpoint table
+        follows x: it advances while x is at or above the next breakpoint
+        (an inlined integer sign test) and returns to 0 when x wraps past
+        the seam.  x is the breakpoint j itself, by an exact pair
+        comparison, or lies in the open gap after it, and that names its
+        label; validation has ruled out an unlabelled gap and an unlabelled
+        breakpoint the orbit meets.
+
+        Blocks: a window of N symbols over a table of m breakpoints (cut 0
+        counted) takes the largest even-index convergent denominator Q of
+        alpha with max(m, 2) <= Q <= sqrt(N*m), which minimizes the Q walk
+        steps plus the m*N/Q block steps.  The walk reads the first Q
+        symbols, and every later block of Q is the one before it with at
+        most one symbol changed per breakpoint (see the module docstring).
+        The walk reads the whole window when N <= 4m (the least block cost,
+        2*sqrt(N*m), is then not below N), when there is no such Q, or when
+        the window holds fewer than two blocks.  This is the library's only
         evaluator of coded symbols.
         """
-        D, d, (ap, aq), (bp, bq), cuts, at_point, in_gap = self._table
-        last = len(cuts) - 1  # the seam sentinel (D, 0)
-        p, q = lo * ap + bp, lo * aq + bq
-        p -= quadratic_floor(p, q, D, d) * D
-
-        out = []
-        j = 0
-        (cur_p, cur_q), (next_p, next_q) = cuts[0], cuts[1]
-        for _ in range(lo, hi + 1):
-            while True:
-                # is x below the next breakpoint?  sign of u + v*sqrt(d) = x - next
-                u, v = p - next_p, q - next_q
-                if u < 0:
-                    if v <= 0 or u * u > v * v * d:
-                        break
-                elif v < 0 and u * u < v * v * d:
-                    break
-                j += 1
-                if j == last:
-                    p -= D
-                    j = 0
-                (cur_p, cur_q), (next_p, next_q) = cuts[j], cuts[j + 1]
-            out.append(at_point[j] if p == cur_p and q == cur_q else in_gap[j])
-            p += ap
-            q += aq
-        return out
+        table = self._table
+        n, m = hi - lo + 1, len(table[4]) - 1
+        # the least block cost, 2*sqrt(n*m), is below the walk's n only when
+        # n > 4m; that also leaves room for two blocks of max(m, 2) symbols
+        if n > 4 * m:
+            convergent = _block_convergent(table, n, m)
+            if convergent is not None and n >= 2 * convergent[1]:
+                return _block_copy(table, lo, n, *convergent)
+        return _walk(table, lo, n)
 
     def _boundaries(self):
         """(value, labels) for each boundary breakpoint of the stored table.
@@ -426,6 +435,135 @@ class RotationCoding:
         cell = self.cells[label]
         return RotationCoding(self.alpha, {1: cell, 0: cell.complement()},
                               self.base, name=f"{self.name}[{label}]")
+
+
+# -- coded windows: the orbit walk and its block copy -----------------------------
+
+def _walk(table, lo, count, marks=None):
+    """The symbols for n = lo, ..., lo + count - 1 by the orbit walk of
+    ``orbit_symbols``; ``marks``, when given, gets (j, on, p) for each point:
+    its gap index, whether it is breakpoint j itself, and its rational part."""
+    D, d, (ap, aq), (bp, bq), cuts, at_point, in_gap = table
+    last = len(cuts) - 1  # the seam sentinel (D, 0)
+    p, q = lo * ap + bp, lo * aq + bq
+    p -= quadratic_floor(p, q, D, d) * D
+
+    out = []
+    j = 0
+    (cur_p, cur_q), (next_p, next_q) = cuts[0], cuts[1]
+    for _ in range(count):
+        while True:
+            # is x below the next breakpoint?  sign of u + v*sqrt(d) = x - next
+            u, v = p - next_p, q - next_q
+            if u < 0:
+                if v <= 0 or u * u > v * v * d:
+                    break
+            elif v < 0 and u * u < v * v * d:
+                break
+            j += 1
+            if j == last:
+                p -= D
+                j = 0
+            (cur_p, cur_q), (next_p, next_q) = cuts[j], cuts[j + 1]
+        on = p == cur_p and q == cur_q
+        out.append(at_point[j] if on else in_gap[j])
+        if marks is not None:
+            marks.append((j, on, p))
+        p += ap
+        q += aq
+    return out
+
+
+def _block_convergent(table, n, m):
+    """The largest even-index convergent P/Q of alpha with
+    max(m, 2) <= Q <= sqrt(n*m), as (P, Q), or None.
+
+    alpha = (ap + aq*sqrt(d))/D is written as (P + sqrt(N))/Qk with Qk
+    dividing N - P^2, and the continued fraction runs on those integers.
+    """
+    D, d, (ap, aq) = table[0], table[1], table[2]
+    top, least = math.isqrt(n * m), max(m, 2)
+    sign = 1 if aq > 0 else -1
+    P, N, Qk = sign * ap * D, aq * aq * d * D * D, sign * D * D
+    r = math.isqrt(N)
+    # the convergents two and one steps back, from p_-2/q_-2 = 0/1, p_-1/q_-1 = 1/0
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    best, even = None, True
+    while True:
+        a = (P + r) // Qk if Qk > 0 else (P + r + 1) // Qk
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > top:
+            return best
+        if even and q1 >= least:
+            best = (p1, q1)
+        even = not even
+        P = a * Qk - P
+        Qk = (N - P * P) // Qk
+
+
+def _block_copy(table, lo, n, P, Q):
+    """The symbols for n symbols from lo, block by block, for an even-index
+    convergent P/Q of alpha with max(m, 2) <= Q <= n/2."""
+    D, d, (ap, aq), (_, bq), cuts, at_point, in_gap = table
+    m = len(cuts) - 1
+    marks = []
+    block = _walk(table, lo, Q, marks)
+    out = block[:]
+    ep, eq = Q * ap - P * D, Q * aq  # eps = Q*alpha - P > 0
+    # the point after x_k in cyclic order is x_(k + s mod Q), s = 1/P mod Q;
+    # it lies {s*alpha} after x_k, or {s*alpha} - eps when k + s wraps past Q
+    s = pow(P, -1, Q)
+    gp, gq = s * ap, s * aq
+    gp -= quadratic_floor(gp, gq, D, d) * D
+    # each breakpoint's closed predecessor k and its distance c - x_k, found
+    # from each point and its successor: the breakpoints in [x_k, x_succ)
+    pred, du, dv = [0] * m, [0] * m, [0] * m
+    for k, (j, on, p) in enumerate(marks):
+        k2 = k + s
+        step = gp if k2 < Q else gp - ep
+        j2, on2, p2 = marks[k2 % Q]
+        q = (lo + k) * aq + bq
+        wraps = p + step != p2
+        for i in range(j + 1 - on, j2 + m * wraps + 1 - on2):
+            c = i % m
+            pred[c], du[c], dv[c] = k, cuts[c][0] + D * (i >= m) - p, cuts[c][1] - q
+    # a point moves by eps < 1/Q <= 1/m per block, less than the widest
+    # breakpoint gap, so in the cyclic order after that gap the breakpoints
+    # come in the order a point meets them, and the last it passes labels it
+    w = 0
+    for i in range(1, m):
+        (a0, b0), (a1, b1) = cuts[w], cuts[w + 1]
+        (c0, e0), (c1, e1) = cuts[i], cuts[i + 1]
+        if quadratic_sign(c1 - c0 - a1 + a0, e1 - e0 - b1 + b0, d) > 0:
+            w = i
+    order = [(w + 1 + t) % m for t in range(m)]
+    for _ in range((n - 1) // Q):
+        for i in order:
+            u, v = du[i] - ep, dv[i] - eq
+            # is u + v*sqrt(d) still positive?
+            if u > 0:
+                if v >= 0 or u * u > v * v * d:
+                    du[i], dv[i] = u, v
+                    continue
+            elif v > 0 and (u == 0 or v * v * d > u * u):
+                du[i], dv[i] = u, v
+                continue
+            k = pred[i]
+            if u == 0 and v == 0:
+                block[k] = at_point[i]
+            else:
+                # x_k passed c: it lies in the gap after c, and the point
+                # before it becomes c's closed predecessor
+                block[k] = in_gap[i]
+                if k >= s:
+                    k, u, v = k - s, u + gp, v + gq
+                else:
+                    k, u, v = k - s + Q, u + gp - ep, v + gq - eq
+                pred[i] = k
+            du[i], dv[i] = u, v
+        out += block
+    del out[n:]
+    return out
 
 
 def word_locus(coding: RotationCoding, word) -> CircleIntervalSet:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftlab.algebra import QuadraticNumber, Z3B_IDENTITY, Z3BElement, catalog, z3b, z3b_f
+from shiftlab.algebra import QuadraticNumber, Z3B_IDENTITY, Z3BElement, z3b, z3b_f
 from shiftlab.errors import BoundsExceededError, InputError
 from shiftlab.recurrence import (
     CandidateSet,
@@ -37,8 +37,6 @@ def four_colouring():
 def test_candidate_set_rejects_identity():
     with pytest.raises(InputError):
         CandidateSet.integers([0, 1])
-    with pytest.raises(InputError):
-        CandidateSet.group_elements(catalog()["z4"], [0])
 
 
 def test_candidate_set_sorts_and_dedups():
@@ -64,23 +62,10 @@ def test_four_colouring_recurrence_found_quickly():
     assert res.found and abs(res.h) <= 10
 
 
-def test_finite_group_chromatic_check_is_exact():
-    G = catalog()["z4"]
-    res = chromatic_recurrence_check(
-        CandidateSet.group_elements(G, [2]), (0, 1, 0, 1), 0, group=G)
-    assert res.found and res.exact and res.colour == 0 and res.h == 0
-    res2 = chromatic_recurrence_check(
-        CandidateSet.group_elements(G, [1]), (0, 1, 0, 1), 0, group=G)
-    assert not res2.found and res2.exact
-
-
 @pytest.mark.parametrize("word", [(1, 1, 0, 0), ("a", "a", 0, 0), ("b", "b", "a", "a")])
 def test_least_colour_wins_over_the_earliest_match(word):
     # colour word[0] matches at h = 0, the least colour word[2] only at h = 2
     res = chromatic_recurrence_check(CandidateSet.integers([1]), PeriodicOracle(word), 10)
-    assert (res.found, res.colour, res.h) == (True, word[2], 2)
-    G = catalog()["z4"]
-    res = chromatic_recurrence_check(CandidateSet.group_elements(G, [1]), word, 0, group=G)
     assert (res.found, res.colour, res.h) == (True, word[2], 2)
 
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cmp_to_key
@@ -16,6 +17,7 @@ from shiftlab.rotation import (
     CircleIntervalSet,
     RotationCoding,
     SyndeticityResult,
+    _block_convergent,
     boundary_hits,
     classify_minimality,
     classify_word,
@@ -319,7 +321,8 @@ POINT_LABEL = 9
 @st.composite
 def random_codings(draw):
     """A coding with cut points that are rationals (0 included), k*alpha or
-    k*alpha + base, random closure at each cut (left arc, right arc, or an
+    k*alpha + base, the last also with cuts 1/10^5 to one or both sides of
+    it, random closure at each cut (left arc, right arc, or an
     isolated point cell), and a base that is 0, rational or a multiple of
     alpha.  Returns the coding and the times its orbit meets a cut point or
     the seam at 0."""
@@ -338,17 +341,19 @@ def random_codings(draw):
         times.append(-j)  # the orbit point at -j is the seam point 0
     cuts = []
     for _ in range(draw(st.integers(2, 5))):
-        kind = draw(st.sampled_from(("rational", "multiple", "hit")))
+        kind = draw(st.sampled_from(("rational", "multiple", "hit", "near")))
         if kind == "rational":
             q = draw(st.sampled_from((2, 5, 12)))
-            cut = Q(F(draw(st.integers(0, q - 1)), q))
+            new = [Q(F(draw(st.integers(0, q - 1)), q))]
         else:
             k = draw(st.integers(-4, 4))
-            cut = frac_part(k * alpha + (base if kind == "hit" else 0))
-            if kind == "hit":
+            cut = frac_part(k * alpha + (base if kind != "multiple" else 0))
+            if kind != "multiple":
                 times.append(k)
-        if all(cut != other for other in cuts):
-            cuts.append(cut)
+            # a hit cut and its neighbours 1/10^5 away
+            new = [cut] + ([frac_part(cut + Q(F(sign, 10**5))) for sign in
+                             draw(st.sampled_from(((1,), (-1,), (1, -1))))] if kind == "near" else [])
+        cuts += [cut for cut in new if all(cut != other for other in cuts)]
     assume(len(cuts) >= 2)
     cuts.sort(key=cmp_to_key(lambda x, y: x.compare(y)))
     m = len(cuts)
@@ -438,6 +443,102 @@ def test_breakpoint_walk_matches_per_arc_walk_over_long_windows(sturmian, four_c
     for coding in (sturmian, four_colouring, third_interval):
         for lo, hi in ((-3000, 3000), (10**9, 10**9 + 500), (-10**12 - 500, -10**12)):
             assert coding.orbit_symbols(lo, hi) == per_arc_walk(coding, lo, hi)
+
+
+def walk_oracle(coding, lo, hi):
+    """Third reference for coded symbols: the breakpoint-table walk alone, one
+    step per symbol, as ``orbit_symbols`` reads windows too short for blocks."""
+    D, d, (ap, aq), (bp, bq), cuts, at_point, in_gap = coding._table
+    last = len(cuts) - 1
+    p, q = lo * ap + bp, lo * aq + bq
+    p -= quadratic_floor(p, q, D, d) * D
+    out = []
+    j = 0
+    (cur_p, cur_q), (next_p, next_q) = cuts[0], cuts[1]
+    for _ in range(lo, hi + 1):
+        while True:
+            u, v = p - next_p, q - next_q
+            if u < 0:
+                if v <= 0 or u * u > v * v * d:
+                    break
+            elif v < 0 and u * u < v * v * d:
+                break
+            j += 1
+            if j == last:
+                p -= D
+                j = 0
+            (cur_p, cur_q), (next_p, next_q) = cuts[j], cuts[j + 1]
+        out.append(at_point[j] if p == cur_p and q == cur_q else in_gap[j])
+        p += ap
+        q += aq
+    return out
+
+
+def convergents(alpha, top):
+    """The convergents p/q of alpha with q <= top, by QuadraticNumber arithmetic."""
+    out, x = [], alpha
+    (p0, q0), (p1, q1) = (0, 1), (1, 0)
+    while True:
+        a = x.floor()
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        if q1 > top:
+            return out
+        out.append((p1, q1))
+        x = (x - a).inverse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_block_length_is_the_largest_even_convergent_in_range(data):
+    coding, _ = data.draw(random_codings())
+    m, n = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 5000))
+    top = math.isqrt(n * m)
+    even = [(p, q) for i, (p, q) in enumerate(convergents(coding.alpha, top))
+            if i % 2 == 0 and q >= max(m, 2)]
+    got = _block_convergent(coding._table, n, m)
+    assert got == (even[-1] if even else None)
+    if got:
+        assert got[1] * coding.alpha - got[0] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_copies_match_the_walk(data):
+    # windows of a few hundred to a few thousand symbols, so most take blocks:
+    # ending on a block boundary, one past it or one short of it; starting at a
+    # time the orbit meets a cut or the seam, a whole number of blocks before
+    # one (a later block lands on that cut), far out, or anywhere
+    coding, times = data.draw(random_codings())
+    m = len(coding._table[4]) - 1
+    n = data.draw(st.integers(300, 3000))
+    convergent = _block_convergent(coding._table, n, m)
+    block = convergent[1] if convergent else 1
+    n = max(1, n // block * block + data.draw(st.sampled_from((0, 0, 1, -1, block // 2))))
+    t = data.draw(st.sampled_from(times))
+    lo = data.draw(st.sampled_from((t, t - block * data.draw(st.integers(1, 5)), t - n + 1))
+                   | st.integers(-10**6, 10**6) | st.sampled_from((10**12, -10**12 - 7)))
+    assert coding.orbit_symbols(lo, lo + n - 1) == walk_oracle(coding, lo, lo + n - 1)
+    assert coding.orbit_symbols(lo, lo - data.draw(st.integers(1, 3000))) == []
+
+
+def test_block_copies_match_the_walk_on_the_repro_codings(sturmian, four_colouring,
+                                                          third_interval):
+    for coding in (sturmian, four_colouring, third_interval):
+        for lo in (-100_000, 10**9):
+            assert coding.orbit_symbols(lo, lo + 200_000) == walk_oracle(coding, lo, lo + 200_000)
+
+
+def test_block_copies_cost_under_a_quarter_of_the_walk(four_colouring):
+    def best(read):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            read(-100_000, 100_000)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    walk = best(lambda lo, hi: walk_oracle(four_colouring, lo, hi))
+    assert best(four_colouring.orbit_symbols) < walk / 4
 
 
 def test_coding_is_frozen_and_keeps_its_own_cells():
