@@ -1,4 +1,15 @@
-"""Command-line front end.
+"""Command-line front end: one row of ``COMMANDS`` per subcommand.
+
+A row is a subcommand's name, its arguments and one runner.  An argument is
+a flag, a kind (``int``, ``str``, a tuple of choices, ``bool`` for an on/off
+flag, or a scenario kind such as ``"oracle"``) and a default or
+``REQUIRED``.  ``build_parser`` declares the flags from the rows, and
+``dispatch`` loads each scenario argument through ``_load``, records the
+inputs as the report's ``params`` and builds the report.  A runner returns
+the verdict, the text lines and one caveat per verdict part; the report's
+caveat is the weakest of them (exact < windowed < search-exhausted).  The
+table holds no library or builder function, so rebinding a name in this
+module or in ``scenarios`` reaches every call.  ``repro`` is handled apart.
 
 Exit codes: 0 when a verdict was produced (whatever the verdict says),
 2 on input errors, 3 when a bound was exceeded, 4 when an internal
@@ -11,6 +22,12 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
+
+try:  # the built-in module first, as random does: hashlib maps OpenSSL (+3.6 MB RSS)
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from ..codes import (
     apply_code,
@@ -27,8 +44,25 @@ from ..rotation import boundary_hits, classify_minimality, classify_word, \
 from ..systems import build_orbit_system, equivariant_isomorphism, is_furstenberg_system_of
 from ..zshift import WordPattern, occurrences, uniform_recurrence_certificate
 from . import scenarios
-from .reports import Report
+from .reports import Report, weakest
 from .repro import repro_registry, run_repro
+
+REQUIRED = object()
+MODES = ("R", "L", "Ltilde", "anti")
+
+
+class Arg(NamedTuple):
+    """One argument of a command row: its flag, its kind and its default."""
+
+    flag: str
+    kind: object
+    default: object = REQUIRED
+    dest: str | None = None
+    help: str | None = None
+
+    @property
+    def name(self) -> str:
+        return self.dest or self.flag.lstrip("-").replace("-", "_")
 
 
 def _int_list(text):
@@ -38,364 +72,322 @@ def _int_list(text):
         raise InputError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _symbol_list(text):
-    return [scenarios._symbol(x) for x in str(text).split(",") if x != ""]
+def _word(a):
+    symbols = tuple(scenarios._symbol(x) for x in str(a.symbols).split(",") if x != "")
+    return WordPattern(tuple(_int_list(a.offsets)), symbols)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--json", action="store_true", help="emit the structured report")
-    common.add_argument("--out", type=Path, help="directory for report files")
-    return common
+def _load(path, kind):
+    """The object a ``kind`` scenario file describes, and its params record."""
+    try:
+        doc = scenarios.load_scenario(path)
+    except (OSError, InputError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    if doc["kind"] != kind:
+        raise InputError(f"{path}: expected a {kind} scenario, got {doc['kind']}")
+    try:
+        built = getattr(scenarios, "build_" + kind.replace("-", "_"))(doc)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    digest = sha256(scenarios.emit_scenario(doc).encode("utf-8")).hexdigest()
+    return built, {"id": doc["id"], "sha256": digest}
+
+
+# -- runners: (verdict, text lines, one caveat per verdict part) ------------------
+
+def _group_analyze(a):
+    G = a.file
+    subs = G.subgroups()
+    ded = G.is_dedekind()
+    verdict = {"order": G.order, "identity": G.identity, "abelian": G.is_abelian(),
+               "subgroups": [list(s) for s in subs], "dedekind": ded.dedekind}
+    lines = [f"valid group of order {G.order}, identity {G.identity}",
+             f"{len(subs)} subgroups; dedekind: {ded.dedekind}"]
+    if not ded.dedekind:
+        H, x, y = ded.witness
+        verdict["witness"] = {"subgroup": list(H), "a": x, "b": y}
+        lines.append(f"non-normal subgroup {list(H)} with a={x}, b={y}")
+    return verdict, lines, ["exact"]
+
+
+def _system_build(a):
+    system = build_orbit_system(a.group, a.function, a.mode)
+    verdict = {"mode": a.mode, "points": len(system.points),
+               "base": system.base, "action_kind": system.action_kind}
+    lines = [f"orbit system with {len(system.points)} points (mode {a.mode})"]
+    if a.dump:
+        verdict["dump"] = system.dump()
+        lines.append(system.dump())
+    return verdict, lines, ["exact"]
+
+
+def _system_iso(a):
+    left = build_orbit_system(a.group, a.function, a.left_mode)
+    right = build_orbit_system(a.group, a.function if a.function2 is None else a.function2,
+                               a.right_mode)
+    mapping = equivariant_isomorphism(left, right)
+    verdict = {"isomorphic": mapping is not None,
+               "left_points": len(left.points), "right_points": len(right.points)}
+    if mapping is not None:
+        verdict["bijection"] = mapping
+    lines = [f"{a.left_mode} vs {a.right_mode}: "
+             f"{'isomorphic' if mapping is not None else 'no equivariant bijection'}"]
+    return verdict, lines, ["exact"]
+
+
+def _system_furstenberg(a):
+    system = build_orbit_system(a.group, a.function, a.mode)
+    res = is_furstenberg_system_of(system, a.function if a.query is None else a.query)
+    verdict = {"accepted": res.accepted, "mode": a.mode}
+    if res.accepted:
+        verdict["base"] = res.base
+        verdict["observable"] = res.observable
+    else:
+        verdict["reasons"] = res.reasons
+    return verdict, [f"furstenberg system of the query: {res.accepted}"], ["exact"]
+
+
+def _rotation_classify(a):
+    scope = "colouring" if a.scope == "whole-colouring" else a.scope
+    if scope not in ("set", "colouring"):
+        scope = scenarios._symbol(scope)
+        if scope not in a.coding.cells:
+            raise InputError(f"label {scope!r} is not a cell of the coding")
+    res = classify_minimality(a.coding, scope=scope)
+    verdict = {"minimal": res.minimal, "scope": str(a.scope),
+               "boundary_hits": [[n, str(p), labels] for n, p, labels in res.hits],
+               "resonance_bound": res.resonance_bound}
+    lines = [f"minimality ({a.scope}): {'Minimal' if res.minimal else 'NotMinimal'}"]
+    if not res.minimal:
+        verdict["witness"] = res.witness.describe()
+        verdict["occurrences"] = res.occurrences
+        verdict["locus"] = res.locus.describe()
+        lines.append(f"witness word {res.witness} occurs at {res.occurrences}")
+    if res.per_label is not None:
+        verdict["per_colour"] = {str(k): v.minimal for k, v in res.per_label.items()}
+        lines.append("per-colour: " + ", ".join(
+            f"{k}:{'Minimal' if v.minimal else 'NotMinimal'}"
+            for k, v in res.per_label.items()))
+    return verdict, lines, ["exact"]
+
+
+def _rotation_word(a):
+    word = _word(a)
+    res = classify_word(a.coding, word)
+    verdict = {"word": word.describe(), "kind": res.kind, "locus": res.locus.describe()}
+    if res.occurrences is not None:
+        verdict["occurrences"] = res.occurrences
+    lines = [f"word {word}: {res.kind}"
+             + (f" at {res.occurrences}" if res.kind == "finite" else "")]
+    return verdict, lines, ["exact"]
+
+
+def _rotation_boundary(a):
+    hits = boundary_hits(a.coding)
+    verdict = {"hits": [[n, str(p), labels] for n, p, labels in hits],
+               "strongly_dynamically_syndetic": {
+                   str(l): strongly_dyn_syndetic(a.coding, l).strongly
+                   for l in a.coding.labels()}}
+    lines = [f"{len(hits)} boundary hits"] + [
+        f"  n={n}: point {p} between cells {labels}" for n, p, labels in hits]
+    return verdict, lines, ["exact"]
+
+
+def _seq_window(a):
+    values = a.oracle.window(a.lo, a.hi)
+    return {"lo": a.lo, "hi": a.hi, "values": values}, ["".join(map(str, values))], ["exact"]
+
+
+def _seq_occur(a):
+    word = _word(a)
+    occ = occurrences(a.oracle, word, a.lo, a.hi)
+    verdict = {"word": word.describe(), "lo": a.lo, "hi": a.hi, "positions": occ}
+    lines = [f"{len(occ)} occurrences: {occ[:20]}" + (" ..." if len(occ) > 20 else "")]
+    return verdict, lines, ["windowed"]
+
+
+def _seq_recur(a):
+    cert = uniform_recurrence_certificate(a.oracle, a.max_len, a.window, a.gap_bound)
+    lines = [f"certificate: {cert.verdict}"]
+    if cert.verdict == "verified":
+        lines.append(f"g* = {cert.g_star}")
+    elif cert.word is not None:
+        lines.append(f"word {cert.word} violates the gap bound")
+    return cert.describe(), lines, ["exact" if cert.exact else "windowed"]
+
+
+def _code_apply(a):
+    values = apply_code(a.code, a.oracle).window(a.lo, a.hi)
+    return {"lo": a.lo, "hi": a.hi, "values": values}, ["".join(map(str, values))], ["exact"]
+
+
+def _code_verify(a):
+    verdict, lines, caveats = {}, [], []
+    if a.target is not None:
+        real = verify_realization(a.code, a.source, a.target, a.window)
+        verdict["realization"] = real.describe()
+        lines.append(f"realization on [-{a.window}, {a.window}]: "
+                     f"{'agrees' if real.agrees else 'mismatch'}")
+        caveats.append("windowed")
+    if a.separation or a.target is None:
+        proj = verify_generalized_projection(a.code, a.source, a.depth, a.window)
+        verdict["projection"] = proj.describe()
+        lines.append(f"generalized projection at depth {a.depth}: "
+                     f"{'separates' if proj.separates else 'fails to separate'}")
+        caveats.append("exact" if not proj.separates and proj.exact else "windowed")
+    return verdict, lines, caveats
+
+
+def _code_search(a):
+    res = search_isomorphism_code(a.target, a.source, a.max_span, a.depth, a.window)
+    lines = ["certificate found" if res.found else "search exhausted"]
+    if res.found:
+        lines.append(f"offsets {res.code.offsets}, shift {res.shift}")
+        lines.append("this is a desk-scale certificate, not a proof over all of Z")
+    return res.describe(), lines, ["windowed" if res.found else "search-exhausted"]
+
+
+def _code_patterns(a):
+    res = intersection_pattern_check(a.a, a.b, _int_list(a.shifts), a.k, a.window)
+    lines = [f"intersection patterns: {'equivalent' if res.equivalent else 'distinguished'}"]
+    if res.witness:
+        lines.append(f"witness tuple: {res.witness}")
+    return res.describe(), lines, ["exact" if res.exact else "windowed"]
+
+
+def _recurrence(check, candidates, events, window):
+    if isinstance(candidates, list):
+        raise InputError("chromatic/syndetic checks need integer candidate sets")
+    res = check(candidates, events, window)
+    lines = [f"{'found' if res.found else 'not found in window'}"]
+    if res.found:
+        lines.append(f"g = {res.g}, h = {res.h}"
+                     + (f", colour = {res.colour}" if res.colour is not None else ""))
+    return res.describe(), lines, ["exact" if res.found or res.exact else "windowed"]
+
+
+def _recur_chromatic(a):
+    return _recurrence(chromatic_recurrence_check, a.candidates, a.coloring, a.window)
+
+
+def _recur_syndetic(a):
+    return _recurrence(syndetic_return_check, a.candidates, a.oracle, a.window)
+
+
+def _recur_eqtech(a):
+    S = a.context
+    if not isinstance(S, list):
+        raise InputError("eqtech needs z3b elements ({r, support} mappings)")
+    res = eqtech_search(S, a.support_bound, a.search_bound)
+    verdict = res.describe()
+    lines = [f"eqtech search: {'found' if res.found else 'exhausted'}"]
+    if res.found:
+        verdict["reverified"] = reverify_eqtech(res, S)
+        lines.append(f"c = {res.c}, x = {res.x}")
+    return verdict, lines, ["exact" if res.found else "search-exhausted"]
+
+
+FAMILIES = {"group": "finite group analysis", "system": "finite orbit systems",
+            "rotation": "rotation coding analysis", "seq": "sequence oracles over Z",
+            "code": "sliding block codes", "recur": "recurrence checks"}
+
+SYSTEM = (Arg("--group", "group"), Arg("--function", "function"))
+CANDIDATES = Arg("--set", "candidate-set", dest="candidates")
+
+COMMANDS = {
+    "group analyze": ((Arg("file", "group"),), _group_analyze),
+    "system build": (SYSTEM + (Arg("--mode", MODES, "R"), Arg("--dump", bool, False)),
+                     _system_build),
+    "system iso": (SYSTEM + (Arg("--left-mode", MODES, "R"), Arg("--right-mode", MODES, "Ltilde"),
+                             Arg("--function2", "function", None)), _system_iso),
+    "system furstenberg": (SYSTEM + (Arg("--mode", MODES, "Ltilde"),
+                                     Arg("--query", "function", None)), _system_furstenberg),
+    "rotation classify": ((Arg("--coding", "coding"),
+                           Arg("--scope", str, "set",
+                               help="'set', 'colouring', or a single cell label")),
+                          _rotation_classify),
+    "rotation word": ((Arg("--coding", "coding"), Arg("--symbols", str),
+                       Arg("--offsets", str)), _rotation_word),
+    "rotation boundary": ((Arg("--coding", "coding"),), _rotation_boundary),
+    "seq window": ((Arg("--oracle", "oracle"), Arg("--lo", int), Arg("--hi", int)),
+                   _seq_window),
+    "seq occur": ((Arg("--oracle", "oracle"), Arg("--symbols", str), Arg("--offsets", str),
+                   Arg("--lo", int), Arg("--hi", int)), _seq_occur),
+    "seq recur": ((Arg("--oracle", "oracle"), Arg("--max-len", int, 8),
+                   Arg("--window", int, 1000), Arg("--gap-bound", int, None)), _seq_recur),
+    "code apply": ((Arg("--code", "code"), Arg("--oracle", "oracle"), Arg("--lo", int, -20),
+                    Arg("--hi", int, 20)), _code_apply),
+    "code verify": ((Arg("--code", "code"), Arg("--source", "oracle"),
+                     Arg("--target", "oracle", None), Arg("--separation", bool, False),
+                     Arg("--window", int, 1000), Arg("--depth", int, 6)), _code_verify),
+    "code search": ((Arg("--target", "oracle"), Arg("--source", "oracle"),
+                     Arg("--max-span", int, 3), Arg("--depth", int, 6),
+                     Arg("--window", int, 1000)), _code_search),
+    "code patterns": ((Arg("--a", "oracle"), Arg("--b", "oracle"), Arg("--shifts", str),
+                       Arg("--k", int), Arg("--window", int, 1000)), _code_patterns),
+    "recur chromatic": ((CANDIDATES, Arg("--coloring", "oracle"), Arg("--window", int, 1000)),
+                        _recur_chromatic),
+    "recur syndetic": ((CANDIDATES, Arg("--oracle", "oracle"), Arg("--window", int, 1000)),
+                       _recur_syndetic),
+    "recur eqtech": ((Arg("--context", "candidate-set"), Arg("--support-bound", int, 8),
+                      Arg("--search-bound", int, None)), _recur_eqtech),
+}
+
+
+def _add_argument(parser, arg):
+    if arg.kind is bool:
+        return parser.add_argument(arg.flag, action="store_true")
+    options = {"help": arg.help}
+    if isinstance(arg.kind, tuple):
+        options["choices"] = arg.kind
+    else:
+        options["type"] = Path if isinstance(arg.kind, str) else arg.kind
+    if arg.flag.startswith("-"):
+        required = arg.default is REQUIRED
+        options.update(dest=arg.name, required=required, default=None if required else arg.default)
+    return parser.add_argument(arg.flag, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--json", action="store_true", help="emit the structured report")
+    common.add_argument("--out", type=Path, help="directory for report files")
     p = argparse.ArgumentParser(prog="shiftlab", parents=[common],
                                 description="exact symbolic dynamics workbench")
     p.set_defaults(json=False, out=None)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def leaf(group, name):
-        return group.add_parser(name, parents=[common])
-
-    g = sub.add_parser("group", help="finite group analysis")
-    gsub = g.add_subparsers(dest="subcommand", required=True)
-    ga = leaf(gsub, "analyze")
-    ga.add_argument("file", type=Path)
-
-    s = sub.add_parser("system", help="finite orbit systems")
-    ssub = s.add_subparsers(dest="subcommand", required=True)
-    for name in ("build", "iso", "furstenberg"):
-        sp = leaf(ssub, name)
-        sp.add_argument("--group", type=Path, required=True)
-        sp.add_argument("--function", type=Path, required=True)
-        if name == "build":
-            sp.add_argument("--mode", default="R", choices=("R", "L", "Ltilde", "anti"))
-            sp.add_argument("--dump", action="store_true")
-        elif name == "iso":
-            sp.add_argument("--left-mode", default="R", choices=("R", "L", "Ltilde", "anti"))
-            sp.add_argument("--right-mode", default="Ltilde",
-                            choices=("R", "L", "Ltilde", "anti"))
-            sp.add_argument("--function2", type=Path)
-        else:
-            sp.add_argument("--mode", default="Ltilde", choices=("R", "L", "Ltilde", "anti"))
-            sp.add_argument("--query", type=Path)
-
-    r = sub.add_parser("rotation", help="rotation coding analysis")
-    rsub = r.add_subparsers(dest="subcommand", required=True)
-    rc = leaf(rsub, "classify")
-    rc.add_argument("--coding", type=Path, required=True)
-    rc.add_argument("--scope", default="set",
-                    help="'set', 'colouring', or a single cell label")
-    rw = leaf(rsub, "word")
-    rw.add_argument("--coding", type=Path, required=True)
-    rw.add_argument("--symbols", required=True)
-    rw.add_argument("--offsets", required=True)
-    rb = leaf(rsub, "boundary")
-    rb.add_argument("--coding", type=Path, required=True)
-
-    q = sub.add_parser("seq", help="sequence oracles over Z")
-    qsub = q.add_subparsers(dest="subcommand", required=True)
-    qw = leaf(qsub, "window")
-    qw.add_argument("--oracle", type=Path, required=True)
-    qw.add_argument("--lo", type=int, required=True)
-    qw.add_argument("--hi", type=int, required=True)
-    qo = leaf(qsub, "occur")
-    qo.add_argument("--oracle", type=Path, required=True)
-    qo.add_argument("--symbols", required=True)
-    qo.add_argument("--offsets", required=True)
-    qo.add_argument("--lo", type=int, required=True)
-    qo.add_argument("--hi", type=int, required=True)
-    qr = leaf(qsub, "recur")
-    qr.add_argument("--oracle", type=Path, required=True)
-    qr.add_argument("--max-len", type=int, default=8)
-    qr.add_argument("--window", type=int, default=1000)
-    qr.add_argument("--gap-bound", type=int)
-
-    c = sub.add_parser("code", help="sliding block codes")
-    csub = c.add_subparsers(dest="subcommand", required=True)
-    ca = leaf(csub, "apply")
-    ca.add_argument("--code", type=Path, required=True)
-    ca.add_argument("--oracle", type=Path, required=True)
-    ca.add_argument("--lo", type=int, default=-20)
-    ca.add_argument("--hi", type=int, default=20)
-    cv = leaf(csub, "verify")
-    cv.add_argument("--code", type=Path, required=True)
-    cv.add_argument("--source", type=Path, required=True)
-    cv.add_argument("--target", type=Path)
-    cv.add_argument("--separation", action="store_true")
-    cv.add_argument("--window", type=int, default=1000)
-    cv.add_argument("--depth", type=int, default=6)
-    cs = leaf(csub, "search")
-    cs.add_argument("--target", type=Path, required=True)
-    cs.add_argument("--source", type=Path, required=True)
-    cs.add_argument("--max-span", type=int, default=3)
-    cs.add_argument("--depth", type=int, default=6)
-    cs.add_argument("--window", type=int, default=1000)
-    cp = leaf(csub, "patterns")
-    cp.add_argument("--a", type=Path, required=True)
-    cp.add_argument("--b", type=Path, required=True)
-    cp.add_argument("--shifts", required=True)
-    cp.add_argument("--k", type=int, required=True)
-    cp.add_argument("--window", type=int, default=1000)
-
-    m = sub.add_parser("recur", help="recurrence checks")
-    msub = m.add_subparsers(dest="subcommand", required=True)
-    mc = leaf(msub, "chromatic")
-    mc.add_argument("--set", dest="candidates", type=Path, required=True)
-    mc.add_argument("--coloring", type=Path, required=True)
-    mc.add_argument("--window", type=int, default=1000)
-    ms = leaf(msub, "syndetic")
-    ms.add_argument("--set", dest="candidates", type=Path, required=True)
-    ms.add_argument("--oracle", type=Path, required=True)
-    ms.add_argument("--window", type=int, default=1000)
-    me = leaf(msub, "eqtech")
-    me.add_argument("--context", type=Path, required=True)
-    me.add_argument("--support-bound", type=int, default=8)
-    me.add_argument("--search-bound", type=int)
-
+    families = {family: sub.add_parser(family, help=text).add_subparsers(
+        dest="subcommand", required=True) for family, text in FAMILIES.items()}
+    for name, (arguments, _) in COMMANDS.items():
+        family, leaf = name.split()
+        leaf_parser = families[family].add_parser(leaf, parents=[common])
+        for arg in arguments:
+            _add_argument(leaf_parser, arg)
     rp = sub.add_parser("repro", parents=[common], help="reproduce a registered fixture")
     rp.add_argument("fixture", nargs="?", help="fixture id; omit with --list")
     rp.add_argument("--list", action="store_true")
     return p
 
 
-def _load(path, kind, builder):
-    try:
-        doc = scenarios.load_scenario(path)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if doc["kind"] != kind:
-        raise InputError(f"{path}: expected a {kind} scenario, got {doc['kind']}")
-    try:
-        return builder(doc)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _word_from_args(args):
-    return WordPattern(tuple(_int_list(args.offsets)), tuple(_symbol_list(args.symbols)))
-
-
 def dispatch(args) -> Report:
-    if args.command == "group":
-        G = _load(args.file, "group", scenarios.build_group)
-        subs = G.subgroups()
-        ded = G.is_dedekind()
-        verdict = {
-            "order": G.order, "identity": G.identity, "abelian": G.is_abelian(),
-            "subgroups": [list(s) for s in subs],
-            "dedekind": ded.dedekind,
-        }
-        lines = [f"valid group of order {G.order}, identity {G.identity}",
-                 f"{len(subs)} subgroups; dedekind: {ded.dedekind}"]
-        if not ded.dedekind:
-            H, a, b = ded.witness
-            verdict["witness"] = {"subgroup": list(H), "a": a, "b": b}
-            lines.append(f"non-normal subgroup {list(H)} with a={a}, b={b}")
-        return Report("group analyze", verdict, "exact", lines=lines)
-
-    if args.command == "system":
-        G = _load(args.group, "group", scenarios.build_group)
-        f = _load(args.function, "function", scenarios.build_function)
-        if args.subcommand == "build":
-            system = build_orbit_system(G, f, args.mode)
-            verdict = {"mode": args.mode, "points": len(system.points),
-                       "base": system.base, "action_kind": system.action_kind}
-            lines = [f"orbit system with {len(system.points)} points (mode {args.mode})"]
-            if args.dump:
-                verdict["dump"] = system.dump()
-                lines.append(system.dump())
-            return Report("system build", verdict, "exact", lines=lines)
-        if args.subcommand == "iso":
-            f2 = f if args.function2 is None else _load(
-                args.function2, "function", scenarios.build_function)
-            left = build_orbit_system(G, f, args.left_mode)
-            right = build_orbit_system(G, f2, args.right_mode)
-            mapping = equivariant_isomorphism(left, right)
-            verdict = {"isomorphic": mapping is not None,
-                       "left_points": len(left.points), "right_points": len(right.points)}
-            if mapping is not None:
-                verdict["bijection"] = mapping
-            lines = [f"{args.left_mode} vs {args.right_mode}: "
-                     f"{'isomorphic' if mapping is not None else 'no equivariant bijection'}"]
-            return Report("system iso", verdict, "exact", lines=lines)
-        query = f if args.query is None else _load(args.query, "function",
-                                                   scenarios.build_function)
-        system = build_orbit_system(G, f, args.mode)
-        res = is_furstenberg_system_of(system, query)
-        verdict = {"accepted": res.accepted, "mode": args.mode}
-        if res.accepted:
-            verdict["base"] = res.base
-            verdict["observable"] = res.observable
-        else:
-            verdict["reasons"] = res.reasons
-        lines = [f"furstenberg system of the query: {res.accepted}"]
-        return Report("system furstenberg", verdict, "exact", lines=lines)
-
-    if args.command == "rotation":
-        coding = _load(args.coding, "coding", scenarios.build_coding)
-        if args.subcommand == "classify":
-            scope = "colouring" if args.scope == "whole-colouring" else args.scope
-            if scope not in ("set", "colouring"):
-                scope = scenarios._symbol(scope)
-                if scope not in coding.cells:
-                    raise InputError(f"label {scope!r} is not a cell of the coding")
-            res = classify_minimality(coding, scope=scope)
-            verdict = {"minimal": res.minimal, "scope": str(args.scope),
-                       "boundary_hits": [[n, str(p), labels] for n, p, labels in res.hits],
-                       "resonance_bound": res.resonance_bound}
-            lines = [f"minimality ({args.scope}): "
-                     f"{'Minimal' if res.minimal else 'NotMinimal'}"]
-            if not res.minimal:
-                verdict["witness"] = res.witness.describe()
-                verdict["occurrences"] = res.occurrences
-                verdict["locus"] = res.locus.describe()
-                lines.append(f"witness word {res.witness} occurs at {res.occurrences}")
-            if res.per_label is not None:
-                verdict["per_colour"] = {str(k): v.minimal for k, v in res.per_label.items()}
-                lines.append("per-colour: " + ", ".join(
-                    f"{k}:{'Minimal' if v.minimal else 'NotMinimal'}"
-                    for k, v in res.per_label.items()))
-            return Report("rotation classify", verdict, "exact", lines=lines)
-        if args.subcommand == "word":
-            word = _word_from_args(args)
-            res = classify_word(coding, word)
-            verdict = {"word": word.describe(), "kind": res.kind,
-                       "locus": res.locus.describe()}
-            if res.occurrences is not None:
-                verdict["occurrences"] = res.occurrences
-            lines = [f"word {word}: {res.kind}"
-                     + (f" at {res.occurrences}" if res.kind == "finite" else "")]
-            return Report("rotation word", verdict, "exact", lines=lines)
-        hits = boundary_hits(coding)
-        verdict = {"hits": [[n, str(p), labels] for n, p, labels in hits]}
-        per_label = {str(l): strongly_dyn_syndetic(coding, l).strongly
-                     for l in coding.labels()}
-        verdict["strongly_dynamically_syndetic"] = per_label
-        lines = [f"{len(hits)} boundary hits"] + [
-            f"  n={n}: point {p} between cells {labels}" for n, p, labels in hits]
-        return Report("rotation boundary", verdict, "exact", lines=lines)
-
-    if args.command == "seq":
-        oracle = _load(args.oracle, "oracle", scenarios.build_oracle)
-        if args.subcommand == "window":
-            values = oracle.window(args.lo, args.hi)
-            return Report("seq window",
-                          {"lo": args.lo, "hi": args.hi, "values": values},
-                          "exact",
-                          lines=["".join(map(str, values))])
-        if args.subcommand == "occur":
-            word = _word_from_args(args)
-            occ = occurrences(oracle, word, args.lo, args.hi)
-            return Report("seq occur",
-                          {"word": word.describe(), "lo": args.lo, "hi": args.hi,
-                           "positions": occ},
-                          "windowed",
-                          lines=[f"{len(occ)} occurrences: {occ[:20]}"
-                                 + (" ..." if len(occ) > 20 else "")])
-        cert = uniform_recurrence_certificate(oracle, args.max_len, args.window,
-                                              args.gap_bound)
-        caveat = "exact" if cert.exact else "windowed"
-        lines = [f"certificate: {cert.verdict}"]
-        if cert.verdict == "verified":
-            lines.append(f"g* = {cert.g_star}")
-        elif cert.word is not None:
-            lines.append(f"word {cert.word} violates the gap bound")
-        return Report("seq recur", cert.describe(), caveat, lines=lines)
-
-    if args.command == "code":
-        if args.subcommand == "apply":
-            code = _load(args.code, "code", scenarios.build_code)
-            oracle = _load(args.oracle, "oracle", scenarios.build_oracle)
-            values = apply_code(code, oracle).window(args.lo, args.hi)
-            return Report("code apply",
-                          {"lo": args.lo, "hi": args.hi, "values": values},
-                          "exact",
-                          lines=["".join(map(str, values))])
-        if args.subcommand == "verify":
-            code = _load(args.code, "code", scenarios.build_code)
-            source = _load(args.source, "oracle", scenarios.build_oracle)
-            verdict = {}
-            lines = []
-            exact = True
-            if args.target is not None:
-                target = _load(args.target, "oracle", scenarios.build_oracle)
-                real = verify_realization(code, source, target, args.window)
-                verdict["realization"] = real.describe()
-                lines.append(f"realization on [-{args.window}, {args.window}]: "
-                             f"{'agrees' if real.agrees else 'mismatch'}")
-                exact = False
-            if args.separation or args.target is None:
-                proj = verify_generalized_projection(code, source, args.depth, args.window)
-                verdict["projection"] = proj.describe()
-                lines.append(f"generalized projection at depth {args.depth}: "
-                             f"{'separates' if proj.separates else 'fails to separate'}")
-                exact = (not proj.separates and proj.exact)
-            return Report("code verify", verdict, "exact" if exact else "windowed",
-                          lines=lines)
-        if args.subcommand == "search":
-            target = _load(args.target, "oracle", scenarios.build_oracle)
-            source = _load(args.source, "oracle", scenarios.build_oracle)
-            res = search_isomorphism_code(target, source, args.max_span,
-                                          args.depth, args.window)
-            lines = ["certificate found" if res.found else "search exhausted"]
-            if res.found:
-                lines.append(f"offsets {res.code.offsets}, shift {res.shift}")
-                lines.append("this is a desk-scale certificate, not a proof over all of Z")
-            return Report("code search", res.describe(),
-                          "windowed" if res.found else "search-exhausted", lines=lines)
-        a = _load(args.a, "oracle", scenarios.build_oracle)
-        b = _load(args.b, "oracle", scenarios.build_oracle)
-        res = intersection_pattern_check(a, b, _int_list(args.shifts), args.k, args.window)
-        lines = [f"intersection patterns: "
-                 f"{'equivalent' if res.equivalent else 'distinguished'}"]
-        if res.witness:
-            lines.append(f"witness tuple: {res.witness}")
-        return Report("code patterns", res.describe(),
-                      "exact" if res.exact else "windowed", lines=lines)
-
-    if args.command == "recur":
-        if args.subcommand == "eqtech":
-            S = _load(args.context, "candidate-set", scenarios.build_candidate_set)
-            if not isinstance(S, list):
-                raise InputError("eqtech needs z3b elements ({r, support} mappings)")
-            res = eqtech_search(S, args.support_bound, args.search_bound)
-            verdict = res.describe()
-            if res.found:
-                verdict["reverified"] = reverify_eqtech(res, S)
-            lines = [f"eqtech search: {'found' if res.found else 'exhausted'}"]
-            if res.found:
-                lines.append(f"c = {res.c}, x = {res.x}")
-            return Report("recur eqtech", verdict,
-                          "exact" if res.found else "search-exhausted", lines=lines)
-        R = _load(args.candidates, "candidate-set", scenarios.build_candidate_set)
-        if isinstance(R, list):
-            raise InputError("chromatic/syndetic checks need integer candidate sets")
-        if args.subcommand == "chromatic":
-            coloring = _load(args.coloring, "oracle", scenarios.build_oracle)
-            res = chromatic_recurrence_check(R, coloring, args.window)
-        else:
-            subset = _load(args.oracle, "oracle", scenarios.build_oracle)
-            res = syndetic_return_check(R, subset, args.window)
-        caveat = "exact" if (res.found or res.exact) else "windowed"
-        lines = [f"{'found' if res.found else 'not found in window'}"]
-        if res.found:
-            lines.append(f"g = {res.g}, h = {res.h}"
-                         + (f", colour = {res.colour}" if res.colour is not None else ""))
-        return Report(f"recur {args.subcommand}", res.describe(), caveat, lines=lines)
-
     if args.command == "repro":
         if args.list or args.fixture is None:
             ids = repro_registry()
             return Report("repro list", {"fixtures": ids}, "exact",
                           lines=[f"{len(ids)} fixtures:"] + [f"  {i}" for i in ids])
         return run_repro(args.fixture)
-
-    raise InputError(f"unknown command {args.command!r}")
+    name = f"{args.command} {args.subcommand}"
+    arguments, runner = COMMANDS[name]
+    inputs, params = {}, {}
+    for arg in arguments:
+        value = getattr(args, arg.name)
+        if isinstance(arg.kind, str) and value is not None:
+            value, params[arg.name] = _load(value, arg.kind)
+        else:
+            params[arg.name] = value
+        inputs[arg.name] = value
+    verdict, lines, caveats = runner(argparse.Namespace(**inputs))
+    return Report(name, verdict, weakest(caveats), params=params, lines=lines)
 
 
 def main(argv=None) -> int:

@@ -4,7 +4,8 @@ The structured JSON tree is deterministic (sorted keys, no timing data),
 so repeated runs produce identical bytes; the wall time rides outside the
 deterministic core under ``wall_time_ms``.
 Every verdict carries a caveat flag: ``exact``, ``windowed`` or
-``search-exhausted``.
+``search-exhausted``, from strongest to weakest; a verdict made of parts
+carries the weakest of its parts' caveats.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 CAVEATS = ("exact", "windowed", "search-exhausted")
+
+
+def weakest(caveats):
+    """The caveat of a verdict whose parts carry ``caveats``: the weakest one."""
+    return max(caveats, key=CAVEATS.index)
 
 
 def sanitize(value):

@@ -1,9 +1,10 @@
 """Scenario files: line-oriented YAML with a strict, published grammar.
 
 Every scenario is a mapping with a ``kind`` tag (group | function | oracle
-| coding | code | candidate-set | repro), an ``id`` string and the payload
-keys of its kind.  Unknown keys are rejected at every level, and parsing
-then emitting reproduces the normalized document byte for byte.
+| coding | code | candidate-set: ``KINDS``, one per validator), an ``id``
+string and the payload keys of its kind.  Unknown keys are rejected at
+every level, and parsing then emitting reproduces the normalized document
+byte for byte.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from ..zshift import (
     RotationOracle,
     SetOracle,
 )
-
-KINDS = ("group", "function", "oracle", "coding", "code", "candidate-set", "repro")
 
 
 def _require_keys(mapping, required, optional, where):
@@ -190,10 +189,6 @@ def _validate_candidate_set(doc):
         raise ScenarioError("candidate-set elements must be a nonempty list")
 
 
-def _validate_repro(doc):
-    _require_keys(doc, ("kind", "id"), (), "repro")
-
-
 _VALIDATORS = {
     "group": _validate_group,
     "function": _validate_function,
@@ -201,8 +196,8 @@ _VALIDATORS = {
     "coding": _validate_coding,
     "code": _validate_code,
     "candidate-set": _validate_candidate_set,
-    "repro": _validate_repro,
 }
+KINDS = tuple(_VALIDATORS)
 
 
 # -- builders ------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import hashlib
 import io
+import itertools
 import json
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,9 +12,12 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from shiftlab.cli.main import main
+from shiftlab.cli import scenarios
+from shiftlab.cli.main import COMMANDS, build_parser, main
+from shiftlab.cli.reports import CAVEATS, weakest
 from shiftlab.cli.repro import repro_registry, run_repro
 from shiftlab.cli.scenarios import (
+    KINDS,
     build_candidate_set,
     build_coding,
     build_group,
@@ -23,6 +29,7 @@ from shiftlab.codes import RealizationResult
 from shiftlab.errors import ScenarioError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 Z4_GROUP = """\
 kind: group
@@ -758,3 +765,147 @@ def test_repeated_runs_give_byte_identical_report_cores(files, capsys):
         doc.pop("wall_time_ms", None)
         outputs.append(json.dumps(doc, sort_keys=True))
     assert outputs[0] == outputs[1]
+
+
+# -- the command table: caveats, params and the documented surface --------------------
+
+def test_weakest_caveat_rule():
+    for parts in itertools.product(CAVEATS, repeat=2):
+        assert weakest(parts) == CAVEATS[max(map(CAVEATS.index, parts))]
+    assert weakest(["exact"]) == "exact"
+
+
+PARITY2_CODE = ('kind: code\nid: parity-2\noffsets: [0, 1]\n'
+                'rule: {"00": 0, "01": 1, "10": 1, "11": 0}\n')
+ALTERNATING = 'kind: oracle\nid: alternating\nperiodic: "01"\n'
+# all ones but for a 0 at n = 100, outside the window the realization reads
+ONES_PATCHED = ('kind: oracle\nid: ones-patched\noverride:\n  inner: {periodic: "1"}\n'
+                '  patch: {100: 0}\n')
+
+
+@pytest.mark.parametrize("target,caveat", [
+    # the realization holds on [-50, 50] only; the exact projection verdict
+    # beside it used to label the whole report exact
+    (["--target", "ones.yaml"], "windowed"),
+    ([], "exact"),
+])
+def test_code_verify_caveat_is_its_weakest_part(tmp_path, capsys, target, caveat):
+    for name, text in (("p2.yaml", PARITY2_CODE), ("alt.yaml", ALTERNATING),
+                       ("ones.yaml", ONES_PATCHED)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = ["code", "verify", "--code", "p2.yaml", "--source", "alt.yaml", *target,
+            "--window", "50", "--separation", "--json"]
+    assert run_cli(*(str(tmp_path / a) if a.endswith(".yaml") else a for a in argv)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["caveat"] == caveat
+    assert doc["verdict"]["projection"]["separates"] is False
+    assert doc["verdict"]["projection"]["exact"] is True
+    assert doc["verdict"].get("realization", {"agrees": True})["agrees"] is True
+
+
+@pytest.mark.parametrize("text,message", [
+    ("kind: repro\nid: x\n", "kind must be one of"),
+    (STURMIAN_CODING, "expected a oracle scenario, got coding"),
+])
+def test_scenario_of_another_kind_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "s.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("seq", "window", "--oracle", str(path), "--lo", "0", "--hi", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_command_table_names_only_scenario_kinds():
+    scenario_kinds = {arg.kind for arguments, _ in COMMANDS.values() for arg in arguments
+                      if isinstance(arg.kind, str)}
+    assert scenario_kinds <= set(KINDS)
+    for kind in KINDS:
+        assert callable(getattr(scenarios, "build_" + kind.replace("-", "_")))
+
+
+# each row with its required arguments only, and the params it should record:
+# the values given, the defaults, null for an optional file left out, and a
+# scenario file (named here by its fixture name) as its id and digest
+ROW_SAMPLES = {
+    "group analyze": (["z4.yaml"], {"file": "z4.yaml"}),
+    "system build": (["--group", "z4.yaml", "--function", "f.yaml"],
+                     {"group": "z4.yaml", "function": "f.yaml", "mode": "R", "dump": False}),
+    "system iso": (["--group", "z4.yaml", "--function", "f.yaml"],
+                   {"group": "z4.yaml", "function": "f.yaml", "left_mode": "R",
+                    "right_mode": "Ltilde", "function2": None}),
+    "system furstenberg": (["--group", "z4.yaml", "--function", "f.yaml"],
+                           {"group": "z4.yaml", "function": "f.yaml", "mode": "Ltilde",
+                            "query": None}),
+    "rotation classify": (["--coding", "sturmian.yaml"],
+                          {"coding": "sturmian.yaml", "scope": "set"}),
+    "rotation word": (["--coding", "sturmian.yaml", "--symbols", "0,0", "--offsets", "0,1"],
+                      {"coding": "sturmian.yaml", "symbols": "0,0", "offsets": "0,1"}),
+    "rotation boundary": (["--coding", "sturmian.yaml"], {"coding": "sturmian.yaml"}),
+    "seq window": (["--oracle", "b.yaml", "--lo", "-2", "--hi", "3"],
+                   {"oracle": "b.yaml", "lo": -2, "hi": 3}),
+    "seq occur": (["--oracle", "b.yaml", "--symbols", "1", "--offsets", "0", "--lo", "0",
+                   "--hi", "9"],
+                  {"oracle": "b.yaml", "symbols": "1", "offsets": "0", "lo": 0, "hi": 9}),
+    "seq recur": (["--oracle", "b.yaml"],
+                  {"oracle": "b.yaml", "max_len": 8, "window": 1000, "gap_bound": None}),
+    "code apply": (["--code", "parity3.yaml", "--oracle", "b.yaml"],
+                   {"code": "parity3.yaml", "oracle": "b.yaml", "lo": -20, "hi": 20}),
+    "code verify": (["--code", "parity3.yaml", "--source", "b.yaml"],
+                    {"code": "parity3.yaml", "source": "b.yaml", "target": None,
+                     "separation": False, "window": 1000, "depth": 6}),
+    "code search": (["--target", "a.yaml", "--source", "b.yaml"],
+                    {"target": "a.yaml", "source": "b.yaml", "max_span": 3, "depth": 6,
+                     "window": 1000}),
+    "code patterns": (["--a", "a.yaml", "--b", "b.yaml", "--shifts", "0,1", "--k", "1"],
+                      {"a": "a.yaml", "b": "b.yaml", "shifts": "0,1", "k": 1, "window": 1000}),
+    "recur chromatic": (["--set", "cand.yaml", "--coloring", "b.yaml"],
+                        {"candidates": "cand.yaml", "coloring": "b.yaml", "window": 1000}),
+    "recur syndetic": (["--set", "cand.yaml", "--oracle", "b.yaml"],
+                       {"candidates": "cand.yaml", "oracle": "b.yaml", "window": 1000}),
+    "recur eqtech": (["--context", "z3b.yaml"],
+                     {"context": "z3b.yaml", "support_bound": 8, "search_bound": None}),
+}
+
+
+def _params(argv, capsys):
+    assert run_cli(*argv, "--json") == 0
+    return json.loads(capsys.readouterr().out)["params"]
+
+
+def _scenario_record(path):
+    doc = parse_scenario(Path(path).read_text(encoding="utf-8"))
+    return {"id": doc["id"],
+            "sha256": hashlib.sha256(emit_scenario(doc).encode("utf-8")).hexdigest()}
+
+
+@pytest.mark.parametrize("row", list(COMMANDS))
+def test_params_record_every_argument_of_the_row(files, capsys, row):
+    assert set(ROW_SAMPLES) == set(COMMANDS)
+    args, expected = ROW_SAMPLES[row]
+    params = _params(row.split() + [files.get(a, a) for a in args], capsys)
+    assert sorted(params) == sorted(arg.name for arg in COMMANDS[row][0])
+    assert params == {k: _scenario_record(files[v]) if v in files else v
+                      for k, v in expected.items()}
+
+
+def test_params_digest_follows_the_scenario_values(files, tmp_path, capsys):
+    argv = ["seq", "window", "--oracle", files["b.yaml"], "--lo", "0", "--hi", "3"]
+    before = _params(argv, capsys)
+    Path(files["b.yaml"]).write_text(B_ORACLE.replace("from: 2", "from: 4"), encoding="utf-8")
+    after = _params(argv, capsys)
+    assert before["oracle"]["id"] == after["oracle"]["id"] == "pinned-b"
+    assert before["oracle"]["sha256"] != after["oracle"]["sha256"]
+    before.pop("oracle"), after.pop("oracle")
+    assert before == after == {"lo": 0, "hi": 3}
+
+
+def test_readme_has_one_parsing_example_per_command():
+    block = README.read_text(encoding="utf-8").split("## Command line")[1]
+    block = block.split("```sh")[1].split("```")[0]
+    examples = [shlex.split(line.split("#")[0])[1:] for line in block.splitlines()
+                if line.startswith("shiftlab ")]
+    assert sorted(" ".join(argv[:2]) for argv in examples if argv[0] != "repro") \
+        == sorted(COMMANDS)
+    for argv in examples:
+        build_parser().parse_args(argv)
