@@ -9,8 +9,6 @@ byte for byte.
 
 from __future__ import annotations
 
-import yaml
-
 from ..algebra import Z3BElement, group_validate, catalog, parse_quadratic, symbol_key
 from ..codes import BlockCode
 from ..errors import ScenarioError
@@ -64,6 +62,8 @@ def _symbol(value):
 
 
 def parse_scenario(text: str) -> dict:
+    import yaml  # here, not at module level: a command that reads no scenario never loads it
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -89,6 +89,8 @@ def load_scenario(path) -> dict:
 
 
 def emit_scenario(doc: dict) -> str:
+    import yaml
+
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=None)
 
 

@@ -90,35 +90,14 @@ class BlockCode:
         return hash((self.offsets, frozenset(self.rule.items())))
 
 
-def identity_code(alphabet) -> BlockCode:
-    return BlockCode((0,), {(s,): s for s in alphabet}, tuple(alphabet))
-
-
 def parity_code(offsets, alphabet=(0, 1)) -> BlockCode:
     rule = {p: sum(p) % 2 for p in product(alphabet, repeat=len(offsets))}
     return BlockCode(tuple(offsets), rule, tuple(alphabet))
 
 
-def relabel_code(mapping: dict) -> BlockCode:
-    return BlockCode((0,), {(k,): v for k, v in mapping.items()}, tuple(sorted(mapping)))
-
-
 def apply_code(code: BlockCode, oracle: SequenceOracle) -> SequenceOracle:
     """The image oracle n -> rule(oracle(n + g1), ..., oracle(n + gk))."""
     return CodeImageOracle(code, oracle)
-
-
-def compose_codes(outer: BlockCode, inner: BlockCode) -> BlockCode:
-    """A single code equal to applying inner first, then outer."""
-    offsets = sorted({o + p for o in outer.offsets for p in inner.offsets})
-    pos = {o: i for i, o in enumerate(offsets)}
-    rule = {}
-    for pattern in product(inner.input_alphabet, repeat=len(offsets)):
-        mids = tuple(
-            inner.rule[tuple(pattern[pos[o + p]] for p in inner.offsets)]
-            for o in outer.offsets)
-        rule[pattern] = outer.rule[mids]
-    return BlockCode(tuple(offsets), rule, inner.input_alphabet)
 
 
 def shifted_oracle(oracle: SequenceOracle, t: int) -> SequenceOracle:

@@ -142,9 +142,6 @@ class CircleIntervalSet:
     def is_empty(self) -> bool:
         return not self.cuts and not self.in_gap[0]
 
-    def is_full_circle(self) -> bool:
-        return not self.cuts and self.in_gap[0]
-
     def has_interior(self) -> bool:
         return any(self.in_gap)
 

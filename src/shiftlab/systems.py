@@ -36,6 +36,31 @@ from .errors import (
 MODES = ("R", "L", "Ltilde", "anti")
 
 
+def _shift_getters(G: FiniteGroup, shift_mode: str) -> list:
+    """One reader per group element: getters[g](x) is x shifted by g, a tuple.
+
+    Shifting right by g reads x at column g of the Cayley table (u*g over
+    u), left by g at row g^-1 and anti by g at row g.  The group memoizes
+    one list per mode.
+    """
+    memo = G._cache.setdefault("shift_getters", {})
+    getters = memo.get(shift_mode)
+    if getters is None:
+        table = G.table
+        if shift_mode == "right":
+            reads = list(zip(*table))
+        elif shift_mode == "left":
+            reads = [table[G.inv(g)] for g in G.elements()]
+        elif shift_mode == "anti":
+            reads = list(table)
+        else:
+            raise ValueError(f"unknown shift mode {shift_mode!r}")
+        # itemgetter with one index returns a scalar, not a 1-tuple
+        getters = memo[shift_mode] = (
+            [itemgetter(*cols) for cols in reads] if G.order > 1 else [lambda x: (x[0],)])
+    return getters
+
+
 def shift(G: FiniteGroup, x, g: int, mode: str):
     """One shifted copy of the config x.
 
@@ -45,14 +70,33 @@ def shift(G: FiniteGroup, x, g: int, mode: str):
     if len(x) != G.order:
         raise AlphabetMismatchError(
             f"config length {len(x)} does not match group order {G.order}")
-    # row h of the Cayley table lists h*u over u, column g lists u*g
-    if mode == "right":
-        return tuple(x[row[g]] for row in G.table)
-    if mode == "left":
-        return tuple(map(x.__getitem__, G.table[G.inv(g)]))
-    if mode == "anti":
-        return tuple(map(x.__getitem__, G.table[g]))
-    raise ValueError(f"unknown shift mode {mode!r}")
+    return _shift_getters(G, mode)[g](x)
+
+
+def _act_rows(G: FiniteGroup, kind: str, of_elem: list) -> tuple:
+    """The act table, as a tuple of rows, of the orbit whose shift by h is point of_elem[h].
+
+    Point i is the seed shifted by rep[i], its first producer, so the table
+    depends on the coset partition of_elem alone: R_g R_h = R_gh and
+    L_g L_h = L_gh send point i to of_elem[g*rep[i]], and A_g A_h = A_hg
+    to of_elem[rep[i]*g].  The group memoizes one table per kind and
+    partition, that is per stabilizer.
+    """
+    memo = G._cache.setdefault("act", {})
+    key = (kind, tuple(of_elem))
+    rows = memo.get(key)
+    if rows is None:
+        rep = []
+        for h, i in enumerate(of_elem):
+            if i == len(rep):
+                rep.append(h)
+        table = G.table
+        if kind == "anti_action":
+            rows = tuple(tuple(of_elem[table[r][g]] for r in rep) for g in G.elements())
+        else:
+            rows = tuple(tuple(of_elem[row[r]] for r in rep) for row in table)
+        memo[key] = rows
+    return rows
 
 
 def _action_law_witness(G: FiniteGroup, act, npts: int, kind: str) -> tuple:
@@ -143,7 +187,7 @@ def build_orbit_system(G: FiniteGroup, f, mode: str) -> FiniteSystem:
     if mode == "R":
         seed, shift_mode, kind, with_obs = f, "right", "action", True
     elif mode == "L":
-        seed = tuple(f[G.inv(g)] for g in G.elements())
+        seed = tuple(map(f.__getitem__, G.inverse))
         shift_mode, kind, with_obs = "left", "action", True
     elif mode == "Ltilde":
         seed, shift_mode, kind, with_obs = f, "left", "action", False
@@ -152,23 +196,12 @@ def build_orbit_system(G: FiniteGroup, f, mode: str) -> FiniteSystem:
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
-    # point i is the seed shifted by rep[i], its first producer; of_elem[h] is
-    # the point that shifting by h produces
-    points, index, rep, of_elem = [], {}, [], []
-    for h in G.elements():
-        p = shift(G, seed, h, shift_mode)
-        i = index.get(p)
-        if i is None:
-            i = index[p] = len(points)
-            points.append(p)
-            rep.append(h)
-        of_elem.append(i)
-    # R_g R_h = R_gh and L_g L_h = L_gh, but A_g A_h = A_hg: no re-shifting needed
-    table = G.table
-    if kind == "anti_action":
-        act = [[of_elem[table[r][g]] for r in rep] for g in G.elements()]
-    else:
-        act = [[of_elem[table[g][r]] for r in rep] for g in G.elements()]
+    # points in first-producer order; of_elem[h] is the point that shifting by h produces
+    index = {}
+    of_elem = [index.setdefault(read(seed), len(index)) for read in _shift_getters(G, shift_mode)]
+    points = list(index)
+    # fresh rows: no system shares its act table with another or with the memo
+    act = list(map(list, _act_rows(G, kind, of_elem)))
     observable = [p[G.identity] for p in points] if with_obs else None
     system = FiniteSystem(group=G, points=points, act=act, base=of_elem[G.identity],
                           observable=observable, action_kind=kind, index=index)

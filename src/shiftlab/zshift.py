@@ -358,21 +358,30 @@ def occurrences(oracle: SequenceOracle, word: WordPattern, lo: int, hi: int):
 
 @dataclass(frozen=True)
 class GapStats:
-    max_gap: float
-    left_slack: float
-    right_slack: float
+    """Gap statistics of positions in a window; None is unbounded: the gap
+    with fewer than two positions, each slack with none."""
+
+    max_gap: int | None
+    left_slack: int | None
+    right_slack: int | None
 
     @property
-    def worst(self):
-        return max(self.max_gap, self.left_slack, self.right_slack)
+    def worst(self) -> int | None:
+        """The largest statistic, or None when one is unbounded."""
+        stats = (self.max_gap, self.left_slack, self.right_slack)
+        return None if None in stats else max(stats)
+
+    def describe(self) -> dict:
+        """The statistics by name, an unbounded one as the string "inf"."""
+        return {k: "inf" if v is None else v for k, v in vars(self).items()}
 
 
 def max_gap(positions, lo: int, hi: int) -> GapStats:
     """Largest gap between consecutive positions plus the window end slacks."""
     positions = list(positions)
     if not positions:
-        return GapStats(math.inf, math.inf, math.inf)
-    gap = math.inf if len(positions) < 2 else max(
+        return GapStats(None, None, None)
+    gap = None if len(positions) < 2 else max(
         b - a for a, b in zip(positions, positions[1:]))
     return GapStats(gap, positions[0] - lo, hi - positions[-1])
 
@@ -383,7 +392,7 @@ class RecurrenceCertificate:
     max_len: int
     radius: int
     gap_bound: int
-    g_star: float | None = None
+    g_star: int | None = None
     word: WordPattern | None = None
     evidence: dict | None = None
     exact: bool = False
@@ -436,7 +445,7 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
         gap_bound = max(1, radius // 2)
     buf = oracle.window(-radius, radius + max_len - 1)
     window = _EncodedWindow(oracle.alphabet, buf, -radius)
-    worst = 0.0
+    worst = 0
     violations = []
     occ = window.starts((0,), (buf[radius],), -radius, radius)
     for length in range(1, max_len + 1):
@@ -444,20 +453,20 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
             # the prefix occurs at h iff the shorter one does and one more symbol agrees
             occ = window.narrow(occ, length - 1, window.text[radius + length - 1])
         stats = max_gap(occ, -radius, radius)
-        if stats.worst <= gap_bound:
+        if stats.worst is not None and stats.worst <= gap_bound:
             worst = max(worst, stats.worst)
         else:
             violations.append((WordPattern.contiguous(buf[radius:radius + length]), occ, stats))
     if not violations:
         return RecurrenceCertificate("verified", max_len, radius, gap_bound,
                                      g_star=worst, exact=True)
-    # report the most damning violator: worst statistic first, then shortest word
-    word, occ, stats = max(violations, key=lambda v: (v[2].worst, -len(v[0].symbols)))
+    # report the most damning violator: an unbounded or the worst statistic
+    # first, then the shortest word
+    word, occ, stats = max(violations, key=lambda v: (
+        v[2].worst is None, v[2].worst or 0, -len(v[0].symbols)))
     evidence = {
         "occurrences": occ[:50] + (["..."] if len(occ) > 50 else []),
-        "count": len(occ),
-        "max_gap": stats.max_gap, "left_slack": stats.left_slack,
-        "right_slack": stats.right_slack, "window": [-radius, radius],
+        "count": len(occ), **stats.describe(), "window": [-radius, radius],
     }
     if isinstance(oracle, RotationOracle):
         wc = _rotation.classify_word(oracle.coding, word)

@@ -724,6 +724,23 @@ def test_cli_subprocess_entry_point(files):
     assert "sturmian-00" in result.stdout
 
 
+def test_cli_imports_yaml_only_to_read_a_scenario():
+    code = ("import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import shiftlab.cli.main as cli\n"
+            "seen = ['yaml' in sys.modules]\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['repro', '--list']) == 0\n"
+            "seen.append('yaml' in sys.modules)\n"
+            "cli.scenarios.parse_scenario('kind: group\\nid: z\\ncatalog: z4\\n')\n"
+            "seen.append('yaml' in sys.modules)\n"
+            "print(seen)\n")
+    src = str(Path(scenarios.__file__).resolve().parents[2])
+    result = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                            text=True, cwd=src)
+    assert result.stdout.strip() == "[False, False, True]"
+
+
 # -- determinism and goldens -------------------------------------------------------------
 
 def test_registry_ids_are_exactly_the_nine():

@@ -16,11 +16,8 @@ from shiftlab.codes import (
     _offset_sets,
     apply_code,
     code_from_equivariant_map,
-    compose_codes,
-    identity_code,
     intersection_pattern_check,
     parity_code,
-    relabel_code,
     search_isomorphism_code,
     shifted_oracle,
     verify_generalized_projection,
@@ -46,6 +43,29 @@ STEP_FROM_ONE = SetOracle(halfline=1)                                     # 1 if
 ZERO = SetOracle()
 PARITY2 = parity_code((0, 1))
 PARITY3 = parity_code((0, 1, 2))
+
+
+# -- small codes built only here ---------------------------------------------------
+
+def identity_code(alphabet):
+    return BlockCode((0,), {(s,): s for s in alphabet}, tuple(alphabet))
+
+
+def relabel_code(mapping):
+    return BlockCode((0,), {(k,): v for k, v in mapping.items()}, tuple(sorted(mapping)))
+
+
+def compose_codes(outer, inner):
+    """A single code equal to applying inner first, then outer."""
+    offsets = sorted({o + p for o in outer.offsets for p in inner.offsets})
+    pos = {o: i for i, o in enumerate(offsets)}
+    rule = {}
+    for pattern in product(inner.input_alphabet, repeat=len(offsets)):
+        mids = tuple(
+            inner.rule[tuple(pattern[pos[o + p]] for p in inner.offsets)]
+            for o in outer.offsets)
+        rule[pattern] = outer.rule[mids]
+    return BlockCode(tuple(offsets), rule, inner.input_alphabet)
 
 
 # -- block codes and application --------------------------------------------------

@@ -32,6 +32,11 @@ F = Fraction
 ALPHA = Q(-2, 1, 5)  # sqrt(5) - 2
 
 
+def is_full_circle(s):
+    """Whether the circle set s is the whole circle: no cut, one gap flag set."""
+    return not s.cuts and s.in_gap[0]
+
+
 def arc(lo, lo_c, hi, hi_c):
     return Arc(Q(F(lo)) if not isinstance(lo, QuadraticNumber) else lo, lo_c,
                Q(F(hi)) if not isinstance(hi, QuadraticNumber) else hi, hi_c)
@@ -673,7 +678,7 @@ def test_locus_matches_windowed_occurrences_exhaustively(sturmian, four_colourin
 
 def longest_arc_length(s):
     """Length of the longest arc of a circle set, an arc across the seam counted whole."""
-    if s.is_full_circle():
+    if is_full_circle(s):
         return Q(1)
     # a wrapped arc has hi < lo, and its length is hi + 1 - lo
     lengths = [a.hi - a.lo for a in s.logical_arcs()]
@@ -852,7 +857,7 @@ def reference_validate(alpha, cells, base):
 
 def reference_boundary_points(cell):
     """Endpoints of the cell's logical arcs plus its isolated points, deduplicated."""
-    if cell.is_full_circle():
+    if is_full_circle(cell):
         return list(cell.points)
     out = []
     for a in cell.logical_arcs():

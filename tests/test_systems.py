@@ -315,6 +315,9 @@ def test_corrupted_table_is_checked_after_a_verified_one():
         assert not ok and (ok, witness) == action_law_loop(S, S.action_kind)
         assert verified.act[1][0] != S.act[1][0]
         assert verified.satisfies_action_law() == (True, None)
+        # the corruption reached neither the memo nor a later build
+        third = build_orbit_system(G, f, mode)
+        assert third.dump() == verified.dump() and third.act == verified.act
 
 
 def test_action_law_memo_holds_one_table_per_stabilizer():
@@ -322,6 +325,68 @@ def test_action_law_memo_holds_one_table_per_stabilizer():
     for f in set_partitions(G.order):
         build_orbit_system(G, f, "R")
     assert len(G._cache["action_law"]) == len(G.subgroups())
+
+
+def coset_labels(G, H, side):
+    """Each element's coset of H (hH on the left, Hh on the right), labelled
+    in order of first appearance: an oracle for the act memo's keys."""
+    labels, out = {}, []
+    for h in G.elements():
+        coset = frozenset(G.mul(h, k) if side == "left" else G.mul(k, h) for k in H)
+        out.append(labels.setdefault(coset, len(labels)))
+    return tuple(out)
+
+
+def test_act_memo_holds_one_table_per_kind_and_coset_partition():
+    # shifts that act compose as R_g R_h = R_gh, so the orbit's points are the
+    # left cosets of the stabilizer; the anti shifts' points are right cosets
+    G = catalog()["s3"]  # a fresh group object with an empty memo
+    for f in set_partitions(G.order):
+        for mode in MODES:
+            build_orbit_system(G, f, mode)
+    want = ({("action", coset_labels(G, H, "left")) for H in G.subgroups()}
+            | {("anti_action", coset_labels(G, H, "right")) for H in G.subgroups()})
+    assert len(want) == 2 * len(G.subgroups())
+    assert set(G._cache["act"]) == want
+
+
+def test_kernel_groups_sweep_every_partition_memo_cold_and_warm():
+    """Every set partition of every kernel group of order <= 6, in every mode:
+    built on a cleared memo, again on the filled one, and on a twin group
+    whose memo fills across the sweep, each against the re-shift oracle."""
+    cases = 0
+    for name, G in KERNEL_GROUPS:
+        if G.order > 6:
+            continue
+        twin = group_validate(G.table, name=name)
+        x = tuple(range(G.order))
+        for mode in ("right", "left", "anti"):
+            for g in G.elements():
+                assert shift(G, x, g, mode) == shift_by_mul(G, x, g, mode), (name, mode, g)
+        for f in set_partitions(G.order):
+            for mode in MODES:
+                points, act, base, observable = reshift_orbit_system(G, f, mode)
+                G._cache.clear()
+                built = [build_orbit_system(H, f, mode) for H in (G, G, twin)]
+                for S in built:
+                    assert (S.points, S.act, S.base, S.observable) == (
+                        points, act, base, observable), (name, f, mode)
+                    assert S.index == {p: i for i, p in enumerate(points)}
+                cold, warm, _ = built
+                assert warm.act is not cold.act
+                assert not set(map(id, cold.act)) & set(map(id, warm.act))
+                cases += 1
+    assert cases == 4 * sum(BELL[G.order] for _, G in KERNEL_GROUPS if G.order <= 6)
+
+
+def test_shift_on_the_trivial_group_returns_a_one_tuple():
+    z1 = CATALOG["z1"]
+    for mode in ("right", "left", "anti"):
+        assert shift(z1, (5,), 0, mode) == (5,)
+        assert shift(z1, [5], 0, mode) == (5,)
+    for mode in MODES:
+        S = build_orbit_system(z1, ("a",), mode)
+        assert S.points == [("a",)] and S.act == [[0]] and S.base == 0
 
 
 def test_mode_l_observable_reproduces_f_along_base():

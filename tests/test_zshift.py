@@ -1,4 +1,3 @@
-import math
 import random
 import time
 from fractions import Fraction
@@ -300,25 +299,24 @@ def rescanning_certificate(oracle, max_len, radius, gap_bound=None):
         gap_bound = max(1, radius // 2)
     buf = oracle.window(-radius, radius + max_len - 1)
     prefix = tuple(buf[radius:radius + max_len])
-    worst, violations = 0.0, []
+    worst, violations = 0, []
     for length in range(1, max_len + 1):
         target = prefix[:length]
         occ = [h for h in range(-radius, radius + 1)
                if tuple(buf[h + radius:h + radius + length]) == target]
         stats = max_gap(occ, -radius, radius)
-        if stats.worst <= gap_bound:
+        if stats.worst is not None and stats.worst <= gap_bound:
             worst = max(worst, stats.worst)
         else:
             violations.append((WordPattern.contiguous(target), occ, stats))
     if not violations:
         return RecurrenceCertificate("verified", max_len, radius, gap_bound,
                                      g_star=worst, exact=True)
-    word, occ, stats = max(violations, key=lambda v: (v[2].worst, -len(v[0].symbols)))
+    word, occ, stats = max(violations, key=lambda v: (
+        v[2].worst is None, v[2].worst or 0, -len(v[0].symbols)))
     evidence = {
         "occurrences": occ[:50] + (["..."] if len(occ) > 50 else []),
-        "count": len(occ),
-        "max_gap": stats.max_gap, "left_slack": stats.left_slack,
-        "right_slack": stats.right_slack, "window": [-radius, radius],
+        "count": len(occ), **stats.describe(), "window": [-radius, radius],
     }
     if isinstance(oracle, RotationOracle):
         wc = classify_word(oracle.coding, word)
@@ -439,8 +437,34 @@ def test_initial_words_zero_oracle():
 
 def test_max_gap_examples():
     assert max_gap([0, 2, 4], 0, 4) == GapStats(2, 0, 0)
-    assert max_gap([1], -10, 10) == GapStats(math.inf, 11, 9)
-    assert max_gap([], 0, 100) == GapStats(math.inf, math.inf, math.inf)
+    assert max_gap([1], -10, 10) == GapStats(None, 11, 9)
+    assert max_gap([], 0, 100) == GapStats(None, None, None)
+    assert max_gap([1], -10, 10).worst is None and max_gap([0, 2, 4], 0, 4).worst == 2
+    assert GapStats(None, 11, 9).describe() == {"max_gap": "inf", "left_slack": 11,
+                                                "right_slack": 9}
+
+
+def floats_in(tree):
+    """The float leaves of a describe() tree."""
+    if isinstance(tree, dict):
+        return [x for v in tree.values() for x in floats_in(v)]
+    if isinstance(tree, (list, tuple)):
+        return [x for v in tree for x in floats_in(v)]
+    return [tree] if isinstance(tree, float) else []
+
+
+@pytest.mark.parametrize("oracle,max_len,radius,gap_bound,verdict,max_gap_seen", [
+    (PeriodicOracle((0, 1, 1)), 4, 60, 3, "verified", None),
+    (PINNED_A, 2, 1000, 1000, "candidate_refutation", "inf"),  # (1, 1) occurs once
+    (SetOracle(halfline=0), 4, 1000, None, "candidate_refutation", 1),
+])
+def test_certificates_carry_no_float(oracle, max_len, radius, gap_bound, verdict, max_gap_seen):
+    cert = uniform_recurrence_certificate(oracle, max_len, radius, gap_bound)
+    assert cert.verdict == verdict and floats_in(cert.describe()) == []
+    if verdict == "verified":
+        assert type(cert.g_star) is int and cert.g_star == 3
+    else:
+        assert cert.evidence["max_gap"] == max_gap_seen
 
 
 # -- certificates -------------------------------------------------------------------------------
