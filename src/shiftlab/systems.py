@@ -74,18 +74,20 @@ def shift(G: FiniteGroup, x, g: int, mode: str):
 
 
 def _act_rows(G: FiniteGroup, kind: str, of_elem: list) -> tuple:
-    """The act table, as a tuple of rows, of the orbit whose shift by h is point of_elem[h].
+    """(rows, law): the act table, as a tuple of rows, of the orbit whose
+    shift by h is point of_elem[h], and its composition-law verdict.
 
     Point i is the seed shifted by rep[i], its first producer, so the table
     depends on the coset partition of_elem alone: R_g R_h = R_gh and
     L_g L_h = L_gh send point i to of_elem[g*rep[i]], and A_g A_h = A_hg
-    to of_elem[rep[i]*g].  The group memoizes one table per kind and
-    partition, that is per stabilizer.
+    to of_elem[rep[i]*g].  The group memoizes one entry per kind and
+    partition, that is per stabilizer; the law is checked once, when the
+    entry is made, and seeds the action-law memo under the table's content.
     """
     memo = G._cache.setdefault("act", {})
     key = (kind, tuple(of_elem))
-    rows = memo.get(key)
-    if rows is None:
+    entry = memo.get(key)
+    if entry is None:
         rep = []
         for h, i in enumerate(of_elem):
             if i == len(rep):
@@ -95,8 +97,10 @@ def _act_rows(G: FiniteGroup, kind: str, of_elem: list) -> tuple:
             rows = tuple(tuple(of_elem[table[r][g]] for r in rep) for g in G.elements())
         else:
             rows = tuple(tuple(of_elem[row[r]] for r in rep) for row in table)
-        memo[key] = rows
-    return rows
+        law = _action_law_witness(G, rows, len(rep), kind)
+        G._cache.setdefault("action_law", {})[(kind, len(rep), rows)] = law
+        entry = memo[key] = (rows, law)
+    return entry
 
 
 def _action_law_witness(G: FiniteGroup, act, npts: int, kind: str) -> tuple:
@@ -144,16 +148,10 @@ class FiniteSystem:
         npts = len(self.points)
         memo = self.group._cache.setdefault("action_law", {})
         key = (kind, npts, tuple(map(tuple, self.act)))
-        if key not in memo:
-            memo[key] = _action_law_witness(self.group, self.act, npts, kind)
-        return memo[key]
-
-    def validate(self):
-        ok, witness = self.satisfies_action_law()
-        if not ok:
-            raise VerificationFailedError(f"composition law fails at {witness}")
-        if not self.is_transitive_point(self.base):
-            raise VerificationFailedError("base point is not transitive")
+        law = memo.get(key)
+        if law is None:
+            law = memo[key] = _action_law_witness(self.group, self.act, npts, kind)
+        return law
 
     def dump(self) -> str:
         """Deterministic textual listing, used by golden tests."""
@@ -200,12 +198,16 @@ def build_orbit_system(G: FiniteGroup, f, mode: str) -> FiniteSystem:
     index = {}
     of_elem = [index.setdefault(read(seed), len(index)) for read in _shift_getters(G, shift_mode)]
     points = list(index)
+    rows, (ok, witness) = _act_rows(G, kind, of_elem)
+    if not ok:
+        raise VerificationFailedError(f"composition law fails at {witness}")
     # fresh rows: no system shares its act table with another or with the memo
-    act = list(map(list, _act_rows(G, kind, of_elem)))
+    act = list(map(list, rows))
     observable = [p[G.identity] for p in points] if with_obs else None
     system = FiniteSystem(group=G, points=points, act=act, base=of_elem[G.identity],
                           observable=observable, action_kind=kind, index=index)
-    system.validate()
+    if not system.is_transitive_point(system.base):
+        raise VerificationFailedError("base point is not transitive")
     return system
 
 

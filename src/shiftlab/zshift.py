@@ -9,10 +9,11 @@ On top of evaluation this module
 extracts windowed languages, finds word occurrences, measures gap
 statistics, and produces uniform-recurrence certificates; a windowed
 refutation is only a candidate unless the rotation backend can settle the
-word exactly.  Every word scan goes through one encoded matcher: the
-window becomes a string with one character per alphabet symbol, searched
-by ``str.find`` and narrowed by single-character tests rather than
-position by position in Python.
+word exactly.  Every word scan goes through one bit-parallel matcher: the
+window keeps one int mask per alphabet symbol, a word's starts are the AND
+of its symbols' masks shifted by their offsets (shift-and, Baeza-Yates &
+Gonnet 1992), and positions and gap statistics are read off the result in
+C rather than position by position in Python.
 
 Oracles other than rotation codings are eventually periodic in both
 directions; ``tails()`` exposes that structure (period and thresholds) and
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from . import rotation as _rotation
 from .algebra import symbol_key
@@ -283,67 +285,66 @@ class OverrideOracle(SequenceOracle):
 # ---------------------------------------------------------------------------
 
 class _EncodedWindow:
-    """An oracle window as a str, one character per alphabet symbol.
+    """An oracle window as a str, one character per alphabet symbol, and
+    lazily one int mask per character: bit i is set when the window holds
+    that character at ``lo + i``.
 
-    A word is matched in two steps: ``str.find`` locates its longest run of
-    consecutive constrained offsets, in C, and ``narrow`` then keeps the
-    hits that hold the right character at each other offset.  The cost is
-    one C scan plus one character test per surviving hit and offset, however
-    far apart the offsets lie.  ``occurrences``, the recurrence certificate
-    and the intersection-pattern check share it.
+    A word's starts are one AND per constrained offset of a shifted mask,
+    so a scan costs a few big-int operations in C, whatever the number of
+    hits or the distance between offsets.  ``occurrences``, the recurrence
+    certificate and the intersection-pattern check share it.
     """
 
-    __slots__ = ("lo", "text", "_chars")
+    __slots__ = ("lo", "text", "_chars", "_masks")
 
     def __init__(self, alphabet, buf, lo: int):
-        self._chars = {s: chr(i) for i, s in enumerate(alphabet)}
+        # dense characters chr(0), chr(1), ...: a symbol listed twice gets one
+        self._chars = {s: chr(i) for i, s in enumerate(dict.fromkeys(alphabet))}
         self.text = "".join(map(self._chars.__getitem__, buf))
         self.lo = lo  # the position of text[0]
+        self._masks = {}
 
-    def starts(self, offsets, symbols, lo: int, hi: int):
-        """Every h in [lo, hi], increasing, with symbols[k] at h + offsets[k] for all k.
+    def mask(self, char: str) -> int:
+        """Bit i set iff text[i] == char, built in C: the text translated to
+        '0'/'1', reversed so that text[0] is the lowest bit, read in base 2."""
+        m = self._masks.get(char)
+        if m is None:
+            i = ord(char)
+            table = "0" * i + "1" + "0" * (len(self._chars) - 1 - i)
+            m = self._masks[char] = int(self.text.translate(table)[::-1], 2)
+        return m
+
+    def starts(self, offsets, symbols, lo: int, hi: int) -> int:
+        """The h in [lo, hi] with symbols[k] at h + offsets[k] for all k, as a
+        mask: bit h - lo.
 
         The window must cover [lo + min(offsets), hi + max(offsets)].  Offsets
         may repeat and come in any order; two symbols at one offset match
         nowhere, and neither does a symbol the window never holds.
         """
-        want = {}
+        hits = (1 << (hi - lo + 1)) - 1  # every h in [lo, hi]: no match from past hi
         for o, s in zip(offsets, symbols):
             c = self._chars.get(s)
-            if c is None or want.setdefault(o, c) != c:
-                return []
-        if not want:  # no constraint: every h matches
-            return list(range(lo, hi + 1))
-        keys = sorted(want)
-        first = last = run_first = keys[0]
-        for prev, o in zip(keys, keys[1:]):
-            if o != prev + 1:
-                run_first = o
-            if o - run_first > last - first:
-                first, last = run_first, o
-        word = "".join(want[o] for o in range(first, last + 1))
-        text, d = self.text, first - self.lo  # the run of a start h begins at text[h + d]
-        end = hi + d + len(word)
-        hits, i = [], text.find(word, lo + d, end)
-        while i >= 0:
-            hits.append(i - d)
-            i = text.find(word, i + 1, end)
-        for o in keys:
-            if not first <= o <= last:
-                hits = self.narrow(hits, o, want[o])
+            if c is None:
+                return 0
+            hits &= self.mask(c) >> (lo + o - self.lo)
         return hits
 
-    def narrow(self, hits, offset: int, char: str):
-        """The h in hits whose window character at h + offset is char."""
-        text, d = self.text, offset - self.lo
-        return [h for h in hits if text[h + d] == char]
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _positions(mask: int, lo: int) -> list:
+    """lo + i for every set bit i of mask, increasing, extracted in C."""
+    return list(compress(range(lo, lo + mask.bit_length()),
+                         bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def occurrences(oracle: SequenceOracle, word: WordPattern, lo: int, hi: int):
     """All h in [lo, hi] such that oracle(offset + h) matches the word.
 
     The oracle is read once, over the window the word can reach, and
-    scanned by one encoded match; lo > hi is an InputError.
+    scanned by one bit-parallel match; lo > hi is an InputError.
     """
     bad = [s for s in word.symbols if s not in oracle.alphabet]
     if bad:
@@ -353,7 +354,7 @@ def occurrences(oracle: SequenceOracle, word: WordPattern, lo: int, hi: int):
     buf_lo = lo + word.offsets[0]
     window = _EncodedWindow(oracle.alphabet, oracle.window(buf_lo, hi + word.offsets[-1]),
                             buf_lo)
-    return window.starts(word.offsets, word.symbols, lo, hi)
+    return _positions(window.starts(word.offsets, word.symbols, lo, hi), lo)
 
 
 @dataclass(frozen=True)
@@ -376,14 +377,31 @@ class GapStats:
         return {k: "inf" if v is None else v for k, v in vars(self).items()}
 
 
-def max_gap(positions, lo: int, hi: int) -> GapStats:
-    """Largest gap between consecutive positions plus the window end slacks."""
-    positions = list(positions)
-    if not positions:
+def gap_stats(mask: int, lo: int, hi: int) -> GapStats:
+    """The largest gap between consecutive positions lo + i, i a set bit of
+    mask, plus the window end slacks of [lo, hi].
+
+    The slacks come from the lowest and highest set bits.  The largest gap
+    is 1 + the longest run of zeros between them, found by substring tests
+    on the binary digits: the run length doubles until a test fails, then
+    bisects.
+    """
+    if not mask:
         return GapStats(None, None, None)
-    gap = None if len(positions) < 2 else max(
-        b - a for a, b in zip(positions, positions[1:]))
-    return GapStats(gap, positions[0] - lo, hi - positions[-1])
+    first, last = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+    if first == last:
+        return GapStats(None, first, hi - lo - last)
+    bits = bin(mask >> first)[2:]  # from the last set bit down to the first
+    have, lack = 0, 1  # a run of `have` zeros occurs in bits, one of `lack` does not
+    while "0" * lack in bits:
+        have, lack = lack, 2 * lack
+    while lack - have > 1:
+        mid = (have + lack) // 2
+        if "0" * mid in bits:
+            have = mid
+        else:
+            lack = mid
+    return GapStats(have + 1, first, hi - lo - last)
 
 
 @dataclass
@@ -429,8 +447,8 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
     syndetic, the certificate is inconclusive at these parameters.  A
     negative radius, or a max_len or gap_bound below 1, is an InputError.
 
-    The prefix occurrences come from one scan for the first symbol; each
-    longer prefix keeps those of the one before whose next symbol agrees.
+    The prefix occurrences are one running mask over [-radius, radius]: each
+    longer prefix ANDs in the mask of its last symbol, shifted by its offset.
     """
     if radius < 0:
         raise InputError(f"recurrence window radius must be non-negative, got {radius}")
@@ -447,12 +465,11 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
     window = _EncodedWindow(oracle.alphabet, buf, -radius)
     worst = 0
     violations = []
-    occ = window.starts((0,), (buf[radius],), -radius, radius)
+    occ = (1 << (2 * radius + 1)) - 1  # bit h + radius: h starts the prefix
     for length in range(1, max_len + 1):
-        if length > 1:
-            # the prefix occurs at h iff the shorter one does and one more symbol agrees
-            occ = window.narrow(occ, length - 1, window.text[radius + length - 1])
-        stats = max_gap(occ, -radius, radius)
+        # the prefix occurs at h iff the shorter one does and one more symbol agrees
+        occ &= window.mask(window.text[radius + length - 1]) >> (length - 1)
+        stats = gap_stats(occ, -radius, radius)
         if stats.worst is not None and stats.worst <= gap_bound:
             worst = max(worst, stats.worst)
         else:
@@ -464,9 +481,10 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
     # first, then the shortest word
     word, occ, stats = max(violations, key=lambda v: (
         v[2].worst is None, v[2].worst or 0, -len(v[0].symbols)))
+    positions = _positions(occ, -radius)
     evidence = {
-        "occurrences": occ[:50] + (["..."] if len(occ) > 50 else []),
-        "count": len(occ), **stats.describe(), "window": [-radius, radius],
+        "occurrences": positions[:50] + (["..."] if len(positions) > 50 else []),
+        "count": occ.bit_count(), **stats.describe(), "window": [-radius, radius],
     }
     if isinstance(oracle, RotationOracle):
         wc = _rotation.classify_word(oracle.coding, word)

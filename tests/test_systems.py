@@ -320,6 +320,20 @@ def test_corrupted_table_is_checked_after_a_verified_one():
         assert third.dump() == verified.dump() and third.act == verified.act
 
 
+def test_build_raises_on_the_law_verdict_of_its_act_entry():
+    # every real group satisfies the law, so a failing verdict is planted:
+    # it is computed once, when the act entry is made, and every build that
+    # reads the entry raises on it
+    G = catalog()["s3"]  # a fresh group object with an empty memo
+    with mock.patch.object(systems, "_action_law_witness", return_value=(False, (1, 2, 0))):
+        with pytest.raises(VerificationFailedError, match=r"composition law fails at \(1, 2, 0\)"):
+            build_orbit_system(G, (0, 0, 1, 2, 1, 2), "R")
+    with pytest.raises(VerificationFailedError, match="composition law fails"):
+        build_orbit_system(G, (0, 0, 1, 2, 1, 2), "R")
+    (law,) = G._cache["action_law"].values()
+    assert law == (False, (1, 2, 0))
+
+
 def test_action_law_memo_holds_one_table_per_stabilizer():
     G = catalog()["s3"]  # a fresh group object with an empty memo
     for f in set_partitions(G.order):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftlab.algebra import QuadraticNumber, frac_part
 from shiftlab.codes import BlockCode
@@ -26,7 +26,7 @@ from shiftlab.zshift import (
     SetOracle,
     WordPattern,
     centered,
-    max_gap,
+    gap_stats,
     occurrences,
     uniform_recurrence_certificate,
 )
@@ -292,6 +292,22 @@ def scan_occurrences(oracle, word, lo, hi):
             if all(buf[h + o - buf_lo] == s for o, s in zip(word.offsets, word.symbols))]
 
 
+def max_gap(positions, lo, hi):
+    """Reference for ``gap_stats``: the largest gap between consecutive
+    positions plus the window end slacks, read off the position list."""
+    positions = list(positions)
+    if not positions:
+        return GapStats(None, None, None)
+    gap = None if len(positions) < 2 else max(
+        b - a for a, b in zip(positions, positions[1:]))
+    return GapStats(gap, positions[0] - lo, hi - positions[-1])
+
+
+def as_mask(positions, lo):
+    """The mask with bit h - lo set for each position h."""
+    return sum(1 << (h - lo) for h in set(positions))
+
+
 def rescanning_certificate(oracle, max_len, radius, gap_bound=None):
     """Reference for ``uniform_recurrence_certificate``: each prefix length
     rescans all 2r + 1 positions with a tuple comparison."""
@@ -343,6 +359,32 @@ def test_words_over_a_wide_alphabet_agree_with_the_reference(word):
     want = scan_occurrences(WIDE, word, -200, 200)
     assert want  # every word here occurs
     assert occurrences(WIDE, word, -200, 200) == want
+
+
+# 300 symbols: the window text holds characters past U+00FF, outside Latin-1,
+# and the initial words start with two of them
+BEYOND_LATIN1 = PeriodicOracle([299, 256, 7] + list(range(300)) + [7, 299, 256])
+
+
+@pytest.mark.parametrize("word", [
+    WordPattern((0,), (299,)), WordPattern((0, 1), (7, 299)), WordPattern((0, 2), (299, 7)),
+    WordPattern((0, 1), (255, 256)), WordPattern((0, 306), (299, 299)),
+])
+def test_scans_past_latin1_agree_with_the_reference(word):
+    want = scan_occurrences(BEYOND_LATIN1, word, -700, 700)
+    assert want  # every word here occurs
+    assert occurrences(BEYOND_LATIN1, word, -700, 700) == want
+
+
+@pytest.mark.parametrize("max_len,radius,gap_bound,verdict", [
+    (2, 700, None, "verified"), (3, 700, 400, "verified"),
+    (3, 700, 100, "candidate_refutation"), (2, 200, 150, "candidate_refutation"),
+])
+def test_certificates_past_latin1_agree_with_the_reference(max_len, radius, gap_bound, verdict):
+    got = uniform_recurrence_certificate(BEYOND_LATIN1, max_len, radius, gap_bound)
+    assert got.verdict == verdict
+    assert got.describe() == rescanning_certificate(BEYOND_LATIN1, max_len, radius,
+                                                    gap_bound).describe()
 
 
 def test_scans_over_a_repeated_output_alphabet():
@@ -436,12 +478,61 @@ def test_initial_words_zero_oracle():
 # -- gap statistics --------------------------------------------------------------------------
 
 def test_max_gap_examples():
-    assert max_gap([0, 2, 4], 0, 4) == GapStats(2, 0, 0)
-    assert max_gap([1], -10, 10) == GapStats(None, 11, 9)
-    assert max_gap([], 0, 100) == GapStats(None, None, None)
-    assert max_gap([1], -10, 10).worst is None and max_gap([0, 2, 4], 0, 4).worst == 2
+    # each example through the positions reference and the mask form
+    for positions, lo, hi, want in [([0, 2, 4], 0, 4, GapStats(2, 0, 0)),
+                                    ([1], -10, 10, GapStats(None, 11, 9)),
+                                    ([], 0, 100, GapStats(None, None, None))]:
+        assert max_gap(positions, lo, hi) == gap_stats(as_mask(positions, lo), lo, hi) == want
+    assert GapStats(None, 11, 9).worst is None and GapStats(2, 0, 0).worst == 2
     assert GapStats(None, 11, 9).describe() == {"max_gap": "inf", "left_slack": 11,
                                                 "right_slack": 9}
+
+
+@st.composite
+def windows_with_positions(draw):
+    """A window [lo, hi] and a subset of it: random, or one of the edge cases
+    of the zero-run search (no bit, one bit, both ends, adjacent bits, and
+    zero runs at and around a power of two)."""
+    radius = draw(st.integers(0, 80))
+    lo = draw(st.integers(-100, 100))
+    hi = lo + 2 * radius
+    case = draw(st.sampled_from(("random", "empty", "one", "ends", "adjacent", "run")))
+    if case == "random":
+        positions = draw(st.sets(st.integers(lo, hi)))
+    elif case == "empty":
+        positions = set()
+    elif case == "one":
+        positions = {draw(st.integers(lo, hi))}
+    elif case == "ends":
+        positions = {lo, hi} | draw(st.sets(st.integers(lo, hi), max_size=3))
+    elif case == "adjacent":
+        at = draw(st.integers(lo, hi))
+        positions = {at, min(at + 1, hi)}
+    else:
+        k = draw(st.integers(0, 6))
+        zeros = 2 ** k + draw(st.sampled_from((-1, 0, 1)))
+        at = draw(st.integers(lo, max(lo, hi - zeros - 1)))
+        positions = {at, at + zeros + 1} | draw(st.sets(st.integers(lo, at), max_size=3))
+        if at + zeros + 1 > hi:
+            hi = at + zeros + 1
+    return sorted(positions), lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(windows_with_positions())
+@example(([], 5, 5)).via("radius 0, empty")
+@example(([5], 5, 5)).via("radius 0, one bit")
+def test_mask_gap_stats_agree_with_the_positions_reference(case):
+    positions, lo, hi = case
+    assert gap_stats(as_mask(positions, lo), lo, hi) == max_gap(positions, lo, hi)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_zero_runs_at_the_doubling_boundary(k):
+    for zeros in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+        # a shorter run beside the longest one, so that both searches matter
+        positions = [0, 2, zeros + 3]
+        assert gap_stats(as_mask(positions, 0), 0, zeros + 5) == GapStats(zeros + 1, 0, 2)
 
 
 def floats_in(tree):
@@ -486,6 +577,16 @@ def test_one_sided_set_is_refuted_via_end_slack():
     cert = uniform_recurrence_certificate(SetOracle(halfline=0), 4, 1000)
     assert cert.verdict == "candidate_refutation"
     assert cert.evidence["left_slack"] > cert.gap_bound
+
+
+def test_certificate_reads_no_occurrence_past_its_window():
+    # the window read runs max_len - 1 symbols past the radius, and the word
+    # 1 occurs there (at 11 and 12) but inside [-10, 10] only at 0
+    oracle = SetOracle(halfline=11, include=[0])
+    cert = uniform_recurrence_certificate(oracle, 3, 10, 5)
+    assert cert.describe() == rescanning_certificate(oracle, 3, 10, 5).describe()
+    assert cert.word.symbols == (1,) and cert.evidence["occurrences"] == [0]
+    assert cert.evidence["max_gap"] == "inf" and cert.evidence["right_slack"] == 10
 
 
 def test_certificate_is_recheckable_from_echoed_parameters():
