@@ -1,10 +1,11 @@
 """Scenario files: line-oriented YAML with a strict, published grammar.
 
 Every scenario is a mapping with a ``kind`` tag (group | function | oracle
-| coding | code | candidate-set: ``KINDS``, one per validator), an ``id``
-string and the payload keys of its kind.  Unknown keys are rejected at
-every level, and parsing then emitting reproduces the normalized document
-byte for byte.
+| coding | code | candidate-set: ``KINDS``, one ``build_*`` per kind), an
+``id`` string and the payload keys of its kind.  ``parse_scenario`` checks
+only that envelope.  Each builder walks its document once: at every level
+it rejects unknown and missing keys before it parses a value there.
+Parsing then emitting reproduces the normalized document byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from ..zshift import (
     RotationOracle,
     SetOracle,
 )
+
+KINDS = ("group", "function", "oracle", "coding", "code", "candidate-set")
 
 
 def _require_keys(mapping, required, optional, where):
@@ -61,6 +64,11 @@ def _symbol(value):
     return s
 
 
+def _payload(doc):
+    """A document without its envelope keys ``kind`` and ``id``."""
+    return {k: v for k, v in doc.items() if k not in ("kind", "id")}
+
+
 def parse_scenario(text: str) -> dict:
     import yaml  # here, not at module level: a command that reads no scenario never loads it
 
@@ -79,7 +87,6 @@ def parse_scenario(text: str) -> dict:
         raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}")
     if not isinstance(doc.get("id"), str) or not doc["id"]:
         raise ScenarioError("scenario needs a nonempty string id")
-    _VALIDATORS[kind](doc)
     return doc
 
 
@@ -94,143 +101,56 @@ def emit_scenario(doc: dict) -> str:
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=None)
 
 
-# -- validators ---------------------------------------------------------------
+# -- builders: one walk per kind, keys checked before values ------------------------
 
-def _validate_group(doc):
+def build_group(doc):
     _require_keys(doc, ("kind", "id"), ("order", "table", "names", "catalog"), "group")
     if "catalog" in doc:
-        if not isinstance(doc["catalog"], str) or doc["catalog"] not in catalog():
+        groups = catalog()
+        if not isinstance(doc["catalog"], str) or doc["catalog"] not in groups:
             raise ScenarioError(f"unknown catalog group {doc['catalog']!r}")
-        return
+        return groups[doc["catalog"]]
     _require_keys(doc, ("kind", "id", "order", "table"), ("names",), "group")
     if not isinstance(doc["table"], list) or not all(isinstance(r, list) for r in doc["table"]):
         raise ScenarioError("group table must be a list of rows")
-
-
-def _validate_function(doc):
-    _require_keys(doc, ("kind", "id", "values"), (), "function")
-    if not isinstance(doc["values"], list) or not doc["values"]:
-        raise ScenarioError("function values must be a nonempty list")
-
-
-def _validate_oracle_payload(doc, where="oracle"):
-    variants = ("periodic", "set", "rotation", "code_image", "override")
-    present = [v for v in variants if v in doc]
-    if len(present) != 1:
-        raise ScenarioError(f"{where}: exactly one of {variants} required, got {present}")
-    tag = present[0]
-    body = doc[tag]
-    if tag == "periodic":
-        if not isinstance(body, (str, list)) or not body:
-            raise ScenarioError(f"{where}: periodic payload must be a nonempty word")
-    elif tag == "set":
-        _require_keys(body, (), ("aps", "halfline", "include", "exclude", "op"), f"{where}.set")
-        if "halfline" in body:
-            _require_keys(body["halfline"], ("from",), (), f"{where}.set.halfline")
-    elif tag == "rotation":
-        _validate_coding_payload(body, f"{where}.rotation")
-    elif tag == "code_image":
-        _require_keys(body, ("code", "inner"), (), f"{where}.code_image")
-        _validate_code_payload(body["code"], f"{where}.code_image.code")
-        _validate_oracle_payload(body["inner"], f"{where}.code_image.inner")
-    elif tag == "override":
-        _require_keys(body, ("inner", "patch"), (), f"{where}.override")
-        _validate_oracle_payload(body["inner"], f"{where}.override.inner")
-        if not isinstance(body["patch"], dict):
-            raise ScenarioError(f"{where}: override patch must be a mapping")
-
-
-def _validate_oracle(doc):
-    variants = ("periodic", "set", "rotation", "code_image", "override")
-    _require_keys(doc, ("kind", "id"), variants, "oracle")
-    _validate_oracle_payload(doc)
-
-
-def _validate_coding_payload(body, where):
-    _require_keys(body, ("alpha", "cells"), ("base",), where)
-    if not isinstance(body["cells"], dict) or not body["cells"]:
-        raise ScenarioError(f"{where}: cells must be a nonempty mapping")
-    for label, cell in body["cells"].items():
-        if isinstance(cell, dict):
-            _require_keys(cell, (), ("arcs", "points"), f"{where}.cells[{label}]")
-            arcs = cell.get("arcs", [])
-            if not isinstance(cell.get("points", []), list):
-                raise ScenarioError(f"{where}: cell {label!r} points must be a list")
-        else:
-            arcs = cell
-        if not isinstance(arcs, list):
-            raise ScenarioError(f"{where}: cell {label!r} arcs must be a list")
-        for arc in arcs:
-            _require_keys(arc, ("lo", "hi"), ("lo_closed", "hi_closed"),
-                          f"{where}.cells[{label}]")
-
-
-def _validate_coding(doc):
-    _require_keys(doc, ("kind", "id", "alpha", "cells"), ("base",), "coding")
-    _validate_coding_payload({k: doc[k] for k in ("alpha", "cells", "base") if k in doc},
-                             "coding")
-
-
-def _validate_code_payload(body, where):
-    _require_keys(body, ("offsets", "rule"), ("input_alphabet",), where)
-    if not isinstance(body["offsets"], list) or not body["offsets"]:
-        raise ScenarioError(f"{where}: offsets must be a nonempty list")
-    if not isinstance(body["rule"], dict) or not body["rule"]:
-        raise ScenarioError(f"{where}: rule must be a nonempty mapping")
-
-
-def _validate_code(doc):
-    _require_keys(doc, ("kind", "id", "offsets", "rule"), ("input_alphabet",), "code")
-    _validate_code_payload({k: doc[k] for k in ("offsets", "rule", "input_alphabet")
-                            if k in doc}, "code")
-
-
-def _validate_candidate_set(doc):
-    _require_keys(doc, ("kind", "id", "elements"), (), "candidate-set")
-    if not isinstance(doc["elements"], list) or not doc["elements"]:
-        raise ScenarioError("candidate-set elements must be a nonempty list")
-
-
-_VALIDATORS = {
-    "group": _validate_group,
-    "function": _validate_function,
-    "oracle": _validate_oracle,
-    "coding": _validate_coding,
-    "code": _validate_code,
-    "candidate-set": _validate_candidate_set,
-}
-KINDS = tuple(_VALIDATORS)
-
-
-# -- builders ------------------------------------------------------------------
-
-def build_group(doc):
-    if "catalog" in doc:
-        return catalog()[doc["catalog"]]
     return group_validate(doc["table"], name=doc["id"])
 
 
 def build_function(doc):
+    _require_keys(doc, ("kind", "id", "values"), (), "function")
+    if not isinstance(doc["values"], list) or not doc["values"]:
+        raise ScenarioError("function values must be a nonempty list")
     return tuple(_symbol(v) for v in doc["values"])
 
 
 def build_oracle(doc):
-    for tag in ("periodic", "set", "rotation", "code_image", "override"):
-        if tag in doc:
-            return _ORACLE_BUILDERS[tag](doc[tag])
-    raise ScenarioError("oracle payload missing")
+    return _oracle_payload(_payload(doc), "oracle")
 
 
-def _build_periodic(body):
-    word = [_symbol(c) for c in (body if isinstance(body, list) else list(str(body)))]
-    return PeriodicOracle(word)
+def _oracle_payload(body, where):
+    """The oracle of a mapping that holds exactly one variant tag."""
+    _require_keys(body, (), _ORACLE_BUILDERS, where)
+    present = [tag for tag in _ORACLE_BUILDERS if tag in body]
+    if len(present) != 1:
+        raise ScenarioError(
+            f"{where}: exactly one of {tuple(_ORACLE_BUILDERS)} required, got {present}")
+    return _ORACLE_BUILDERS[present[0]](body[present[0]], where)
 
 
-def _build_set(body):
+def _build_periodic(body, where):
+    if not isinstance(body, (str, list)) or not body:
+        raise ScenarioError(f"{where}: periodic payload must be a nonempty word")
+    return PeriodicOracle([_symbol(c) for c in body])
+
+
+def _build_set(body, where):
+    _require_keys(body, (), ("aps", "halfline", "include", "exclude", "op"), f"{where}.set")
+    if "halfline" in body:
+        _require_keys(body["halfline"], ("from",), (), f"{where}.set.halfline")
     aps = body.get("aps", [])
     if not isinstance(aps, list) or not all(isinstance(p, list) and len(p) == 2 for p in aps):
         raise ScenarioError(f"set.aps: expected a list of [a, d] pairs, got {aps!r}")
-    halfline = body.get("halfline")
+    halfline = body.get("halfline")  # a mapping when present
     return SetOracle(
         aps=[(_int(a, "set.aps"), _int(d, "set.aps")) for a, d in aps],
         halfline=None if halfline is None else _int(halfline["from"], "set.halfline.from"),
@@ -240,25 +160,22 @@ def _build_set(body):
     )
 
 
-def _build_rotation(body):
-    return RotationOracle(build_coding_payload(body))
+def _build_rotation(body, where):
+    return RotationOracle(build_coding_payload(body, where=f"{where}.rotation"))
 
 
-def _build_code_image(body):
-    return CodeImageOracle(build_code_payload(body["code"]),
-                           _build_oracle_payload(body["inner"]))
+def _build_code_image(body, where):
+    _require_keys(body, ("code", "inner"), (), f"{where}.code_image")
+    return CodeImageOracle(build_code_payload(body["code"], f"{where}.code_image.code"),
+                           _oracle_payload(body["inner"], f"{where}.code_image.inner"))
 
 
-def _build_override(body):
-    patch = {int(k): _symbol(v) for k, v in body["patch"].items()}
-    return OverrideOracle(_build_oracle_payload(body["inner"]), patch)
-
-
-def _build_oracle_payload(payload):
-    for tag in ("periodic", "set", "rotation", "code_image", "override"):
-        if tag in payload:
-            return _ORACLE_BUILDERS[tag](payload[tag])
-    raise ScenarioError("inner oracle payload missing a variant tag")
+def _build_override(body, where):
+    _require_keys(body, ("inner", "patch"), (), f"{where}.override")
+    if not isinstance(body["patch"], dict):
+        raise ScenarioError(f"{where}: override patch must be a mapping")
+    inner = _oracle_payload(body["inner"], f"{where}.override.inner")
+    return OverrideOracle(inner, {int(k): _symbol(v) for k, v in body["patch"].items()})
 
 
 _ORACLE_BUILDERS = {
@@ -270,16 +187,26 @@ _ORACLE_BUILDERS = {
 }
 
 
-def build_coding_payload(body, name="coding"):
+def build_coding_payload(body, name="coding", where="coding"):
+    _require_keys(body, ("alpha", "cells"), ("base",), where)
+    if not isinstance(body["cells"], dict) or not body["cells"]:
+        raise ScenarioError(f"{where}: cells must be a nonempty mapping")
     alpha = parse_quadratic(str(body["alpha"]))
     base = parse_quadratic(str(body.get("base", "0")), alpha=alpha)
     cells = {}
     for label, cell in body["cells"].items():
         if isinstance(cell, dict):
+            _require_keys(cell, (), ("arcs", "points"), f"{where}.cells[{label}]")
             arc_specs = cell.get("arcs", [])
             point_specs = cell.get("points", [])
+            if not isinstance(point_specs, list):
+                raise ScenarioError(f"{where}: cell {label!r} points must be a list")
         else:
             arc_specs, point_specs = cell, []
+        if not isinstance(arc_specs, list):
+            raise ScenarioError(f"{where}: cell {label!r} arcs must be a list")
+        for a in arc_specs:
+            _require_keys(a, ("lo", "hi"), ("lo_closed", "hi_closed"), f"{where}.cells[{label}]")
         arcs = [Arc(parse_quadratic(str(a["lo"]), alpha=alpha),
                     bool(a.get("lo_closed", True)),
                     parse_quadratic(str(a["hi"]), alpha=alpha),
@@ -291,11 +218,15 @@ def build_coding_payload(body, name="coding"):
 
 
 def build_coding(doc):
-    payload = {k: doc[k] for k in ("alpha", "cells", "base") if k in doc}
-    return build_coding_payload(payload, name=doc["id"])
+    return build_coding_payload(_payload(doc), name=doc["id"])
 
 
-def build_code_payload(body):
+def build_code_payload(body, where="code"):
+    _require_keys(body, ("offsets", "rule"), ("input_alphabet",), where)
+    if not isinstance(body["offsets"], list) or not body["offsets"]:
+        raise ScenarioError(f"{where}: offsets must be a nonempty list")
+    if not isinstance(body["rule"], dict) or not body["rule"]:
+        raise ScenarioError(f"{where}: rule must be a nonempty mapping")
     offsets = tuple(int(o) for o in body["offsets"])
     rule = {}
     for key, value in body["rule"].items():
@@ -309,11 +240,14 @@ def build_code_payload(body):
 
 
 def build_code(doc):
-    return build_code_payload(doc)
+    return build_code_payload(_payload(doc))
 
 
 def build_candidate_set(doc):
+    _require_keys(doc, ("kind", "id", "elements"), (), "candidate-set")
     elements = doc["elements"]
+    if not isinstance(elements, list) or not elements:
+        raise ScenarioError("candidate-set elements must be a nonempty list")
     if all(isinstance(e, dict) for e in elements):
         out = []
         for i, e in enumerate(elements):

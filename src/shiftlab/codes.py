@@ -565,38 +565,3 @@ def intersection_pattern_check(a: SequenceOracle, b: SequenceOracle, shifts, ari
                                           exact=ea and eb, witness=witness)
     return PatternCheckResult(True, arity, shifts, radius, exact=all_exact)
 
-
-# ---------------------------------------------------------------------------
-# Finite-group code extraction (CHL at finite scale)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GroupCode:
-    """A local rule over group-element offsets recovered from an equivariant map."""
-
-    offsets: tuple            # group element indices
-    rule: dict                # observed patterns -> symbol
-
-    def apply(self, group, config):
-        return tuple(self.rule[tuple(config[group.mul(g, h)] for g in self.offsets)]
-                     for h in group.elements())
-
-
-def code_from_equivariant_map(group, source_system, target_system, mapping) -> GroupCode:
-    """Extract the local rule behind a point bijection of right orbit systems.
-
-    Offsets are all group elements; the rule reads off each source point's
-    full pattern and outputs the mapped point's identity coordinate.  The
-    sliding form is verified exhaustively over all points and translates.
-    """
-    offsets = tuple(group.elements())
-    rule = {}
-    for i, x in enumerate(source_system.points):
-        pattern = tuple(x[g] for g in offsets)
-        rule[pattern] = target_system.points[mapping[i]][group.identity]
-    extracted = GroupCode(offsets, rule)
-    for i, x in enumerate(source_system.points):
-        image = extracted.apply(group, x)
-        if image != target_system.points[mapping[i]]:
-            raise VerificationFailedError("extracted local rule does not reproduce the map")
-    return extracted

@@ -70,6 +70,7 @@ class RecurrenceVerdict:
         return d
 
 
+# Both scans read buf position by position, not by _EncodedWindow masks: most stop in a few h.
 def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int) -> RecurrenceVerdict:
     """First (g, colour, h) with h and h+g alike.
 

@@ -587,30 +587,30 @@ class WordClass:
     occurrences: list | None = None
 
 
+def _visits(coding: RotationCoding, points):
+    """(n, p) for each of the points that the orbit meets, x_n = p, in the points' order."""
+    return [(n, p) for p in points
+            if (n := solve_hit(coding.alpha, p - coding.base)) is not None]
+
+
+def _hit_times(coding: RotationCoding, points):
+    """The times n at which the orbit meets the points, in increasing order."""
+    return sorted(n for n, _ in _visits(coding, points))
+
+
 def classify_word(coding: RotationCoding, word) -> WordClass:
     """Syndetic (locus has interior), Finite (exact hit list), or Empty."""
     J = word_locus(coding, word)
     if J.has_interior():
         return WordClass("syndetic", J)
-    hits = []
-    for p in J.points:
-        n = solve_hit(coding.alpha, p - coding.base)
-        if n is not None:
-            hits.append(n)
-    if hits:
-        return WordClass("finite", J, sorted(hits))
-    return WordClass("empty", J, [])
+    hits = _hit_times(coding, J.points)
+    return WordClass("finite" if hits else "empty", J, hits)
 
 
 def boundary_hits(coding: RotationCoding):
     """All orbit visits to cell-boundary points: (n, point, adjacent labels)."""
-    out = []
-    for p, labels in coding._boundaries():
-        n = solve_hit(coding.alpha, p - coding.base)
-        if n is not None:
-            out.append((n, p, labels))
-    out.sort(key=lambda t: t[0])
-    return out
+    labels = dict(coding._boundaries())  # breakpoints are distinct
+    return sorted(((n, p, labels[p]) for n, p in _visits(coding, labels)), key=lambda t: t[0])
 
 
 @dataclass
@@ -621,12 +621,7 @@ class SyndeticityResult:
 
 def strongly_dyn_syndetic(coding: RotationCoding, label) -> SyndeticityResult:
     """No orbit visit to cl(U) minus U, for U the (interior of the) named cell."""
-    bad = []
-    for p, labels in coding._boundaries():
-        if label in labels:
-            n = solve_hit(coding.alpha, p - coding.base)
-            if n is not None:
-                bad.append((n, p))
+    bad = _visits(coding, [p for p, labels in coding._boundaries() if label in labels])
     return SyndeticityResult(strongly=not bad, bad_hits=bad)
 
 
@@ -731,22 +726,11 @@ def _finite_refutation(coding, word, J, max_grow=64):
     """
     from .zshift import WordPattern
 
-    def hit_list(locus):
-        out = []
-        for p in locus.points:
-            n = solve_hit(coding.alpha, p - coding.base)
-            if n is not None:
-                out.append(n)
-        return sorted(out)
-
-    if J.is_empty():
-        return None
-    if not J.has_interior():
-        occ = hit_list(J)
-        return (word, occ, J) if occ else None
-    hits = hit_list(J)
+    hits = _hit_times(coding, J.points)
     if not hits:
         return None
+    if not J.has_interior():
+        return word, hits, J
     # mixed locus: extend the reading of the sequence around the hit occurrence
     h0 = hits[0]
     length = len(word.offsets)
@@ -756,7 +740,7 @@ def _finite_refutation(coding, word, J, max_grow=64):
         bigger = WordPattern(tuple(range(len(symbols))), symbols)
         J2 = word_locus(coding, bigger)
         if not J2.has_interior():
-            occ = hit_list(J2)
+            occ = _hit_times(coding, J2.points)
             if not occ:
                 return None
             return (bigger, occ, J2)

@@ -110,9 +110,6 @@ class SequenceOracle:
     def tails(self) -> EventualTails | None:
         return None
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class PeriodicOracle(SequenceOracle):
     def __init__(self, word):
@@ -129,9 +126,6 @@ class PeriodicOracle(SequenceOracle):
 
     def tails(self):
         return EventualTails(period=len(self.word), left_upto=0, right_from=0)
-
-    def describe(self):
-        return {"periodic": "".join(map(str, self.word))}
 
 
 class SetOracle(SequenceOracle):
@@ -183,18 +177,6 @@ class SetOracle(SequenceOracle):
         t = max(bounds) + period + 1
         return EventualTails(period=period, left_upto=-t, right_from=t)
 
-    def describe(self):
-        spec = {"op": self.op}
-        if self.aps:
-            spec["aps"] = [list(p) for p in self.aps]
-        if self.halfline is not None:
-            spec["halfline"] = {"from": self.halfline}
-        if self.include:
-            spec["include"] = sorted(self.include)
-        if self.exclude:
-            spec["exclude"] = sorted(self.exclude)
-        return {"set": spec}
-
 
 class RotationOracle(SequenceOracle):
     def __init__(self, coding: "_rotation.RotationCoding"):
@@ -209,13 +191,6 @@ class RotationOracle(SequenceOracle):
     # bench/selftest.py fails when a traced name is absent.
     def value(self, n):
         return self.coding.orbit_symbols(n, n)[0]
-
-    def describe(self):
-        return {"rotation": {
-            "alpha": str(self.coding.alpha),
-            "base": str(self.coding.base),
-            "cells": {str(l): self.coding.cells[l].describe() for l in self.coding.labels()},
-        }}
 
 
 class CodeImageOracle(SequenceOracle):
@@ -249,9 +224,6 @@ class CodeImageOracle(SequenceOracle):
                              left_upto=t.left_upto - max(hi, 0),
                              right_from=t.right_from - min(lo, 0))
 
-    def describe(self):
-        return {"code_image": {"code": self.code.describe(), "inner": self.inner.describe()}}
-
 
 class OverrideOracle(SequenceOracle):
     def __init__(self, inner: SequenceOracle, patch: dict):
@@ -274,10 +246,6 @@ class OverrideOracle(SequenceOracle):
         return EventualTails(period=t.period,
                              left_upto=min(t.left_upto, lo - 1),
                              right_from=max(t.right_from, hi + 1))
-
-    def describe(self):
-        return {"override": {"inner": self.inner.describe(),
-                             "patch": {str(k): v for k, v in sorted(self.patch.items())}}}
 
 
 # ---------------------------------------------------------------------------

