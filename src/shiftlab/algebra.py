@@ -14,8 +14,8 @@ Three independent pieces live here:
   whether a circle point is ever visited by the orbit of an irrational
   rotation.
 * ``Z3BElement`` -- the group Z/3Z (+) B where B is the countable Boolean
-  group, together with the three-valued marker function ``z3b_f`` used by
-  the recurrence searches.
+  group, together with the three-valued marker ``z3b_marker``, written once on
+  the integer form (r, support bitmask), and ``z3b_f`` at an element.
 
 ``symbol_key`` is the one order on alphabet symbols, used by every layer.
 
@@ -452,14 +452,14 @@ class FiniteGroup:
 
     # cached derived data; tests recompute both independently
 
-    def subgroups(self, bound: int = SUBGROUP_ORDER_BOUND):
+    def subgroups(self):
         if "subgroups" not in self._cache:
-            self._cache["subgroups"] = subgroups(self, bound)
+            self._cache["subgroups"] = subgroups(self)
         return self._cache["subgroups"]
 
-    def is_dedekind(self, bound: int = SUBGROUP_ORDER_BOUND):
+    def is_dedekind(self):
         if "dedekind" not in self._cache:
-            self._cache["dedekind"] = is_dedekind(self, bound)
+            self._cache["dedekind"] = is_dedekind(self)
         return self._cache["dedekind"]
 
 
@@ -520,10 +520,10 @@ def _closure(G: FiniteGroup, seed: frozenset) -> frozenset:
     return frozenset(out)
 
 
-def subgroups(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND):
+def subgroups(G: FiniteGroup):
     """All subgroups as sorted index tuples, ordered by size then lexicographically."""
-    if G.order > bound:
-        raise OrderBoundExceededError(G.order, bound)
+    if G.order > SUBGROUP_ORDER_BOUND:
+        raise OrderBoundExceededError(G.order, SUBGROUP_ORDER_BOUND)
     generated = {}
 
     def gen(seed: frozenset) -> frozenset:
@@ -558,9 +558,9 @@ class DedekindResult:
         return self.dedekind
 
 
-def is_dedekind(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> DedekindResult:
+def is_dedekind(G: FiniteGroup) -> DedekindResult:
     """Dedekind test: every subgroup normal, else the first bad (H, a, b)."""
-    for H in subgroups(G, bound):
+    for H in subgroups(G):
         if is_normal(G, H):
             continue
         for a in G.elements():
@@ -686,10 +686,6 @@ class Z3BElement:
     def inv(self) -> "Z3BElement":
         return Z3BElement((-self.r) % 3, self.support)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.r == 0 and not self.support
-
     def sort_key(self):
         return (len(self.support), tuple(sorted(self.support)), self.r)
 
@@ -704,26 +700,22 @@ def z3b(r: int, support=()) -> Z3BElement:
     return Z3BElement(r, frozenset(support))
 
 
-def _initial_segment_size(support: frozenset):
-    """m if support == {1..m} (m >= 1), else None."""
-    m = len(support)
-    if m and max(support) == m:
-        return m
-    return None
+def z3b_marker(r: int, mask: int) -> int:
+    """Three-valued marker on (r, mask), mask the bitmask of the support:
+    0 at e, 1 on matched initial segments.
+
+    Value 1 when r = 1 with support {1..2j} (j >= 1) or r = 2 with support
+    {1..2j+1} (j >= 0); value -1 everywhere else off the identity.
+    """
+    if not r and not mask:
+        return 0
+    # k is the largest coordinate; the support is {1..k} iff mask == (1 << (k + 1)) - 2
+    k = mask.bit_length() - 1
+    if mask == (1 << (k + 1)) - 2 and k and k % 2 == r - 1:
+        return 1
+    return -1
 
 
 def z3b_f(g: Z3BElement) -> int:
-    """Three-valued marker on Z/3Z (+) B: 0 at e, 1 on matched initial segments.
-
-    Value 1 when r = 1 with support {1..2k} (k >= 1) or r = 2 with support
-    {1..2k+1} (k >= 0); value -1 everywhere else off the identity.
-    """
-    if g.is_identity:
-        return 0
-    m = _initial_segment_size(g.support)
-    if m is not None:
-        if g.r == 1 and m >= 2 and m % 2 == 0:
-            return 1
-        if g.r == 2 and m % 2 == 1:
-            return 1
-    return -1
+    """The marker ``z3b_marker`` at an element."""
+    return z3b_marker(g.r, sum(1 << i for i in g.support))

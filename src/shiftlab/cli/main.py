@@ -41,14 +41,13 @@ from ..recurrence import chromatic_recurrence_check, eqtech_search, reverify_eqt
     syndetic_return_check
 from ..rotation import boundary_hits, classify_minimality, classify_word, \
     strongly_dyn_syndetic
-from ..systems import build_orbit_system, equivariant_isomorphism, is_furstenberg_system_of
+from ..systems import MODES, build_orbit_system, equivariant_isomorphism, is_furstenberg_system_of
 from ..zshift import WordPattern, occurrences, uniform_recurrence_certificate
 from . import scenarios
 from .reports import Report, weakest
 from .repro import repro_registry, run_repro
 
 REQUIRED = object()
-MODES = ("R", "L", "Ltilde", "anti")
 
 
 class Arg(NamedTuple):
@@ -66,10 +65,10 @@ class Arg(NamedTuple):
 
 
 def _int_list(text):
-    try:
-        return [int(x) for x in str(text).split(",") if x != ""]
-    except ValueError:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from None
+    parts = [x for x in str(text).split(",") if x != ""]
+    if not all(map(scenarios._is_int_text, parts)):
+        raise InputError(f"expected comma-separated integers, got {text!r}")
+    return [int(x) for x in parts]
 
 
 def _word(a):

@@ -37,13 +37,26 @@ def _require_keys(mapping, required, optional, where):
         raise ScenarioError(f"{where}: missing keys {missing}")
 
 
+def _is_int_text(s: str) -> bool:
+    """An optional '-' then ASCII digits, after strip: no sign run, '_' or non-ASCII digit."""
+    digits = s.strip().removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
 def _int(value, where):
     """An integer written as a YAML int or a digit string."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and value.strip().lstrip("-").isdigit():
+    if isinstance(value, str) and _is_int_text(value):
         return int(value)
     raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+
+
+def _bool(value, where):
+    """A YAML boolean; a string or number that merely converts to one is refused."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
 
 
 def _ints(values, where):
@@ -59,9 +72,7 @@ def _symbol(value):
     if isinstance(value, int):
         return value
     s = str(value)
-    if s.lstrip("-").isdigit():
-        return int(s)
-    return s
+    return int(s) if _is_int_text(s) else s
 
 
 def _payload(doc):
@@ -144,18 +155,19 @@ def _build_periodic(body, where):
 
 
 def _build_set(body, where):
-    _require_keys(body, (), ("aps", "halfline", "include", "exclude", "op"), f"{where}.set")
+    where = f"{where}.set"
+    _require_keys(body, (), ("aps", "halfline", "include", "exclude", "op"), where)
     if "halfline" in body:
-        _require_keys(body["halfline"], ("from",), (), f"{where}.set.halfline")
+        _require_keys(body["halfline"], ("from",), (), f"{where}.halfline")
     aps = body.get("aps", [])
     if not isinstance(aps, list) or not all(isinstance(p, list) and len(p) == 2 for p in aps):
-        raise ScenarioError(f"set.aps: expected a list of [a, d] pairs, got {aps!r}")
+        raise ScenarioError(f"{where}.aps: expected a list of [a, d] pairs, got {aps!r}")
     halfline = body.get("halfline")  # a mapping when present
     return SetOracle(
-        aps=[(_int(a, "set.aps"), _int(d, "set.aps")) for a, d in aps],
-        halfline=None if halfline is None else _int(halfline["from"], "set.halfline.from"),
-        include=_ints(body.get("include", []), "set.include"),
-        exclude=_ints(body.get("exclude", []), "set.exclude"),
+        aps=[(_int(a, f"{where}.aps"), _int(d, f"{where}.aps")) for a, d in aps],
+        halfline=None if halfline is None else _int(halfline["from"], f"{where}.halfline.from"),
+        include=_ints(body.get("include", []), f"{where}.include"),
+        exclude=_ints(body.get("exclude", []), f"{where}.exclude"),
         op=body.get("op", "union"),
     )
 
@@ -175,7 +187,8 @@ def _build_override(body, where):
     if not isinstance(body["patch"], dict):
         raise ScenarioError(f"{where}: override patch must be a mapping")
     inner = _oracle_payload(body["inner"], f"{where}.override.inner")
-    return OverrideOracle(inner, {int(k): _symbol(v) for k, v in body["patch"].items()})
+    return OverrideOracle(inner, {_int(k, f"{where}.override.patch"): _symbol(v)
+                                  for k, v in body["patch"].items()})
 
 
 _ORACLE_BUILDERS = {
@@ -195,8 +208,9 @@ def build_coding_payload(body, name="coding", where="coding"):
     base = parse_quadratic(str(body.get("base", "0")), alpha=alpha)
     cells = {}
     for label, cell in body["cells"].items():
+        at = f"{where}.cells[{label}]"
         if isinstance(cell, dict):
-            _require_keys(cell, (), ("arcs", "points"), f"{where}.cells[{label}]")
+            _require_keys(cell, (), ("arcs", "points"), at)
             arc_specs = cell.get("arcs", [])
             point_specs = cell.get("points", [])
             if not isinstance(point_specs, list):
@@ -206,11 +220,11 @@ def build_coding_payload(body, name="coding", where="coding"):
         if not isinstance(arc_specs, list):
             raise ScenarioError(f"{where}: cell {label!r} arcs must be a list")
         for a in arc_specs:
-            _require_keys(a, ("lo", "hi"), ("lo_closed", "hi_closed"), f"{where}.cells[{label}]")
+            _require_keys(a, ("lo", "hi"), ("lo_closed", "hi_closed"), at)
         arcs = [Arc(parse_quadratic(str(a["lo"]), alpha=alpha),
-                    bool(a.get("lo_closed", True)),
+                    _bool(a.get("lo_closed", True), f"{at}.lo_closed"),
                     parse_quadratic(str(a["hi"]), alpha=alpha),
-                    bool(a.get("hi_closed", False)))
+                    _bool(a.get("hi_closed", False), f"{at}.hi_closed"))
                 for a in arc_specs]
         points = [parse_quadratic(str(p), alpha=alpha) for p in point_specs]
         cells[_symbol(label)] = CircleIntervalSet(arcs, points)
@@ -227,7 +241,7 @@ def build_code_payload(body, where="code"):
         raise ScenarioError(f"{where}: offsets must be a nonempty list")
     if not isinstance(body["rule"], dict) or not body["rule"]:
         raise ScenarioError(f"{where}: rule must be a nonempty mapping")
-    offsets = tuple(int(o) for o in body["offsets"])
+    offsets = tuple(_ints(body["offsets"], f"{where}.offsets"))
     rule = {}
     for key, value in body["rule"].items():
         pattern = tuple(_symbol(c) for c in str(key))

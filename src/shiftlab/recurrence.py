@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import Z3BElement, symbol_key, z3b_f
+from .algebra import Z3BElement, symbol_key, z3b_f, z3b_marker
 from .errors import BoundsExceededError, InputError
 from .zshift import SequenceOracle, centered
 
@@ -143,9 +143,9 @@ def eqtech_search(S, support_bound: int, search_bound: int | None = None) -> Eqt
 
     Wanted: z3b_f(x) != z3b_f(c*x) while z3b_f(a * x^-1 * b) agrees with
     z3b_f(a * (c*x)^-1 * b) for every a, b in S.  Pairs are scanned by
-    total support size, then lexicographically; the first hit returns with
-    the full (a, b) verification transcript.  A negative search bound is an
-    InputError.
+    total support size, then lexicographically, as integer pairs (r, support
+    bitmask); the first hit returns with the full (a, b) verification
+    transcript.  A negative search bound is an InputError.
     """
     if search_bound is None:
         search_bound = support_bound
@@ -160,9 +160,9 @@ def eqtech_search(S, support_bound: int, search_bound: int | None = None) -> Eqt
 
     def of_size(k):
         # built on first use, already in Z3BElement.sort_key order: supports
-        # lexicographically, then r
+        # lexicographically, then r; each element as (r, support bitmask, support)
         if k not in by_size:
-            by_size[k] = [Z3BElement(r, frozenset(support))
+            by_size[k] = [(r, sum(1 << i for i in support), support)
                           for support in combinations(range(1, search_bound + 1), k)
                           for r in (0, 1, 2)]
         return by_size[k]
@@ -178,27 +178,21 @@ def eqtech_search(S, support_bound: int, search_bound: int | None = None) -> Eqt
                     for x in of_size(x_size):
                         yield c, x
 
+    # abelian: a x^-1 b = (a b) x^-1, so each candidate meets only the distinct products a b
+    products = {((a.r + b.r) % 3, sum(1 << i for i in a.support ^ b.support))
+                for a in S for b in S}
     tried = 0
-    for c, x in pairs():
+    for (cr, cm, c_support), (xr, xm, x_support) in pairs():
         tried += 1
-        fx, fcx = z3b_f(x), z3b_f(c.mul(x))
+        fx, fcx = z3b_marker(xr, xm), z3b_marker((cr + xr) % 3, cm ^ xm)
         if fx == fcx:
             continue
-        transcript = []
-        ok = True
-        xinv = x.inv()
-        cxinv = c.mul(x).inv()
-        for a in S:
-            for b in S:
-                u = z3b_f(a.mul(xinv).mul(b))
-                v = z3b_f(a.mul(cxinv).mul(b))
-                transcript.append((a, b, u, v))
-                if u != v:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(z3b_marker((pr - xr) % 3, pm ^ xm) == z3b_marker((pr - cr - xr) % 3, pm ^ cm ^ xm)
+               for pr, pm in products):
+            c, x = Z3BElement(cr, frozenset(c_support)), Z3BElement(xr, frozenset(x_support))
+            xinv, cxinv = x.inv(), c.mul(x).inv()
+            transcript = [(a, b, z3b_f(a.mul(xinv).mul(b)), z3b_f(a.mul(cxinv).mul(b)))
+                          for a in S for b in S]
             return EqtechResult(True, c=c, x=x, transcript=transcript,
                                 fx=fx, fcx=fcx, pairs_tried=tried)
     return EqtechResult(False, pairs_tried=tried)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -23,6 +24,7 @@ from shiftlab.algebra import (
     symbol_key,
     z3b,
     z3b_f,
+    z3b_marker,
 )
 from shiftlab.errors import (
     BoundExceeded,
@@ -552,6 +554,26 @@ def test_z3b_f_pinned_values():
     assert z3b_f(z3b(2, set())) == -1
     assert z3b_f(z3b(1, set())) == -1
     assert z3b_f(z3b(0, {1, 2})) == -1
+
+
+def marker_by_sets(r, support):
+    """Reference: the marker read off the support as a set of coordinates."""
+    if r == 0 and not support:
+        return 0
+    k = len(support)
+    initial = k >= 1 and set(support) == set(range(1, k + 1))
+    if initial and ((r == 1 and k % 2 == 0) or (r == 2 and k % 2 == 1)):
+        return 1
+    return -1
+
+
+def test_mask_marker_matches_the_set_reference_on_every_support_up_to_8():
+    for size in range(9):
+        for support in itertools.combinations(range(1, 9), size):
+            mask = sum(1 << i for i in support)
+            for r in (0, 1, 2):
+                want = marker_by_sets(r, support)
+                assert z3b_marker(r, mask) == want == z3b_f(z3b(r, support)), (r, support)
 
 
 z3b_elements = st.builds(

@@ -26,7 +26,7 @@ from shiftlab.cli.scenarios import (
     parse_scenario,
 )
 from shiftlab.codes import RealizationResult
-from shiftlab.errors import ScenarioError
+from shiftlab.errors import BoundExceeded, InputError, ScenarioError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -1013,3 +1013,94 @@ def test_a_key_fault_at_any_level_is_a_one_line_input_error(key_fault_files, nam
     with redirect_stdout(out), redirect_stderr(err):
         assert main(argv) == 2
     assert (out.getvalue(), err.getvalue()) == ("", f"input error: {path_file}: {caught.value}\n")
+
+
+# -- typed values: a wrong value at any leaf ends in exit 0, 2 or 3 ----------------------
+
+# null, true, a float, non-numbers, integer-looking strings int() refuses, containers
+# where a scalar belongs, a negative and a huge integer
+WRONG_VALUES = (None, True, 1.5, "x", "1/0", "--3", "²", [], {}, -1, 10**30)
+
+
+def _leaves(node, path=()):
+    """The paths of the scalar values below the envelope keys."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if path or key not in ("kind", "id"):
+                yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("name", list(KEY_FAULT_FIXTURES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_wrong_value_at_any_leaf_is_refused_or_read(key_fault_files, name, data):
+    doc = parse_scenario(KEY_FAULT_FIXTURES[name])
+    kind = doc["kind"]
+    *path, last = data.draw(st.sampled_from(list(_leaves(doc))), label="leaf")
+    level = doc
+    for step in path:
+        level = level[step]
+    level[last] = data.draw(st.sampled_from(WRONG_VALUES), label="value")
+    try:
+        getattr(scenarios, "build_" + kind.replace("-", "_"))(doc)
+    except (InputError, BoundExceeded):
+        pass
+    path_file = key_fault_files / "faulty.yaml"
+    path_file.write_text(emit_scenario(doc), encoding="utf-8")
+    argv = [str(path_file) if a == "{}" else str(key_fault_files / a) if a.endswith(".yaml")
+            else a for a in CLI_FOR_KIND[kind]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+
+
+DASH_INCLUDE = 'kind: oracle\nid: dash\nset: {include: ["--3"]}\n'
+DASH_VALUES = 'kind: function\nid: dash\nvalues: ["--1", 0, 1, 0]\n'
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    # each of these ended in a ValueError traceback, or read 1_0 as 10
+    (["seq", "window", "--oracle", "dash.yaml", "--lo", "0", "--hi", "3"], 2,
+     "input error: {dash.yaml}: oracle.set.include: expected an integer, got '--3'"),
+    (["system", "build", "--group", "z4.yaml", "--function", "dash-f.yaml"], 0, ""),
+    (["seq", "occur", "--oracle", "b.yaml", "--symbols=--1", "--offsets", "0", "--lo", "0",
+      "--hi", "9"], 2, "input error: word symbols ['--1'] are outside the oracle alphabet"),
+    (["code", "patterns", "--a", "a.yaml", "--b", "b.yaml", "--shifts=1_0", "--k", "1"], 2,
+     "input error: expected comma-separated integers, got '1_0'"),
+    (["code", "apply", "--code", "x-offset.yaml", "--oracle", "b.yaml"], 2,
+     "input error: {x-offset.yaml}: code.offsets: expected an integer, got 'x'"),
+    (["code", "apply", "--code", "true-offset.yaml", "--oracle", "b.yaml"], 2,
+     "input error: {true-offset.yaml}: code.offsets: expected an integer, got True"),
+    (["seq", "window", "--oracle", "x-patch.yaml", "--lo", "0", "--hi", "3"], 2,
+     "input error: {x-patch.yaml}: oracle.override.patch: expected an integer, got 'x'"),
+    (["seq", "window", "--oracle", "nested-ap.yaml", "--lo", "0", "--hi", "3"], 2,
+     "input error: {nested-ap.yaml}: oracle.code_image.inner.set.aps: expected an integer, "
+     "got 'a'"),
+    # "false" used to read as closed
+    (["rotation", "boundary", "--coding", "str-closed.yaml"], 2,
+     "input error: {str-closed.yaml}: coding.cells[1].lo_closed: expected true or false, "
+     "got 'false'"),
+], ids=["dash-include", "dash-symbol", "dash-word", "underscore-shift", "x-offset",
+        "true-offset", "x-patch", "nested-path", "string-flag"])
+def test_integer_strings_and_flags_are_read_strictly(files, tmp_path, argv, code, message):
+    for name, text in (("dash.yaml", DASH_INCLUDE), ("dash-f.yaml", DASH_VALUES),
+                       ("x-offset.yaml", PARITY3_CODE.replace("[0, 1, 2]", "[0, x, 2]")),
+                       ("true-offset.yaml", PARITY3_CODE.replace("[0, 1, 2]", "[0, true, 2]")),
+                       ("x-patch.yaml", ONES_PATCHED.replace("{100: 0}", "{x: 0}")),
+                       ("nested-ap.yaml", PARITY_IMAGE.replace("[[0, 2]]", "[[a, 2]]")),
+                       ("str-closed.yaml",
+                        STURMIAN_CODING.replace("lo_closed: false", 'lo_closed: "false"'))):
+        files[name] = str(tmp_path / name)
+        Path(files[name]).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main([files.get(a, a) for a in argv]) == code
+    for name, path in files.items():
+        message = message.replace("{" + name + "}", path)
+    assert err.getvalue() == (message + "\n" if message else "")
