@@ -72,7 +72,8 @@ def _int_list(text):
 
 
 def _word(a):
-    symbols = tuple(scenarios._symbol(x) for x in str(a.symbols).split(",") if x != "")
+    symbols = tuple(scenarios._symbol(x, "--symbols") for x in str(a.symbols).split(",")
+                    if x != "")
     return WordPattern(tuple(_int_list(a.offsets)), symbols)
 
 
@@ -149,7 +150,7 @@ def _system_furstenberg(a):
 def _rotation_classify(a):
     scope = "colouring" if a.scope == "whole-colouring" else a.scope
     if scope not in ("set", "colouring"):
-        scope = scenarios._symbol(scope)
+        scope = scenarios._symbol(scope, "--scope")
         if scope not in a.coding.cells:
             raise InputError(f"label {scope!r} is not a cell of the coding")
     res = classify_minimality(a.coding, scope=scope)

@@ -65,14 +65,25 @@ def _ints(values, where):
     return [_int(v, where) for v in values]
 
 
-def _symbol(value):
-    """Symbols are small ints where possible, else short strings."""
-    if isinstance(value, bool):
-        raise ScenarioError(f"booleans are not symbols: {value!r}")
-    if isinstance(value, int):
+def _symbol(value, where):
+    """A symbol: a YAML int, or a string, read as an int when it is integer
+    text.  A boolean, float, null, list or mapping is refused: a float
+    would otherwise become the string of its Python text."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    s = str(value)
-    return int(s) if _is_int_text(s) else s
+    if isinstance(value, str):
+        return int(value) if _is_int_text(value) else value
+    raise ScenarioError(f"{where}: expected an int or a string symbol, got {value!r}")
+
+
+def _quadratic(value, where, alpha=None):
+    """A quadratic number written as a YAML int or a string such as ``sqrt(5)-2``."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ScenarioError(f"{where}: expected a quadratic expression, got {value!r}")
+    try:
+        return parse_quadratic(str(value), alpha=alpha)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _payload(doc):
@@ -124,6 +135,10 @@ def build_group(doc):
     _require_keys(doc, ("kind", "id", "order", "table"), ("names",), "group")
     if not isinstance(doc["table"], list) or not all(isinstance(r, list) for r in doc["table"]):
         raise ScenarioError("group table must be a list of rows")
+    order = _int(doc["order"], "group.order")
+    if order != len(doc["table"]):
+        raise ScenarioError(f"group.order: {order} does not match the {len(doc['table'])} "
+                            f"table rows")
     return group_validate(doc["table"], name=doc["id"])
 
 
@@ -131,7 +146,7 @@ def build_function(doc):
     _require_keys(doc, ("kind", "id", "values"), (), "function")
     if not isinstance(doc["values"], list) or not doc["values"]:
         raise ScenarioError("function values must be a nonempty list")
-    return tuple(_symbol(v) for v in doc["values"])
+    return tuple(_symbol(v, "function.values") for v in doc["values"])
 
 
 def build_oracle(doc):
@@ -151,7 +166,7 @@ def _oracle_payload(body, where):
 def _build_periodic(body, where):
     if not isinstance(body, (str, list)) or not body:
         raise ScenarioError(f"{where}: periodic payload must be a nonempty word")
-    return PeriodicOracle([_symbol(c) for c in body])
+    return PeriodicOracle([_symbol(c, f"{where}.periodic") for c in body])
 
 
 def _build_set(body, where):
@@ -187,7 +202,8 @@ def _build_override(body, where):
     if not isinstance(body["patch"], dict):
         raise ScenarioError(f"{where}: override patch must be a mapping")
     inner = _oracle_payload(body["inner"], f"{where}.override.inner")
-    return OverrideOracle(inner, {_int(k, f"{where}.override.patch"): _symbol(v)
+    return OverrideOracle(inner, {_int(k, f"{where}.override.patch"):
+                                  _symbol(v, f"{where}.override.patch")
                                   for k, v in body["patch"].items()})
 
 
@@ -204,8 +220,8 @@ def build_coding_payload(body, name="coding", where="coding"):
     _require_keys(body, ("alpha", "cells"), ("base",), where)
     if not isinstance(body["cells"], dict) or not body["cells"]:
         raise ScenarioError(f"{where}: cells must be a nonempty mapping")
-    alpha = parse_quadratic(str(body["alpha"]))
-    base = parse_quadratic(str(body.get("base", "0")), alpha=alpha)
+    alpha = _quadratic(body["alpha"], f"{where}.alpha")
+    base = _quadratic(body.get("base", "0"), f"{where}.base", alpha)
     cells = {}
     for label, cell in body["cells"].items():
         at = f"{where}.cells[{label}]"
@@ -221,13 +237,13 @@ def build_coding_payload(body, name="coding", where="coding"):
             raise ScenarioError(f"{where}: cell {label!r} arcs must be a list")
         for a in arc_specs:
             _require_keys(a, ("lo", "hi"), ("lo_closed", "hi_closed"), at)
-        arcs = [Arc(parse_quadratic(str(a["lo"]), alpha=alpha),
+        arcs = [Arc(_quadratic(a["lo"], f"{at}.lo", alpha),
                     _bool(a.get("lo_closed", True), f"{at}.lo_closed"),
-                    parse_quadratic(str(a["hi"]), alpha=alpha),
+                    _quadratic(a["hi"], f"{at}.hi", alpha),
                     _bool(a.get("hi_closed", False), f"{at}.hi_closed"))
                 for a in arc_specs]
-        points = [parse_quadratic(str(p), alpha=alpha) for p in point_specs]
-        cells[_symbol(label)] = CircleIntervalSet(arcs, points)
+        points = [_quadratic(p, f"{at}.points", alpha) for p in point_specs]
+        cells[_symbol(label, f"{where}.cells")] = CircleIntervalSet(arcs, points)
     return RotationCoding(alpha, cells, base, name=name)
 
 
@@ -244,10 +260,13 @@ def build_code_payload(body, where="code"):
     offsets = tuple(_ints(body["offsets"], f"{where}.offsets"))
     rule = {}
     for key, value in body["rule"].items():
-        pattern = tuple(_symbol(c) for c in str(key))
-        rule[pattern] = _symbol(value)
+        pattern = tuple(_symbol(c, f"{where}.rule") for c in str(key))
+        rule[pattern] = _symbol(value, f"{where}.rule")
     if "input_alphabet" in body:
-        alphabet = tuple(_symbol(s) for s in body["input_alphabet"])
+        if not isinstance(body["input_alphabet"], (list, str)):
+            raise ScenarioError(f"{where}.input_alphabet: expected a list of symbols, "
+                                f"got {body['input_alphabet']!r}")
+        alphabet = tuple(_symbol(s, f"{where}.input_alphabet") for s in body["input_alphabet"])
     else:
         alphabet = tuple(sorted({s for p in rule for s in p}, key=symbol_key))
     return BlockCode(offsets, rule, alphabet)

@@ -27,7 +27,10 @@ from .zshift import (
     RotationOracle,
     SequenceOracle,
     WordPattern,
+    _digits_of,
     _EncodedWindow,
+    _pattern_codes,
+    _recode,
     centered,
 )
 
@@ -135,12 +138,19 @@ def verify_realization(code: BlockCode, source: SequenceOracle,
     if radius < 0:
         raise InputError(f"realization window radius must be non-negative, got {radius}")
     image = apply_code(code, source)
-    got = image.window(-radius, radius)
-    want = target.window(-radius, radius)
-    if got == want:
+    got = image.digits(-radius, radius)
+    want = target.digits(-radius, radius)
+    same = _recode(got, image.alphabet, target.alphabet)
+    if same == want:
         return RealizationResult(True, radius)
-    i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
-    return RealizationResult(False, radius, (i - radius, got[i], want[i]))
+    # the first difference, by bisection on prefix equality
+    lo, hi = 0, len(want)  # same[:lo] == want[:lo] and same[:hi] != want[:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if same[:mid] == want[:mid] else (lo, mid)
+    return RealizationResult(False, radius, (
+        lo - radius, _digits_of(image.alphabet).symbols[ord(got[lo])],
+        _digits_of(target.alphabet).symbols[ord(want[lo])]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +189,29 @@ def windowed_orbit_representatives(oracle: SequenceOracle, depth: int, radius: i
     central words join the set marked with their periodic structure.
     """
     lo_i, hi_i = -depth + min(ext_lo, 0), depth + max(ext_hi, 0)
-    buf = oracle.window(-radius + lo_i, radius + hi_i)
+    width = hi_i - lo_i + 1
+    text = oracle.digits(-radius + lo_i, radius + hi_i)
+    decode = _digits_of(oracle.alphabet).decode
+    at, size = -depth - lo_i, 2 * depth + 1  # where a center sits in its extension
+    # the distinct centers, in the order of the first shift t = -radius.. that reads each
+    centers = dict.fromkeys([text[i:i + size] for i in range(at, at + 2 * radius + 1)])
     reps = {}
-    for t in range(-radius, radius + 1):
-        ext = tuple(buf[t + radius:t + radius + hi_i - lo_i + 1])
-        center = ext[(-depth - lo_i):(-depth - lo_i) + 2 * depth + 1]
-        if center not in reps:
-            reps[center] = Representative(center, ext, lo_i)
+    for word in centers:
+        i = text.find(word, at) - at  # t + radius for that first t
+        center = tuple(decode(word))
+        reps[center] = Representative(center, tuple(decode(text[i:i + width])), lo_i)
     tails = oracle.tails()
     if tails is not None:
         period = tails.period
-        for word in (oracle.window(tails.right_from, tails.right_from + period - 1),
-                     oracle.window(tails.left_upto - period + 1, tails.left_upto)):
+        for word in (oracle.digits(tails.right_from, tails.right_from + period - 1),
+                     oracle.digits(tails.left_upto - period + 1, tails.left_upto)):
             for phase in range(period):
-                aligned = tuple(word[phase:] + word[:phase])
-                ext = tuple(aligned[i % period] for i in range(lo_i, hi_i + 1))
-                center = tuple(aligned[i % period] for i in range(-depth, depth + 1))
-                rep = Representative(center, ext, lo_i, periodic=(period, aligned))
+                aligned = word[phase:] + word[:phase]
+                # ext[j] = aligned[(lo_i + j) % period]
+                ext = (aligned * (width // period + 2))[lo_i % period:][:width]
+                center = tuple(decode(ext[at:at + size]))
+                rep = Representative(center, tuple(decode(ext)), lo_i,
+                                     periodic=(period, tuple(decode(aligned))))
                 reps[center] = rep  # periodic structure wins over a plain window word
     return list(reps.values())
 
@@ -382,19 +398,15 @@ def _consistent_shifts(source, offsets, digit, scan, radius):
 
     ``scan`` lists (n + 2 * radius, target output digit at n) for n in
     [-radius, radius], in scan order.  The source is read once, over every
-    shift, and encoded column by column: shift t reads the pattern code
-    ``enc[n + 2 * radius + t]`` at n.  When that buffer repeats with the
-    source's tail period P (checked on the buffer itself), shifts t and
-    t + P read the same patterns against the same target, so only the first
-    shift of each residue class mod P is scanned and the others reuse its
-    verdict.
+    shift, as a digit string in ``digit`` order, and shift t reads the
+    pattern code ``enc[n + 2 * radius + t]`` at n, all codes computed at once
+    by ``_pattern_codes``.  When the codes repeat with the source's tail
+    period P (checked on the codes themselves), shifts t and t + P read the
+    same patterns against the same target, so only the first shift of each
+    residue class mod P is scanned and the others reuse its verdict.
     """
-    nsym = len(digit)
-    have = list(map(digit.__getitem__,
-                    source.window(-2 * radius + offsets[0], 2 * radius + offsets[-1])))
-    enc = have
-    for o in offsets[1:]:
-        enc = [e * nsym + x for e, x in zip(enc, have[o - offsets[0]:])]
+    text = source.digits(-2 * radius + offsets[0], 2 * radius + offsets[-1])
+    enc = _pattern_codes(_recode(text, source.alphabet, tuple(digit)), len(digit), offsets)
     tails = source.tails()
     period = tails.period if tails is not None else 0
     repeats = 0 < period < len(enc) and enc[period:] == enc[:-period]
@@ -550,8 +562,8 @@ def intersection_pattern_check(a: SequenceOracle, b: SequenceOracle, shifts, ari
             f"{len(shifts) * 2}**{arity} tuples exceed the cap {SEARCH_TUPLE_CAP}")
     lo = -radius + min(shifts, default=0)
     hi = radius + max(shifts, default=0)
-    win_a = _EncodedWindow(a.alphabet, a.window(lo, hi), lo)
-    win_b = _EncodedWindow(b.alphabet, b.window(lo, hi), lo)
+    win_a = _EncodedWindow(a.alphabet, a.digits(lo, hi), lo)
+    win_b = _EncodedWindow(b.alphabet, b.digits(lo, hi), lo)
     all_exact = True
     for gs in product(shifts, repeat=arity):
         for eps in product((0, 1), repeat=arity):

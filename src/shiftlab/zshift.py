@@ -3,9 +3,17 @@
 Oracles are immutable and evaluate deterministically at every integer:
 periodic words, sets built from arithmetic progressions / half-lines /
 finite corrections, rotation-coded sequences, images under block codes,
-and finite patches over an inner oracle.  Each has one evaluator, which
-fills a whole window; a code image or a patch reads its inner oracle once.
-On top of evaluation this module
+and finite patches over an inner oracle.  A window's native form is a
+digit string: character i is chr(k) for the symbol number k of the
+oracle's deduplicated alphabet at lo + i.  Each oracle has one evaluator,
+which fills the whole digit string with C-level str, bytes and int
+operations: a periodic word is tiled, a set is ORed or ANDed from byte
+arrays, a code image computes every pattern code at once in byte lanes of
+one int (SIMD within a register) and maps codes to output digits by one
+translate, and a patch remaps its inner digits by one translate.  A code
+image or a patch reads its inner oracle once.  ``window`` decodes the
+digit string into a list of symbols; a rotation coding's ``window`` is
+its orbit walk's own label list.  On top of evaluation this module
 extracts windowed languages, finds word occurrences, measures gap
 statistics, and produces uniform-recurrence certificates; a windowed
 refutation is only a candidate unless the rotation backend can settle the
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 
 from . import rotation as _rotation
 from .algebra import symbol_key
@@ -88,24 +96,116 @@ def centered(radius: int):
         yield -t
 
 
+class _Digits:
+    """The digit code of one alphabet: symbol number k of the deduplicated
+    alphabet is the character chr(k).
+
+    One instance serves every oracle and window over an equal alphabet
+    (``_digits_of``), so no oracle keeps a table of its own.
+    """
+
+    __slots__ = ("symbols", "chars", "plain")
+
+    def __init__(self, alphabet):
+        self.symbols = tuple(dict.fromkeys(alphabet))  # a symbol listed twice gets one digit
+        self.chars = {s: chr(k) for k, s in enumerate(self.symbols)}
+        # the ints 0..n-1 themselves, n <= 256: a digit string's Latin-1 bytes are its symbols
+        self.plain = len(self.symbols) <= 256 and all(
+            type(s) is int and s == k for k, s in enumerate(self.symbols))
+
+    def encode(self, symbols) -> str:
+        if self.plain:
+            return bytes(symbols).decode("latin-1")
+        return "".join(map(self.chars.__getitem__, symbols))
+
+    def decode(self, text: str) -> list:
+        if self.plain:
+            return list(text.encode("latin-1"))
+        return list(map(self.symbols.__getitem__, map(ord, text)))
+
+
+_DIGITS = {}
+
+
+def _digits_of(alphabet: tuple) -> _Digits:
+    """The shared digit code of an alphabet, built on first use."""
+    # the key carries the symbol types: (0, 1) == (False, True) as tuples
+    key = (alphabet, tuple(map(type, alphabet)))
+    digits = _DIGITS.get(key)
+    if digits is None:
+        if len(_DIGITS) >= 4096:
+            _DIGITS.clear()
+        digits = _DIGITS[key] = _Digits(alphabet)
+    return digits
+
+
+def _recode(text: str, source: tuple, target: tuple) -> str:
+    """A digit string over alphabet ``source`` as one over ``target``, by one
+    translate; a symbol that target lacks becomes chr(len(target)), which is
+    no digit of target."""
+    src, dst = _digits_of(source), _digits_of(target)
+    if src.symbols == dst.symbols[:len(src.symbols)]:
+        return text
+    missing = chr(len(dst.symbols))
+    return text.translate("".join([dst.chars.get(s, missing) for s in src.symbols]))
+
+
+def _pattern_codes(text: str, base: int, offsets):
+    """The code sum_j ord(text[i + offsets[j] - offsets[0]]) * base**(k-1-j) of
+    the pattern read at every i where the last offset still falls in text,
+    for digits below base.
+
+    The digits are packed into one int, one lane each, and every lane holds
+    its code after one shift and one multiply-add per offset: no code
+    reaches base**k, so no lane carries into the next (SIMD within a
+    register).  Lanes are one byte, giving bytes, when base**k <= 256, and
+    four (UTF-32) otherwise, giving a list of ints.
+    """
+    width = 1 if base ** len(offsets) <= 256 else 4
+    raw = text.encode("latin-1" if width == 1 else "utf-32-le")
+    whole = int.from_bytes(raw, "little")
+    acc = 0
+    for o in offsets:
+        acc = acc * base + (whole >> (8 * width * (o - offsets[0])))
+    lanes = acc.to_bytes(len(raw), "little")[:(len(text) - offsets[-1] + offsets[0]) * width]
+    if width == 1:
+        return lanes
+    return list(map(ord, lanes.decode("utf-32-le", "surrogatepass")))
+
+
+def _checked(lo: int, hi: int):
+    if lo > hi:
+        raise InputError(f"window [{lo}, {hi}] is empty")
+    if hi - lo + 1 > WINDOW_CAP:
+        raise WindowTooLargeError(hi - lo + 1, WINDOW_CAP)
+
+
 class SequenceOracle:
-    """Base class: a total deterministic map Z -> alphabet, read by ``window``."""
+    """Base class: a total deterministic map Z -> alphabet, read by ``window``
+    as symbols or by ``digits`` as a digit string."""
 
     alphabet: tuple
 
     def window(self, lo: int, hi: int):
-        if lo > hi:
-            raise InputError(f"window [{lo}, {hi}] is empty")
-        if hi - lo + 1 > WINDOW_CAP:
-            raise WindowTooLargeError(hi - lo + 1, WINDOW_CAP)
+        """The symbols at lo..hi, as a fresh list."""
+        _checked(lo, hi)
         return self._symbols(lo, hi)
+
+    def digits(self, lo: int, hi: int) -> str:
+        """The window lo..hi as a digit string: character i is chr(k) for the
+        symbol number k of the deduplicated alphabet at lo + i."""
+        _checked(lo, hi)
+        return self._digits(lo, hi)
 
     def value(self, n: int):
         return self.window(n, n)[0]
 
-    def _symbols(self, lo: int, hi: int):
-        """The subclass's one evaluator: symbols lo..hi, lo <= hi, as a fresh list."""
+    def _digits(self, lo: int, hi: int) -> str:
+        """The subclass's one evaluator: the digit string of lo..hi, lo <= hi."""
         raise NotImplementedError
+
+    def _symbols(self, lo: int, hi: int):
+        return _digits_of(self.alphabet).decode(self._digits(lo, hi))
 
     def tails(self) -> EventualTails | None:
         return None
@@ -119,13 +219,16 @@ class PeriodicOracle(SequenceOracle):
         self.word = word
         self.alphabet = tuple(sorted(set(word), key=symbol_key))
 
-    def _symbols(self, lo, hi):
+    def _digits(self, lo, hi):
         p = len(self.word)
-        tiled = self.word[lo % p:] + self.word * ((hi - lo) // p + 1)
-        return list(tiled[:hi - lo + 1])
+        word = _digits_of(self.alphabet).encode(self.word)
+        return (word[lo % p:] + word * ((hi - lo) // p + 1))[:hi - lo + 1]
 
     def tails(self):
         return EventualTails(period=len(self.word), left_upto=0, right_from=0)
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class SetOracle(SequenceOracle):
@@ -149,23 +252,33 @@ class SetOracle(SequenceOracle):
         self.op = op
         self.alphabet = (0, 1)
 
-    def _symbols(self, lo, hi):
-        # votes[i] counts the generators (APs and the half-line) holding lo + i
-        votes = [0] * (hi - lo + 1)
+    def _digits(self, lo, hi):
+        n = hi - lo + 1
+        ones = b"\1" * n
+        # the positions each generator (an AP or the half-line) holds, as a slice
         generators = [slice((a - lo) % d, None, d) for a, d in self.aps]
         if self.halfline is not None:
             generators.append(slice(max(self.halfline - lo, 0), None))
-        for part in generators:
-            votes[part] = [v + 1 for v in votes[part]]
-        # a point is in the base set when at least `need` generators hold it
-        need = max(len(generators), 1) if self.op == "inter" else 1
-        inside, outside = (0, 1) if self.op == "complement" else (1, 0)
-        out = [inside if v >= need else outside for v in votes]
-        for fix, symbol in ((self.exclude, 0), (self.include, 1)):
-            for n in fix:
-                if lo <= n <= hi:
-                    out[n - lo] = symbol
-        return out
+        if self.op == "inter" and generators:
+            # one byte array per generator, read as an int and ANDed
+            base = -1
+            for part in generators:
+                held = bytearray(n)
+                held[part] = ones[part]
+                base &= int.from_bytes(held, "little")
+            out = bytearray(base.to_bytes(n, "little"))
+        else:
+            # a union is the generators' slices assigned into one byte array
+            out = bytearray(n)
+            for part in generators:
+                out[part] = ones[part]
+            if self.op == "complement":
+                out = out.translate(_FLIP)
+        for fix, digit in ((self.exclude, 0), (self.include, 1)):
+            for m in fix:
+                if lo <= m <= hi:
+                    out[m - lo] = digit
+        return out.decode("latin-1")
 
     def tails(self):
         period = math.lcm(*(d for _, d in self.aps)) if self.aps else 1
@@ -179,12 +292,18 @@ class SetOracle(SequenceOracle):
 
 
 class RotationOracle(SequenceOracle):
+    """A rotation coding read by its orbit walk: ``window`` is the walk's own
+    label list, and a digit string is that list joined once."""
+
     def __init__(self, coding: "_rotation.RotationCoding"):
         self.coding = coding
         self.alphabet = tuple(coding.labels())
 
     def _symbols(self, lo, hi):
         return self.coding.orbit_symbols(lo, hi)
+
+    def _digits(self, lo, hi):
+        return _digits_of(self.alphabet).encode(self.coding.orbit_symbols(lo, hi))
 
     # Same result as the inherited value.  It stays defined on the class
     # because bench/layers.py traces RotationOracle.value by name, and
@@ -196,7 +315,9 @@ class RotationOracle(SequenceOracle):
 class CodeImageOracle(SequenceOracle):
     """Pointwise image of an inner oracle under a block code.
 
-    A window reads the inner oracle once, widened by the code's offsets.
+    A window reads the inner oracle's digits once, widened by the code's
+    offsets, computes every pattern code at once (``_pattern_codes``) and
+    maps the codes to output digits by one translate.
     """
 
     def __init__(self, code, inner: SequenceOracle):
@@ -208,12 +329,18 @@ class CodeImageOracle(SequenceOracle):
         self.inner = inner
         self.alphabet = tuple(code.output_alphabet)
 
-    def _symbols(self, lo, hi):
-        first, last = self.code.offsets[0], self.code.offsets[-1]
-        buf = self.inner.window(lo + first, hi + last)
-        # column k has inner(n + offsets[k]) at n - lo; zip stops at the last
-        columns = [buf[o - first:] for o in self.code.offsets]
-        return list(map(self.code.rule.__getitem__, zip(*columns)))
+    def _digits(self, lo, hi):
+        offsets = self.code.offsets
+        inner = self.inner.digits(lo + offsets[0], hi + offsets[-1])
+        symbols = _digits_of(self.inner.alphabet).symbols
+        out = _digits_of(self.alphabet).chars
+        # the output digit of pattern code c is table[c]: patterns in product order
+        table = "".join(map(out.__getitem__, map(self.code.rule.__getitem__,
+                                                 product(symbols, repeat=len(offsets)))))
+        codes = _pattern_codes(inner, len(symbols), offsets)
+        if len(table) <= 256 and len(out) <= 256:  # one-byte lanes, in and out
+            return codes.translate(table.encode("latin-1").ljust(256, b"\0")).decode("latin-1")
+        return "".join(map(table.__getitem__, codes))
 
     def tails(self):
         t = self.inner.tails()
@@ -231,11 +358,12 @@ class OverrideOracle(SequenceOracle):
         self.patch = {int(k): v for k, v in patch.items()}
         self.alphabet = tuple(sorted({*inner.alphabet, *self.patch.values()}, key=symbol_key))
 
-    def _symbols(self, lo, hi):
-        out = self.inner.window(lo, hi)
+    def _digits(self, lo, hi):
+        out = _recode(self.inner.digits(lo, hi), self.inner.alphabet, self.alphabet)
+        chars = _digits_of(self.alphabet).chars
         for n, symbol in self.patch.items():
             if lo <= n <= hi:
-                out[n - lo] = symbol
+                out = out[:n - lo] + chars[symbol] + out[n - lo + 1:]
         return out
 
     def tails(self):
@@ -265,10 +393,9 @@ class _EncodedWindow:
 
     __slots__ = ("lo", "text", "_chars", "_masks")
 
-    def __init__(self, alphabet, buf, lo: int):
-        # dense characters chr(0), chr(1), ...: a symbol listed twice gets one
-        self._chars = {s: chr(i) for i, s in enumerate(dict.fromkeys(alphabet))}
-        self.text = "".join(map(self._chars.__getitem__, buf))
+    def __init__(self, alphabet, text: str, lo: int):
+        self._chars = _digits_of(alphabet).chars
+        self.text = text  # a digit string over alphabet
         self.lo = lo  # the position of text[0]
         self._masks = {}
 
@@ -320,7 +447,7 @@ def occurrences(oracle: SequenceOracle, word: WordPattern, lo: int, hi: int):
     if lo > hi:
         raise InputError(f"window [{lo}, {hi}] is empty")
     buf_lo = lo + word.offsets[0]
-    window = _EncodedWindow(oracle.alphabet, oracle.window(buf_lo, hi + word.offsets[-1]),
+    window = _EncodedWindow(oracle.alphabet, oracle.digits(buf_lo, hi + word.offsets[-1]),
                             buf_lo)
     return _positions(window.starts(word.offsets, word.symbols, lo, hi), lo)
 
@@ -429,8 +556,9 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
             f"max_len <= {MAX_WORD_LENGTH} and radius <= {MAX_WINDOW_RADIUS} required")
     if gap_bound is None:
         gap_bound = max(1, radius // 2)
-    buf = oracle.window(-radius, radius + max_len - 1)
-    window = _EncodedWindow(oracle.alphabet, buf, -radius)
+    window = _EncodedWindow(oracle.alphabet, oracle.digits(-radius, radius + max_len - 1),
+                            -radius)
+    prefix = _digits_of(oracle.alphabet).decode(window.text[radius:radius + max_len])
     worst = 0
     violations = []
     occ = (1 << (2 * radius + 1)) - 1  # bit h + radius: h starts the prefix
@@ -441,7 +569,7 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
         if stats.worst is not None and stats.worst <= gap_bound:
             worst = max(worst, stats.worst)
         else:
-            violations.append((WordPattern.contiguous(buf[radius:radius + length]), occ, stats))
+            violations.append((WordPattern.contiguous(prefix[:length]), occ, stats))
     if not violations:
         return RecurrenceCertificate("verified", max_len, radius, gap_bound,
                                      g_star=worst, exact=True)

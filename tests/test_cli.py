@@ -651,8 +651,10 @@ def test_malformed_group_files_exit_2_with_one_line(family_files, capsys, name, 
     ("scalar-points.yaml", "coding: cell '1' points must be a list"),
 ])
 def test_malformed_coding_files_exit_2_with_one_line(family_files, capsys, name, message):
+    # an error in a quadratic leaf is prefixed with the leaf's path
+    where = {"zero-denominator.yaml": "coding.cells[0].hi: "}.get(name, "")
     assert run_cli("rotation", "boundary", "--coding", str(family_files / name)) == 2
-    assert capsys.readouterr().err == f"input error: {family_files / name}: {message}\n"
+    assert capsys.readouterr().err == f"input error: {family_files / name}: {where}{message}\n"
 
 
 @pytest.mark.parametrize("radicand,code", [("1000000000000000003", 0),
@@ -1035,6 +1037,55 @@ def _leaves(node, path=()):
         yield path
 
 
+def _typed_leaf(kind, path):
+    """(type, where) of a leaf that a typed reader reads, where being the path
+    its errors name, or None for an untyped leaf: a group table entry, a
+    catalog name or a set op.  A periodic word names the oracle level."""
+    if kind == "group":
+        return ("int", "group.order") if path == ("order",) else None
+    if kind == "function":
+        return "symbol", "function.values"
+    if kind == "candidate-set":
+        if len(path) == 2:
+            return "int", "candidate-set.elements"
+        return "int", f"candidate-set.elements[{path[1]}].{path[2]}"
+    where, steps = kind, list(path)
+    while steps:
+        step = steps.pop(0)
+        if step in ("alpha", "base"):
+            return "quadratic", f"{where}.{step}"
+        if step == "cells":
+            at = f"{where}.cells[{steps[0]}]"
+            field = [s for s in steps if isinstance(s, str) and s != "arcs"][-1]
+            return "bool" if field.endswith("_closed") else "quadratic", f"{at}.{field}"
+        if step in ("aps", "include", "exclude", "offsets"):
+            return "int", f"{where}.{step}"
+        if step == "halfline":
+            return "int", f"{where}.halfline.from"
+        if step in ("rule", "patch"):
+            return "symbol", f"{where}.{step}"
+        if step == "periodic":
+            return "word", where
+        if step == "op":
+            return None
+        where = f"{where}.{step}"
+    raise AssertionError(f"unclassified leaf {path}")
+
+
+def _refuses(leaf_type, value):
+    """Whether a reader of this type must refuse the value (a wrong one it may
+    read as a valid value, such as -1 for an int, is left to the verdict)."""
+    if leaf_type == "int":
+        return type(value) is not int
+    if leaf_type == "bool":
+        return value is not True
+    if leaf_type == "word":
+        return not (isinstance(value, (str, list)) and value)
+    if type(value) not in (int, str):
+        return True
+    return leaf_type == "quadratic" and value in ("x", "1/0", "²")
+
+
 @pytest.mark.parametrize("name", list(KEY_FAULT_FIXTURES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -1045,19 +1096,33 @@ def test_a_wrong_value_at_any_leaf_is_refused_or_read(key_fault_files, name, dat
     level = doc
     for step in path:
         level = level[step]
-    level[last] = data.draw(st.sampled_from(WRONG_VALUES), label="value")
-    try:
-        getattr(scenarios, "build_" + kind.replace("-", "_"))(doc)
-    except (InputError, BoundExceeded):
-        pass
+    level[last] = value = data.draw(st.sampled_from(WRONG_VALUES), label="value")
+    typed = _typed_leaf(kind, (*path, last))
+    refused = typed is not None and _refuses(typed[0], value)
+    builder = getattr(scenarios, "build_" + kind.replace("-", "_"))
+    if refused:
+        # a typed leaf refuses a value of the wrong type with one line naming its path
+        with pytest.raises(ScenarioError) as caught:
+            builder(doc)
+        assert str(caught.value).startswith(typed[1] + ": ")
+    else:
+        try:
+            builder(doc)
+        except (InputError, BoundExceeded):
+            pass
     path_file = key_fault_files / "faulty.yaml"
     path_file.write_text(emit_scenario(doc), encoding="utf-8")
     argv = [str(path_file) if a == "{}" else str(key_fault_files / a) if a.endswith(".yaml")
             else a for a in CLI_FOR_KIND[kind]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        assert main(argv) in (0, 2, 3)
-    assert err.getvalue().count("\n") <= 1
+        code = main(argv)
+    if refused:
+        assert (code, out.getvalue(), err.getvalue()) == (
+            2, "", f"input error: {path_file}: {caught.value}\n")
+    else:
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") <= 1
 
 
 DASH_INCLUDE = 'kind: oracle\nid: dash\nset: {include: ["--3"]}\n'
@@ -1104,3 +1169,36 @@ def test_integer_strings_and_flags_are_read_strictly(files, tmp_path, argv, code
     for name, path in files.items():
         message = message.replace("{" + name + "}", path)
     assert err.getvalue() == (message + "\n" if message else "")
+
+
+@pytest.mark.parametrize("name,text,argv,message", [
+    ("null-alpha.yaml", STURMIAN_CODING.replace("alpha: sqrt(5)-2", "alpha: null"),
+     ["rotation", "boundary", "--coding", "{}"],
+     "coding.alpha: expected a quadratic expression, got None"),
+    ("float-lo.yaml", STURMIAN_CODING.replace("lo: 2*alpha", "lo: 0.5"),
+     ["rotation", "boundary", "--coding", "{}"],
+     "coding.cells[1].lo: expected a quadratic expression, got 0.5"),
+    ("list-value.yaml", PERIOD_FUNCTION.replace("[0, 1, 0, 1]", "[[], 1, 0, 1]"),
+     ["system", "build", "--group", "z4.yaml", "--function", "{}", "--dump"],
+     "function.values: expected an int or a string symbol, got []"),
+    ("float-value.yaml", PERIOD_FUNCTION.replace("[0, 1, 0, 1]", "[0, 1.5, 0, 1]"),
+     ["system", "build", "--group", "z4.yaml", "--function", "{}"],
+     "function.values: expected an int or a string symbol, got 1.5"),
+    ("order-7.yaml", Z4_GROUP.replace("order: 4", "order: 7"), ["group", "analyze", "{}"],
+     "group.order: 7 does not match the 4 table rows"),
+    ("order-text.yaml", Z4_GROUP.replace("order: 4", 'order: "1/0"'), ["group", "analyze", "{}"],
+     "group.order: expected an integer, got '1/0'"),
+    ("int-alphabet.yaml", PARITY3_CODE + "input_alphabet: 5\n",
+     ["code", "apply", "--code", "{}", "--oracle", "b.yaml"],
+     "code.input_alphabet: expected a list of symbols, got 5"),
+], ids=["null-alpha", "float-lo", "list-value", "float-value", "order-7", "order-text",
+        "int-alphabet"])
+def test_symbols_quadratics_and_order_are_read_with_their_path(files, tmp_path, name, text,
+                                                               argv, message):
+    # each of these exited 0, named no path, or (int-alphabet) ended in a traceback
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main([str(path) if a == "{}" else files.get(a, a) for a in argv]) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", f"input error: {path}: {message}\n")

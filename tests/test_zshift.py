@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shiftlab.algebra import QuadraticNumber, frac_part
+from shiftlab.algebra import QuadraticNumber, frac_part, symbol_key
 from shiftlab.codes import BlockCode
 from shiftlab.errors import (
     AlphabetMismatchError,
@@ -106,6 +106,15 @@ def test_override_window():
     assert OverrideOracle(zero, {0: 1}).window(-1, 1) == [0, 1, 0]
 
 
+def test_window_symbols_keep_their_type():
+    # (0, 1) == (False, True) as tuples: the bool alphabet must not be read
+    # through the int one, in either order
+    for word in ((0, 1, 1), (True, False, False), (0, 1, 1), ("1", "0", "0")):
+        got = PeriodicOracle(word).window(0, 5)
+        assert got == list(word) * 2
+        assert list(map(type, got)) == list(map(type, word)) * 2
+
+
 def test_window_cap():
     with pytest.raises(WindowTooLargeError):
         PeriodicOracle((0, 1)).window(0, 10**7 + 5)
@@ -118,13 +127,18 @@ def test_pinned_sets_agree_with_their_definitions():
 
 
 class CountingOracle(PeriodicOracle):
-    """A periodic oracle that counts how it is read."""
+    """A periodic oracle that counts how it is read: as symbols, as a digit
+    string, or one value at a time."""
 
-    windows = values = 0
+    windows = digit_reads = values = 0
 
     def window(self, lo, hi):
         self.windows += 1
         return super().window(lo, hi)
+
+    def digits(self, lo, hi):
+        self.digit_reads += 1
+        return super().digits(lo, hi)
 
     def value(self, n):
         self.values += 1
@@ -141,7 +155,24 @@ def test_wrapping_oracle_reads_its_inner_oracle_once(wrap):
     inner = CountingOracle((0, 1, 1, 0, 1))
     outer = wrap(inner)
     got = outer.window(-30, 40)
-    assert (inner.windows, inner.values) == (1, 0)
+    # one digit-string read of the inner oracle, and no symbol or value read
+    assert (inner.windows, inner.digit_reads, inner.values) == (0, 1, 0)
+    assert got == SpecOracle(outer).window(-30, 40)
+
+
+@pytest.mark.parametrize("word,wrap", [
+    # 7**3 = 343 patterns: more than a byte lane holds
+    ((3, 0, 6, 1, 5, 2, 4, 4, 0),
+     lambda inner: CodeImageOracle(BlockCode((-1, 0, 2), {p: "abc"[sum(p) % 3] for p in
+                                                          product(range(7), repeat=3)},
+                                             tuple(range(7))), inner)),
+    (("x", "y", "y"), lambda inner: OverrideOracle(inner, {0: "a", 7: "z"})),
+], ids=["wide-code", "string-override"])
+def test_wide_and_string_wrappers_read_their_inner_oracle_once(word, wrap):
+    inner = CountingOracle(word)
+    outer = wrap(inner)
+    got = outer.window(-30, 40)
+    assert (inner.windows, inner.digit_reads, inner.values) == (0, 1, 0)
     assert got == SpecOracle(outer).window(-30, 40)
 
 
@@ -169,14 +200,32 @@ def rotation_oracles(draw):
     return RotationOracle(RotationCoding(alpha, cells, base))
 
 
+# Every symbol an oracle tree adds (periodic words, rule outputs, patch values)
+# comes from one palette, so that no tree mixes symbols that are equal but
+# differ in type, such as False and 0.
+PALETTES = {"ints": (0, 1, 2), "strs": ("a", "b", "ab"), "bools": (False, True)}
+
+
 @st.composite
-def nested_oracles(draw, depth=3):
+def nested_oracles(draw, depth=3, palette=None):
     """A random oracle whose wrappers (code images, patches) nest at most
-    ``depth`` oracles deep."""
-    kind = draw(st.sampled_from(("periodic", "set", "rotation", "code", "override")
-                                if depth > 1 else ("periodic", "set", "rotation")))
+    ``depth`` oracles deep.
+
+    Sets and rotation codings, whose symbols are ints, are leaves only
+    under the int and string palettes.  A "wide" code image reads a
+    7-symbol periodic oracle through 3 offsets: 343 patterns, more than one
+    byte lane holds.  A code's output alphabet may be sorted, reversed or
+    list a symbol twice.
+    """
+    if palette is None:
+        palette = draw(st.sampled_from(sorted(PALETTES)))
+    symbols = PALETTES[palette]
+    leaves = ("periodic",) if palette == "bools" else ("periodic", "set", "rotation")
+    kind = draw(st.sampled_from(leaves + ("code", "override") if depth > 1 else leaves))
+    if kind == "code" and draw(st.integers(0, 3)) == 0:
+        kind = "wide"
     if kind == "periodic":
-        return PeriodicOracle(draw(st.lists(st.integers(0, 2), min_size=1, max_size=5)))
+        return PeriodicOracle(draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=5)))
     if kind == "set":
         fixes = st.lists(st.integers(-12, 12), max_size=3)
         return SetOracle(draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 5)),
@@ -185,15 +234,25 @@ def nested_oracles(draw, depth=3):
                          draw(st.sampled_from(("union", "inter", "complement"))))
     if kind == "rotation":
         return draw(rotation_oracles())
-    inner = draw(nested_oracles(depth - 1))
-    if kind == "override":
-        return OverrideOracle(inner, draw(st.dictionaries(st.integers(-12, 12),
-                                                          st.integers(0, 2), max_size=3)))
-    offsets = tuple(sorted(draw(st.sets(st.integers(-3, 3), min_size=1, max_size=3))))
+    if kind == "wide":
+        inner = PeriodicOracle(draw(st.permutations(range(7)))
+                               + draw(st.lists(st.integers(0, 6), max_size=4)))
+        offsets = tuple(sorted(draw(st.sets(st.integers(-3, 3), min_size=3, max_size=3))))
+    else:
+        inner = draw(nested_oracles(depth - 1, palette))
+        if kind == "override":
+            return OverrideOracle(inner, draw(st.dictionaries(
+                st.integers(-12, 12), st.sampled_from(symbols), max_size=3)))
+        offsets = tuple(sorted(draw(st.sets(st.integers(-3, 3), min_size=1, max_size=3))))
     patterns = list(product(inner.alphabet, repeat=len(offsets)))
-    outputs = draw(st.lists(st.integers(0, 2), min_size=len(patterns), max_size=len(patterns)))
-    return CodeImageOracle(BlockCode(offsets, dict(zip(patterns, outputs)), inner.alphabet),
-                           inner)
+    rng = draw(st.randoms(use_true_random=False))
+    outputs = [rng.choice(symbols) for _ in patterns]
+    alphabet = tuple(sorted(set(outputs), key=symbol_key))
+    order = draw(st.sampled_from(("sorted", "reversed", "repeated")))
+    alphabet = {"sorted": alphabet, "reversed": alphabet[::-1],
+                "repeated": alphabet + alphabet[:1]}[order]
+    return CodeImageOracle(BlockCode(offsets, dict(zip(patterns, outputs)), inner.alphabet,
+                                     alphabet), inner)
 
 
 def edges(oracle):
@@ -233,10 +292,17 @@ def test_windows_agree_with_the_per_symbol_reference(oracle, data):
         lo = centre - data.draw(st.integers(0, 6))
         hi = centre + data.draw(st.integers(0, 6))
         want = spec.window(lo, hi)
-        assert oracle.window(lo, hi) == want
+        got = oracle.window(lo, hi)
+        assert got == want and list(map(type, got)) == list(map(type, want))
         for n, symbol in zip(range(lo, hi + 1), want):
             assert oracle.window(n, n) == [symbol]
             assert oracle.value(n) == symbol
+    # and one window longer than 300 symbols
+    lo = data.draw(st.integers(-400, 100))
+    hi = lo + data.draw(st.integers(300, 360))
+    want = spec.window(lo, hi)
+    got = oracle.window(lo, hi)
+    assert got == want and list(map(type, got)) == list(map(type, want))
 
 
 # -- occurrences -----------------------------------------------------------------------
