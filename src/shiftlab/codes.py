@@ -9,6 +9,12 @@ periodic oracles), searches for a code realizing one sequence from
 another in a canonical enumeration order, and runs the combinatorial
 intersection-pattern test for isomorphic sets.
 
+Patterns have one form here: the pattern code of ``_pattern_codes``, read
+off digit strings.  Orbit-closure representatives are digit strings, the
+separation verdict maps their codes through a table of one output per
+code, and the search hands it each candidate rule as its list of output
+digits, building a BlockCode only for the rule it returns.
+
 Windowed verdicts are certificates at their stated depth, never proofs
 for all of Z; report objects carry that caveat explicitly.
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, combinations, product
 
 from .algebra import symbol_key
 from .errors import AlphabetMismatchError, BoundsExceededError, InputError, VerificationFailedError
@@ -159,24 +165,17 @@ def verify_realization(code: BlockCode, source: SequenceOracle,
 
 @dataclass(frozen=True)
 class Representative:
-    """A centered word of the orbit-closure approximation.
-
-    ``extended`` covers the coordinates needed to evaluate a code at every
-    shift within the depth; ``periodic`` carries (period, phase-anchored
-    pattern) when the representative is an exact tail limit point.
+    """A centered word of the orbit-closure approximation, as digit strings
+    over the oracle's alphabet: ``text`` holds the coordinates from ``ext_lo``
+    on, enough to evaluate a code at every shift within the depth, and
+    ``tile`` those in 0..period-1 when the representative is an exact tail
+    limit point.  ``center`` is the decoded centered word, as reported.
     """
 
     center: tuple
-    extended: tuple
+    text: str
     ext_lo: int
-    periodic: tuple | None = None   # (period, tuple pattern aligned at index 0)
-
-    def patterns(self, offsets, depth: int):
-        """The patterns a code with these offsets reads at shifts -depth..depth."""
-        start = -depth - self.ext_lo
-        if start + offsets[0] < 0 or start + offsets[-1] + 2 * depth >= len(self.extended):
-            raise IndexError(f"representative does not cover offsets {offsets}")
-        return zip(*(self.extended[start + o:start + o + 2 * depth + 1] for o in offsets))
+    tile: str | None = None
 
 
 def windowed_orbit_representatives(oracle: SequenceOracle, depth: int, radius: int,
@@ -198,22 +197,43 @@ def windowed_orbit_representatives(oracle: SequenceOracle, depth: int, radius: i
     reps = {}
     for word in centers:
         i = text.find(word, at) - at  # t + radius for that first t
-        center = tuple(decode(word))
-        reps[center] = Representative(center, tuple(decode(text[i:i + width])), lo_i)
+        reps[word] = Representative(tuple(decode(word)), text[i:i + width], lo_i)
     tails = oracle.tails()
     if tails is not None:
         period = tails.period
         for word in (oracle.digits(tails.right_from, tails.right_from + period - 1),
                      oracle.digits(tails.left_upto - period + 1, tails.left_upto)):
             for phase in range(period):
-                aligned = word[phase:] + word[:phase]
-                # ext[j] = aligned[(lo_i + j) % period]
-                ext = (aligned * (width // period + 2))[lo_i % period:][:width]
-                center = tuple(decode(ext[at:at + size]))
-                rep = Representative(center, tuple(decode(ext)), lo_i,
-                                     periodic=(period, tuple(decode(aligned))))
-                reps[center] = rep  # periodic structure wins over a plain window word
+                tile = word[phase:] + word[:phase]
+                # ext[j] = tile[(lo_i + j) % period]
+                ext = (tile * (width // period + 2))[lo_i % period:][:width]
+                center = ext[at:at + size]
+                # periodic structure wins over a plain window word
+                reps[center] = Representative(tuple(decode(center)), ext, lo_i, tile)
     return list(reps.values())
+
+
+def _code_lists(reps, alphabet, symbols, offsets, depth):
+    """(window, period) pattern codes of each representative over the digits
+    of ``symbols``, recoded from ``alphabet``: those a code with these offsets
+    reads at shifts -depth..depth, and at shifts 0..period-1 for a limit
+    point (else None).  One ``_pattern_codes`` call reads every piece, joined."""
+    size, span = 2 * depth + 1, offsets[-1] - offsets[0]
+    pieces = []
+    for rep in reps:
+        start = -depth + offsets[0] - rep.ext_lo
+        piece = rep.text[start:start + size + span]
+        if start < 0 or len(piece) - span != size:  # fewer codes than shifts
+            raise IndexError(f"representative does not cover offsets {offsets}")
+        pieces.append(piece)
+        if rep.tile is not None:
+            p = len(rep.tile)
+            # coordinates offsets[0] on, so that code s reads the pattern at shift s
+            pieces.append((rep.tile[offsets[0] % p:] + rep.tile * (span // p + 2))[:p + span])
+    codes = _pattern_codes(_recode("".join(pieces), alphabet, symbols), len(symbols), offsets)
+    at = [0, *accumulate(map(len, pieces))]  # no code straddling two pieces is kept
+    lists = iter([codes[i:j - span] for i, j in zip(at, at[1:])])
+    return [(next(lists), None if rep.tile is None else next(lists)) for rep in reps]
 
 
 @dataclass
@@ -251,7 +271,11 @@ def verify_generalized_projection(code: BlockCode, oracle: SequenceOracle,
         raise AlphabetMismatchError(f"oracle symbols {bad} outside code input alphabet")
     reps = windowed_orbit_representatives(
         oracle, depth, radius, ext_lo=code.offsets[0], ext_hi=code.offsets[-1])
-    return _separation(code, reps, depth, radius)
+    symbols = _digits_of(oracle.alphabet).symbols
+    # pattern code c has output table[c]: patterns in product order, as CodeImageOracle reads them
+    table = [code.rule[p] for p in product(symbols, repeat=len(code.offsets))]
+    lists = _code_lists(reps, oracle.alphabet, symbols, code.offsets, depth)
+    return _separation(table, reps, lists, depth, radius)
 
 
 def _check_projection_bounds(depth, radius):
@@ -265,40 +289,34 @@ def _check_projection_bounds(depth, radius):
         raise BoundsExceededError("projection radius must be at least the depth")
 
 
-def _separation(code, reps, depth, radius) -> ProjectionResult:
-    """The separation verdict of verify_generalized_projection on given representatives."""
+def _separation(table, reps, code_lists, depth, radius) -> ProjectionResult:
+    """The separation verdict of verify_generalized_projection on given
+    representatives, their ``_code_lists`` and a table of one output per
+    pattern code.  Witness centers are ordered by ``symbol_key``, so int and
+    str symbols mix; two limit points fail exactly when their outputs over
+    one period each agree over the lcm period."""
     outputs = {}
-    for rep in reps:
-        out = tuple(code.rule[p] for p in rep.patterns(code.offsets, depth))
-        outputs.setdefault(out, []).append(rep)
+    for rep, (window, period) in zip(reps, code_lists):
+        outputs.setdefault(tuple(map(table.__getitem__, window)), []).append((rep, period))
     collisions = [group for group in outputs.values() if len(group) > 1]
     if not collisions:
         return ProjectionResult(True, depth, radius, representatives=len(reps))
+
+    def order(entry):
+        return tuple(map(symbol_key, entry[0].center))
+    pairs = [pair for group in collisions for pair in combinations(sorted(group, key=order), 2)]
+    pairs.sort(key=lambda pair: (order(pair[0]), order(pair[1])))
     # prefer an exactly-failing pair of periodic limit words
-    pairs = []
-    for group in collisions:
-        group = sorted(group, key=lambda r: r.center)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                pairs.append((group[i], group[j]))
-    pairs.sort(key=lambda p: (p[0].center, p[1].center))
-    for a, b in pairs:
-        if a.periodic and b.periodic and _periodic_outputs_agree(code, a, b):
-            return ProjectionResult(False, depth, radius, witness=(a.center, b.center),
-                                    exact=True, representatives=len(reps))
-    a, b = pairs[0]
+    for (a, pa), (b, pb) in pairs:
+        if pa is not None and pb is not None:
+            lcm = math.lcm(len(pa), len(pb))
+            if ([*map(table.__getitem__, pa)] * (lcm // len(pa))
+                    == [*map(table.__getitem__, pb)] * (lcm // len(pb))):
+                return ProjectionResult(False, depth, radius, witness=(a.center, b.center),
+                                        exact=True, representatives=len(reps))
+    (a, _), (b, _) = pairs[0]
     return ProjectionResult(False, depth, radius, witness=(a.center, b.center),
                             exact=False, representatives=len(reps))
-
-
-def _periodic_outputs_agree(code, a, b):
-    period = math.lcm(a.periodic[0], b.periodic[0])
-    for s in range(period):
-        out_a = code.rule[tuple(a.periodic[1][(s + o) % a.periodic[0]] for o in code.offsets)]
-        out_b = code.rule[tuple(b.periodic[1][(s + o) % b.periodic[0]] for o in code.offsets)]
-        if out_a != out_b:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -331,35 +349,12 @@ class SearchResult:
 
 def _offset_sets(max_span):
     """Subsets of [0, max_span] containing 0, by size then lexicographically."""
-    from itertools import combinations
-
     rest = list(range(1, max_span + 1))
     out = []
     for size in range(0, max_span + 1):
         for extra in combinations(rest, size):
             out.append((0,) + extra)
     return out
-
-
-def _encode(pattern, digit, nsym):
-    v = 0
-    for s in pattern:
-        v = v * nsym + digit[s]
-    return v
-
-
-def _patterns_read(offsets, reps, depth):
-    """Every input pattern the separation verdict can read, whatever the rule:
-    each representative's patterns at shifts within the depth, and every
-    phase of a periodic limit word."""
-    read = set()
-    for rep in reps:
-        read.update(rep.patterns(offsets, depth))
-        if rep.periodic is not None:
-            period, pattern = rep.periodic
-            for s in range(period):
-                read.add(tuple(pattern[(s + o) % period] for o in offsets))
-    return read
 
 
 def _extensions(forced, read, size, nout):
@@ -391,26 +386,26 @@ def _forced_rule(enc, scan, t):
     return forced
 
 
-def _consistent_shifts(source, offsets, digit, scan, radius):
+def _consistent_shifts(source, offsets, alphabet, scan, shifts):
     """(t, forced) for every shift t, in centered order, at which some rule on
     these offsets carries the shifted source onto the target window, with the
     partial rule that window forces.
 
-    ``scan`` lists (n + 2 * radius, target output digit at n) for n in
-    [-radius, radius], in scan order.  The source is read once, over every
-    shift, as a digit string in ``digit`` order, and shift t reads the
-    pattern code ``enc[n + 2 * radius + t]`` at n, all codes computed at once
-    by ``_pattern_codes``.  When the codes repeat with the source's tail
+    ``shifts`` is list(centered(radius)) and ``scan`` lists (n + 2 * radius,
+    target output digit at n) in that order of n.  The source is read once,
+    over every shift, as a digit string over ``alphabet``, and shift t reads
+    the pattern code ``enc[n + 2 * radius + t]`` at n, all codes computed at
+    once by ``_pattern_codes``.  When the codes repeat with the source's tail
     period P (checked on the codes themselves), shifts t and t + P read the
     same patterns against the same target, so only the first shift of each
     residue class mod P is scanned and the others reuse its verdict.
     """
+    radius = len(shifts) // 2
     text = source.digits(-2 * radius + offsets[0], 2 * radius + offsets[-1])
-    enc = _pattern_codes(_recode(text, source.alphabet, tuple(digit)), len(digit), offsets)
+    enc = _pattern_codes(_recode(text, source.alphabet, alphabet), len(alphabet), offsets)
     tails = source.tails()
     period = tails.period if tails is not None else 0
     repeats = 0 < period < len(enc) and enc[period:] == enc[:-period]
-    shifts = list(centered(radius))
     # without a repeat every shift is its own class; either way the first
     # `classes` shifts in centered order are consecutive integers, so they
     # are the first shift of each residue class
@@ -428,14 +423,15 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     index order; for each rule, shifts 0, 1, -1, 2, ...  The implementation
     propagates the constraints the realization window forces on the rule:
     a rule realizes at a shift exactly when it extends that shift's forced
-    partial rule, and the separation verdict reads only the patterns of the
-    orbit-closure representatives.  The extensions of every consistent
-    partial are merged in rule-index order; the first that separates, at
-    the first shift whose partial it extends, is the canonical enumeration's
-    first hit, found at a fraction of the cost.  A found pair is
-    re-verified from scratch and reported as a desk-scale certificate,
-    never as a proof over all of Z.  A negative radius, max_span or depth is
-    an InputError.
+    partial rule, and the separation verdict reads only the pattern codes of
+    the orbit-closure representatives.  The extensions of every consistent
+    partial, lists of output digits that the verdict reads as its table,
+    are merged in rule-index order; the first that separates, at the first
+    shift whose partial it extends, is the canonical enumeration's first
+    hit, found at a fraction of the cost, and only it becomes a BlockCode.
+    A found pair is re-verified from scratch and reported as a desk-scale
+    certificate, never as a proof over all of Z.  A negative radius,
+    max_span or depth is an InputError.
 
     A source whose window repeats with its tail period P is decided once
     per residue class of shifts mod P; ``candidates_tried`` still counts
@@ -451,39 +447,39 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     if _over_cap(len(in_alpha), max_span + 1, 2 * radius + 1):
         raise BoundsExceededError("search space exceeds the tuple cap")
 
-    digit = {s: i for i, s in enumerate(in_alpha)}
-    out_digit = {s: i for i, s in enumerate(out_alpha)}
-    want = target.window(-radius, radius)
+    want = _recode(target.digits(-radius, radius), target.alphabet, out_alpha)
+    shifts = list(centered(radius))
     # conflicts cluster near the structured center, so scan n center-out
-    scan = [(n + 2 * radius, out_digit[want[n + radius]]) for n in centered(radius)]
-    nsym = len(in_alpha)
+    scan = [(n + 2 * radius, ord(want[n + radius])) for n in shifts]
     tried = 0
     for offsets in _offset_sets(max_span):
-        partials = _consistent_shifts(source, offsets, digit, scan, radius)
+        partials = _consistent_shifts(source, offsets, in_alpha, scan, shifts)
         tried += 2 * radius + 1
         if not partials:
             continue
         _check_projection_bounds(depth, radius)
         reps = windowed_orbit_representatives(
             source, depth, radius, ext_lo=offsets[0], ext_hi=offsets[-1])
-        # pattern number i of the canonical pattern list encodes to i
-        patterns = list(product(in_alpha, repeat=len(offsets)))
-        read = {_encode(p, digit, nsym) for p in _patterns_read(offsets, reps, depth)}
+        code_lists = _code_lists(reps, source.alphabet, in_alpha, offsets, depth)
+        # every pattern code the separation verdict can read, whatever the rule
+        read = {c for pair in code_lists for codes in pair if codes is not None for c in codes}
         distinct = {frozenset(forced.items()): forced for _, forced in partials}
-        streams = [_extensions(forced, read, len(patterns), len(out_alpha))
+        streams = [_extensions(forced, read, len(in_alpha) ** len(offsets), len(out_alpha))
                    for forced in distinct.values()]
         last = None
         for key, digits in heapq.merge(*streams):
             if key == last:
                 continue
             last = key
-            rule = {p: out_alpha[d] for p, d in zip(patterns, digits)}
-            code = BlockCode(offsets, rule, in_alpha, out_alpha)
-            proj = _separation(code, reps, depth, radius)
+            proj = _separation(digits, reps, code_lists, depth, radius)
             if not proj.separates:
                 continue
             t = next(t for t, forced in partials
                      if all(digits[i] == d for i, d in forced.items()))
+            # pattern number i of the canonical pattern list has code i
+            rule = dict(zip(product(in_alpha, repeat=len(offsets)),
+                            map(out_alpha.__getitem__, digits)))
+            code = BlockCode(offsets, rule, in_alpha, out_alpha)
             real = verify_realization(code, shifted_oracle(source, t), target, radius)
             if not real.agrees:
                 raise VerificationFailedError("forced rule failed its own realization recheck")

@@ -7,17 +7,18 @@ and finite patches over an inner oracle.  A window's native form is a
 digit string: character i is chr(k) for the symbol number k of the
 oracle's deduplicated alphabet at lo + i.  Each oracle has one evaluator,
 which fills the whole digit string with C-level str, bytes and int
-operations: a periodic word is tiled, a set is ORed or ANDed from byte
-arrays, a code image computes every pattern code at once in byte lanes of
-one int (SIMD within a register) and maps codes to output digits by one
-translate, and a patch remaps its inner digits by one translate.  A code
-image or a patch reads its inner oracle once.  ``window`` decodes the
-digit string into a list of symbols; a rotation coding's ``window`` is
-its orbit walk's own label list.  On top of evaluation this module
-extracts windowed languages, finds word occurrences, measures gap
-statistics, and produces uniform-recurrence certificates; a windowed
-refutation is only a candidate unless the rotation backend can settle the
-word exactly.  Every word scan goes through one bit-parallel matcher: the
+operations: a periodic word is tiled, a set assigns one byte-array slice
+per generator (an intersection is first folded into one progression by
+the Chinese remainder theorem), a code image computes every pattern code
+at once in byte lanes of one int (SIMD within a register) and maps codes
+to output digits by one translate, and a patch remaps its inner digits by
+one translate.  A code image or a patch reads its inner oracle once.
+``window`` decodes the digit string into a list of symbols; a rotation
+coding's ``window`` is its orbit walk's own label list.  On top of
+evaluation this module extracts windowed languages, finds word
+occurrences, measures gap statistics, and produces uniform-recurrence
+certificates; a windowed refutation is only a candidate unless the
+rotation backend can settle the word exactly.  Every word scan goes through one bit-parallel matcher: the
 window keeps one int mask per alphabet symbol, a word's starts are the AND
 of its symbols' masks shifted by their offsets (shift-and, Baeza-Yates &
 Gonnet 1992), and positions and gap statistics are read off the result in
@@ -231,6 +232,21 @@ class PeriodicOracle(SequenceOracle):
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
+def _meet(aps):
+    """The intersection of the progressions {a + k d : k in Z} as one
+    progression (a, d), 0 <= a < d, or None when it is empty: the Chinese
+    remainder theorem, one progression at a time."""
+    a, d = 0, 1
+    for b, e in aps:
+        g = math.gcd(d, e)
+        if (b - a) % g:
+            return None
+        # a + d k = b (mod e): (d / g) k = (b - a) / g (mod e / g)
+        k = (b - a) // g * pow(d // g, -1, e // g) % (e // g)
+        a, d = (a + d * k) % (d // g * e), d // g * e
+    return a, d
+
+
 class SetOracle(SequenceOracle):
     """Binary indicator of a set built from APs, a half-line and finite fixes.
 
@@ -256,24 +272,22 @@ class SetOracle(SequenceOracle):
         n = hi - lo + 1
         ones = b"\1" * n
         # the positions each generator (an AP or the half-line) holds, as a slice
-        generators = [slice((a - lo) % d, None, d) for a, d in self.aps]
-        if self.halfline is not None:
-            generators.append(slice(max(self.halfline - lo, 0), None))
-        if self.op == "inter" and generators:
-            # one byte array per generator, read as an int and ANDed
-            base = -1
-            for part in generators:
-                held = bytearray(n)
-                held[part] = ones[part]
-                base &= int.from_bytes(held, "little")
-            out = bytearray(base.to_bytes(n, "little"))
+        if self.op == "inter" and (self.aps or self.halfline is not None):
+            # the progressions meet in one progression (CRT), clipped to the half-line
+            meet = _meet(self.aps)
+            start = 0 if self.halfline is None else max(self.halfline - lo, 0)
+            generators = [] if meet is None else [
+                slice(start + (meet[0] - lo - start) % meet[1], None, meet[1])]
         else:
-            # a union is the generators' slices assigned into one byte array
-            out = bytearray(n)
-            for part in generators:
-                out[part] = ones[part]
-            if self.op == "complement":
-                out = out.translate(_FLIP)
+            generators = [slice((a - lo) % d, None, d) for a, d in self.aps]
+            if self.halfline is not None:
+                generators.append(slice(max(self.halfline - lo, 0), None))
+        # a union is the generators' slices assigned into one byte array
+        out = bytearray(n)
+        for part in generators:
+            out[part] = ones[part]
+        if self.op == "complement":
+            out = out.translate(_FLIP)
         for fix, digit in ((self.exclude, 0), (self.include, 1)):
             for m in fix:
                 if lo <= m <= hi:

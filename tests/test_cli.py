@@ -672,6 +672,10 @@ MIXED_FILES = {
     "mixed-code.yaml": "kind: code\nid: mixed\noffsets: [0]\nrule:\n  \"0\": 0\n  \"1\": a\n",
     "mixed-coding.yaml": STURMIAN_ORACLE.replace('"a"', '"0"').replace('"b"', '"x"'),
     "cand.yaml": CANDIDATES,
+    "mixed-triple.yaml": "kind: oracle\nid: triple\nperiodic: \"0aa\"\n",
+    "mixed-merge.yaml": "kind: code\nid: merge\noffsets: [0]\nrule:\n  \"0\": 0\n  \"a\": 0\n",
+    "mixed-six.yaml": "kind: oracle\nid: six\nperiodic: \"0a0aa0\"\n",
+    "mixed-pair.yaml": "kind: oracle\nid: pair\nperiodic: \"0a\"\n",
 }
 
 
@@ -682,7 +686,13 @@ MIXED_FILES = {
      "--window", "30"],
     ["recur", "chromatic", "--set", "cand.yaml", "--coloring", "mixed-coding.yaml",
      "--window", "30"],
-], ids=["seq-window", "code-apply", "code-search", "recur-chromatic"])
+    # separation witnesses whose centers mix 0 and "a"
+    ["code", "verify", "--code", "mixed-merge.yaml", "--source", "mixed-triple.yaml",
+     "--separation", "--window", "20", "--depth", "2"],
+    ["code", "search", "--target", "mixed-pair.yaml", "--source", "mixed-six.yaml",
+     "--depth", "1", "--window", "30"],
+], ids=["seq-window", "code-apply", "code-search", "recur-chromatic", "code-verify-witness",
+        "code-search-witness"])
 def test_int_and_str_symbols_mix(tmp_path, argv):
     # every alphabet here holds both an int and a str symbol
     for name, text in MIXED_FILES.items():

@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import codes
-from shiftlab.algebra import QuadraticNumber, catalog
+from shiftlab.algebra import QuadraticNumber, catalog, symbol_key
 from shiftlab.codes import (
     BlockCode,
     SearchResult,
+    ProjectionResult,
     _consistent_shifts,
-    _encode,
     _offset_sets,
     apply_code,
     intersection_pattern_check,
@@ -157,6 +158,185 @@ def test_windowed_orbit_of_periodic_has_exactly_r_points():
         assert len(reps) == r, r
 
 
+# -- the tuple-form separation verdict, kept as a reference ----------------------------
+
+def tuple_representatives(oracle, depth, radius, ext_lo, ext_hi):
+    """{center: (extended, periodic)}: every centered word of the window, and
+    each phase of each periodic tail, as tuples of symbols read by ``window``.
+    ``extended`` starts at coordinate -depth + min(ext_lo, 0); ``periodic``
+    is (period, the symbols at coordinates 0..period-1) for a limit point."""
+    lo_i, hi_i = -depth + min(ext_lo, 0), depth + max(ext_hi, 0)
+    width, at, size = hi_i - lo_i + 1, -depth - lo_i, 2 * depth + 1
+    values = oracle.window(-radius + lo_i, radius + hi_i)
+    reps = {}
+    for i in range(2 * radius + 1):
+        extended = tuple(values[i:i + width])
+        reps.setdefault(extended[at:at + size], (extended, None))
+    tails = oracle.tails()
+    if tails is not None:
+        p = tails.period
+        for word in (oracle.window(tails.right_from, tails.right_from + p - 1),
+                     oracle.window(tails.left_upto - p + 1, tails.left_upto)):
+            for phase in range(p):
+                aligned = tuple(word[phase:] + word[:phase])
+                extended = tuple(aligned[(lo_i + j) % p] for j in range(width))
+                reps[extended[at:at + size]] = (extended, (p, aligned))
+    return reps
+
+
+def tuple_patterns(extended, offsets, depth, ext_lo):
+    """The patterns a code with these offsets reads at shifts -depth..depth."""
+    start = -depth - ext_lo
+    return zip(*(extended[start + o:start + o + 2 * depth + 1] for o in offsets))
+
+
+def periodic_outputs_agree(code, a, b):
+    """Do two limit points, given as (period, aligned symbols), have equal
+    code outputs at every shift of a common period?"""
+    period = math.lcm(a[0], b[0])
+    for s in range(period):
+        out_a = code.rule[tuple(a[1][(s + o) % a[0]] for o in code.offsets)]
+        out_b = code.rule[tuple(b[1][(s + o) % b[0]] for o in code.offsets)]
+        if out_a != out_b:
+            return False
+    return True
+
+
+def tuple_projection(code, oracle, depth, radius) -> ProjectionResult:
+    """Reference for verify_generalized_projection: patterns zipped out of
+    tuples and looked up in the rule one by one, witness centers ordered by
+    symbol_key, limit pairs compared shift by shift over the lcm period."""
+    offsets = code.offsets
+    reps = tuple_representatives(oracle, depth, radius, offsets[0], offsets[-1])
+    ext_lo = -depth + min(offsets[0], 0)
+    outputs = {}
+    for center, (extended, _) in reps.items():
+        out = tuple(code.rule[p] for p in tuple_patterns(extended, offsets, depth, ext_lo))
+        outputs.setdefault(out, []).append(center)
+    collisions = [group for group in outputs.values() if len(group) > 1]
+    if not collisions:
+        return ProjectionResult(True, depth, radius, representatives=len(reps))
+
+    def key(center):
+        return tuple(map(symbol_key, center))
+
+    pairs = []
+    for group in collisions:
+        group = sorted(group, key=key)
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                pairs.append((group[i], group[j]))
+    pairs.sort(key=lambda pair: (key(pair[0]), key(pair[1])))
+    for a, b in pairs:
+        pa, pb = reps[a][1], reps[b][1]
+        if pa and pb and periodic_outputs_agree(code, pa, pb):
+            return ProjectionResult(False, depth, radius, witness=(a, b), exact=True,
+                                    representatives=len(reps))
+    return ProjectionResult(False, depth, radius, witness=pairs[0], exact=False,
+                            representatives=len(reps))
+
+
+PALETTES = {"int": (0, 1, 2, 3, 4, 5, 6), "str": tuple("abcdefg"),
+            "mixed": (0, "a", 1, "b", 2, "c", 3)}
+
+
+@st.composite
+def projection_oracles(draw, palette):
+    """Periodic words (some over all 7 symbols), sets, patched words and code
+    images of words, whose output alphabet is listed sorted or reversed, so
+    digit order and symbol order differ.  A 7-symbol word read at 3 offsets
+    has 343 pattern codes, which outnumber one-byte lanes."""
+    symbols = PALETTES[palette]
+    kind = draw(st.sampled_from(("periodic", "seven", "set", "patched", "image", "wide")))
+    word = st.lists(st.sampled_from(symbols[:draw(st.integers(1, 7))]), min_size=1, max_size=6)
+    if kind == "periodic":
+        return PeriodicOracle(draw(word))
+    if kind == "seven":
+        return PeriodicOracle(draw(st.permutations(symbols)) + draw(word))
+    if kind == "set":
+        return SetOracle(draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 5)),
+                                       max_size=2)),
+                         draw(st.none() | st.integers(-8, 8)),
+                         draw(st.lists(st.integers(-10, 10), max_size=2)),
+                         draw(st.lists(st.integers(-10, 10), max_size=2)),
+                         draw(st.sampled_from(("union", "inter", "complement"))))
+    if kind == "patched":
+        return OverrideOracle(PeriodicOracle(draw(word)), draw(st.dictionaries(
+            st.integers(-12, 12), st.sampled_from(symbols), min_size=1, max_size=2)))
+    if kind == "wide":
+        inner = PeriodicOracle(draw(st.permutations(symbols)))
+        offsets = tuple(sorted(draw(st.sets(st.integers(-3, 3), min_size=3, max_size=3))))
+    else:
+        inner = PeriodicOracle(draw(word))
+        offsets = tuple(sorted(draw(st.sets(st.integers(-3, 3), min_size=1, max_size=2))))
+    patterns = list(product(inner.alphabet, repeat=len(offsets)))
+    outs = draw(st.lists(st.sampled_from(symbols[:3]), min_size=len(patterns),
+                         max_size=len(patterns)))
+    alphabet = tuple(sorted(set(outs), key=symbol_key))
+    if draw(st.booleans()):
+        alphabet = alphabet[::-1]
+    return CodeImageOracle(BlockCode(offsets, dict(zip(patterns, outs)), inner.alphabet,
+                                     alphabet), inner)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), palette=st.sampled_from(sorted(PALETTES)))
+def test_projection_matches_the_tuple_form_reference(data, palette):
+    oracle = data.draw(projection_oracles(palette))
+    alphabet = tuple(oracle.alphabet)
+    offsets = tuple(sorted(data.draw(st.sets(st.integers(-3, 3), min_size=1, max_size=3))))
+    patterns = list(product(alphabet, repeat=len(offsets)))
+    outs = data.draw(st.lists(st.sampled_from(PALETTES[palette][:3]), min_size=len(patterns),
+                              max_size=len(patterns)))
+    code = BlockCode(offsets, dict(zip(patterns, outs)), alphabet)
+    depth = data.draw(st.integers(0, 4))
+    radius = data.draw(st.integers(depth, 30))
+    want = tuple_projection(code, oracle, depth, radius).describe()
+    assert verify_generalized_projection(code, oracle, depth, radius).describe() == want
+
+
+@pytest.mark.parametrize("offsets", [(-2, 1), (0, 2), (1, 3, 4), (-3, -1)])
+def test_a_limit_point_reads_its_period_codes_at_its_own_shifts(offsets):
+    # every representative of a periodic word is a limit point: its codes at
+    # shifts -depth..depth repeat its codes at shifts 0..period-1
+    oracle, depth = PeriodicOracle((0, 1, 1, 2, 0)), 3
+    reps = windowed_orbit_representatives(oracle, depth, 20, offsets[0], offsets[-1])
+    lists = codes._code_lists(reps, oracle.alphabet, oracle.alphabet, offsets, depth)
+    assert len(reps) == 5
+    for rep, (window, period) in zip(reps, lists):
+        assert len(period) == len(rep.tile) == 5
+        assert list(window) == [period[s % 5] for s in range(-depth, depth + 1)]
+
+
+def test_witness_centers_are_ordered_by_symbol_not_by_digit():
+    # the image lists its output alphabet as (1, 0), so its digit 0 is the symbol 1
+    oracle = CodeImageOracle(BlockCode((0,), {(0,): 0, (1,): 1}, (0, 1), (1, 0)),
+                             PeriodicOracle((0, 1, 1)))
+    constant = BlockCode((0,), {(0,): 0, (1,): 0}, (0, 1))
+    res = verify_generalized_projection(constant, oracle, 1, 10)
+    assert res.witness == ((0, 1, 1), (1, 0, 1)) and res.exact
+    assert res.describe() == tuple_projection(constant, oracle, 1, 10).describe()
+
+
+def test_code_lists_refuse_offsets_their_representatives_do_not_cover():
+    # extended for offsets in [0, 1]: coordinates -2..3 at depth 2
+    oracle = PeriodicOracle((0, 1, 1))
+    reps = windowed_orbit_representatives(oracle, 2, 10, 0, 1)
+    for offsets in ((-1, 0), (0, 2)):
+        with pytest.raises(IndexError, match="does not cover"):
+            codes._code_lists(reps, oracle.alphabet, oracle.alphabet, offsets, 2)
+
+
+def test_wide_lane_projection_matches_the_tuple_form_reference():
+    # 7 symbols at 3 offsets: 343 pattern codes, read in four-byte lanes
+    oracle = PeriodicOracle((3, 0, 6, 1, 5, 2, 4, 0))
+    code = BlockCode((-3, 0, 2), {p: sum(p) % 2 for p in product(range(7), repeat=3)},
+                     tuple(range(7)))
+    for depth, radius in ((0, 5), (2, 20), (4, 30)):
+        res = verify_generalized_projection(code, oracle, depth, radius)
+        assert res.describe() == tuple_projection(code, oracle, depth, radius).describe()
+
+
 # -- isomorphism-code search -------------------------------------------------------------
 
 def test_search_identity_when_sequences_equal():
@@ -236,15 +416,25 @@ def test_search_results_are_reproducible():
     assert first.code.rule == second.code.rule and first.shift == second.shift
 
 
-def scan_partials(source, offsets, digit, scan, radius):
+def _encode(pattern, digit, nsym):
+    """The code of a pattern: its symbols' digits read as a base-nsym numeral,
+    so pattern number i of the canonical pattern list has code i."""
+    v = 0
+    for s in pattern:
+        v = v * nsym + digit[s]
+    return v
+
+
+def scan_partials(source, offsets, alphabet, scan, shifts):
     """Oracle for codes._consistent_shifts: every shift scanned position by
     position, each pattern encoded on its own, with no shared verdicts."""
-    nsym = len(digit)
+    radius = len(shifts) // 2
+    digit = {s: i for i, s in enumerate(alphabet)}
     have = source.window(-2 * radius + offsets[0], 2 * radius + offsets[-1])
     rel = [o - offsets[0] for o in offsets]
-    enc = [_encode(p, digit, nsym) for p in zip(*(have[r:] for r in rel))]
+    enc = [_encode(p, digit, len(alphabet)) for p in zip(*(have[r:] for r in rel))]
     partials = []
-    for t in centered(radius):
+    for t in shifts:
         forced = {}
         ok = True
         for i, wanted in scan:
@@ -269,13 +459,13 @@ def scan_of(target, radius):
 
 def partial_lists(target, source, max_span, radius):
     """(fast, oracle) partial lists over every offset set of a search."""
-    digit = {s: i for i, s in enumerate(sorted(set(source.alphabet)))}
-    scan = scan_of(target, radius)
+    alphabet = tuple(sorted(set(source.alphabet)))
+    scan, shifts = scan_of(target, radius), list(centered(radius))
     fast, slow = [], []
     for offsets in _offset_sets(max_span):
         for out, scanner in ((fast, _consistent_shifts), (slow, scan_partials)):
             out.append([(t, sorted(f.items()))
-                        for t, f in scanner(source, offsets, digit, scan, radius)])
+                        for t, f in scanner(source, offsets, alphabet, scan, shifts)])
     return fast, slow
 
 
@@ -290,10 +480,10 @@ def assert_search_matches_the_scanning_oracle(target, source, max_span, depth, r
 def forced_rule_calls(target, source, max_span, radius):
     """How many shifts _consistent_shifts scans over a whole search's offset sets."""
     with mock.patch.object(codes, "_forced_rule", side_effect=codes._forced_rule) as spy:
-        digit = {s: i for i, s in enumerate(sorted(set(source.alphabet)))}
-        scan = scan_of(target, radius)
+        alphabet = tuple(sorted(set(source.alphabet)))
+        scan, shifts = scan_of(target, radius), list(centered(radius))
         for offsets in _offset_sets(max_span):
-            _consistent_shifts(source, offsets, digit, scan, radius)
+            _consistent_shifts(source, offsets, alphabet, scan, shifts)
     return spy.call_count
 
 

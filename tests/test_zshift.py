@@ -283,6 +283,22 @@ def test_set_corner_cases_agree_with_the_per_symbol_reference(oracle):
     assert oracle.window(-8, 8) == SpecOracle(oracle).window(-8, 8)
 
 
+@pytest.mark.parametrize("aps,halfline,members", [
+    # disjoint progressions: empty, whatever the half-line
+    ([(0, 2), (1, 2)], 0, []),
+    ([(0, 4), (1, 6)], None, []),
+    # coprime steps meet in one progression, cut at the half-line
+    ([(1, 2), (0, 3)], -5, [-3, 3, 9]),
+    # steps with a common factor: x = 1 (mod 4) and x = 3 (mod 6) is x = 9 (mod 12)
+    ([(1, 4), (3, 6)], None, [-3, 9]),
+    ([(1, 4), (3, 6)], 10, []),
+    ([], 7, [7, 8, 9, 10, 11, 12]),
+])
+def test_an_intersection_is_one_progression_cut_at_the_half_line(aps, halfline, members):
+    oracle = SetOracle(aps=aps, halfline=halfline, op="inter")
+    assert oracle.window(-12, 12) == [int(n in members) for n in range(-12, 13)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(oracle=nested_oracles(), data=st.data())
 def test_windows_agree_with_the_per_symbol_reference(oracle, data):
