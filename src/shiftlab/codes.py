@@ -424,14 +424,16 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     propagates the constraints the realization window forces on the rule:
     a rule realizes at a shift exactly when it extends that shift's forced
     partial rule, and the separation verdict reads only the pattern codes of
-    the orbit-closure representatives.  The extensions of every consistent
-    partial, lists of output digits that the verdict reads as its table,
-    are merged in rule-index order; the first that separates, at the first
-    shift whose partial it extends, is the canonical enumeration's first
-    hit, found at a fraction of the cost, and only it becomes a BlockCode.
+    the orbit-closure representatives, built once per search over the whole
+    span.  The extensions of every consistent partial, lists of output
+    digits that the verdict reads as its table, are merged in rule-index
+    order; the first that separates, at the first shift whose partial it
+    extends, is the canonical enumeration's first hit, found at a fraction
+    of the cost, and only it becomes a BlockCode.
     A found pair is re-verified from scratch and reported as a desk-scale
     certificate, never as a proof over all of Z.  A negative radius,
-    max_span or depth is an InputError.
+    max_span or depth is an InputError; the projection bounds on depth and
+    radius are checked before any scan, whatever the inputs.
 
     A source whose window repeats with its tail period P is decided once
     per residue class of shifts mod P; ``candidates_tried`` still counts
@@ -440,6 +442,7 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     for name, value in (("window radius", radius), ("max_span", max_span), ("depth", depth)):
         if value < 0:
             raise InputError(f"search {name} must be non-negative, got {value}")
+    _check_projection_bounds(depth, radius)
     in_alpha = tuple(sorted(set(source.alphabet), key=symbol_key))
     out_alpha = tuple(sorted(set(target.alphabet), key=symbol_key))
     if len(in_alpha) <= 2 and max_span > 4:
@@ -451,15 +454,14 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
     shifts = list(centered(radius))
     # conflicts cluster near the structured center, so scan n center-out
     scan = [(n + 2 * radius, ord(want[n + radius])) for n in shifts]
-    tried = 0
+    tried, reps = 0, None
     for offsets in _offset_sets(max_span):
         partials = _consistent_shifts(source, offsets, in_alpha, scan, shifts)
         tried += 2 * radius + 1
         if not partials:
             continue
-        _check_projection_bounds(depth, radius)
-        reps = windowed_orbit_representatives(
-            source, depth, radius, ext_lo=offsets[0], ext_hi=offsets[-1])
+        # one set per search: an offset set's codes read a prefix of each extension
+        reps = reps or windowed_orbit_representatives(source, depth, radius, ext_hi=max_span)
         code_lists = _code_lists(reps, source.alphabet, in_alpha, offsets, depth)
         # every pattern code the separation verdict can read, whatever the rule
         read = {c for pair in code_lists for codes in pair if codes is not None for c in codes}

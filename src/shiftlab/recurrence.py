@@ -1,11 +1,14 @@
 """Desk-scale recurrence checks.
 
 Whether a candidate set returns some colour class (or a single set) to
-itself is checked by bounded scans that report an explicit witness or a
-window-limited miss; a miss is exact only when the colouring has analysable
-periodic structure.  The module also runs the two-part witness search on
-Z/3Z (+) B used to show that the naive left-shift system fails beyond
-Boolean groups.
+itself is checked by one bounded scan that reports an explicit witness or
+a window-limited miss; a miss is exact only when the colouring has
+analysable periodic structure.  The scan reads the oracle once, as a digit
+string, and matches each step g and colour c as the word (c, c) at offsets
+(0, g) with the bit-parallel matcher every word scan shares; a set's
+return is the same scan over the one colour 1.  The module also runs the
+two-part witness search on Z/3Z (+) B used to show that the naive
+left-shift system fails beyond Boolean groups.
 
 One-sided semantics throughout: a Found verdict is a theorem about the
 input, a NotFoundInWindow verdict is only as strong as its window flag.
@@ -18,7 +21,7 @@ from itertools import combinations
 
 from .algebra import Z3BElement, symbol_key, z3b_f, z3b_marker
 from .errors import BoundsExceededError, InputError
-from .zshift import SequenceOracle, centered
+from .zshift import SequenceOracle, _EncodedWindow
 
 EQTECH_SUPPORT_CAP = 12
 
@@ -38,16 +41,6 @@ class CandidateSet:
         if any(n == 0 for n in elements):
             raise InputError("0 is not allowed in a candidate set over Z")
         return cls(tuple(elements))
-
-
-def _scan_window(R: CandidateSet, oracle: SequenceOracle, radius: int):
-    """One buffer holding oracle(h) and oracle(h + g) for every |h| <= radius
-    and g in R, with the index offset of position 0."""
-    if radius < 0:
-        raise InputError(f"scan radius must be non-negative, got {radius}")
-    lo = -radius + min(0, min(R.elements, default=0))
-    hi = radius + max(0, max(R.elements, default=0))
-    return oracle.window(lo, hi), -lo
 
 
 @dataclass
@@ -70,48 +63,54 @@ class RecurrenceVerdict:
         return d
 
 
-# Both scans read buf position by position, not by _EncodedWindow masks: most stop in a few h.
+def _first_return(R: CandidateSet, oracle: SequenceOracle, radius: int, colours):
+    """The scan of both checks: the oracle is read once as a digit string,
+    and each (g, colour), g in increasing order and colours in the given
+    order, is one ``starts`` mask of the word (colour, colour) at (0, g)."""
+    if radius < 0:
+        raise InputError(f"scan radius must be non-negative, got {radius}")
+    lo = -radius + min(0, min(R.elements, default=0))
+    hi = radius + max(0, max(R.elements, default=0))
+    window = _EncodedWindow(oracle.alphabet, oracle.digits(lo, hi), lo)
+    tails = oracle.tails()
+    exact = True
+    for g in R.elements:
+        for colour in colours:
+            hits = window.starts((0, g), (colour, colour), -radius, radius)  # bit h + radius
+            if hits:
+                # the first h in centred order: the lowest set bit at or above
+                # h = 0 against the highest below it, +t winning a tie with -t
+                up, down = hits >> radius, hits & ((1 << radius) - 1)
+                plus = (up & -up).bit_length() - 1 if up else radius + 1
+                minus = radius + 1 - down.bit_length() if down else radius + 1
+                return RecurrenceVerdict(True, g=g, colour=colour,
+                                         h=plus if plus <= minus else -minus)
+        exact = exact and tails is not None and tails.covers(abs(g), radius)
+    return RecurrenceVerdict(False, radius=radius, exact=exact)
+
+
 def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int) -> RecurrenceVerdict:
     """First (g, colour, h) with h and h+g alike.
 
-    g runs over the candidate set in increasing order; for each g the scan
-    is centered (h = 0, 1, -1, ...) and among the matches the smallest
-    colour in ``symbol_key`` order, with its earliest h, wins.  Misses carry
-    a window caveat unless tail analysis covers the whole scan.
-    The scan reads one window, and a negative radius is an InputError.
+    g runs over the candidate set in increasing order; for each g the
+    smallest colour in ``symbol_key`` order that returns at all wins, with
+    its first h in centred order (h = 0, 1, -1, ...).  Misses carry a
+    window caveat unless tail analysis covers the whole scan.  The scan
+    reads one digit string, and a negative radius is an InputError.
     """
-    buf, off = _scan_window(R, coloring, radius)
-    tails = coloring.tails()
-    exact = True
-    for g in R.elements:
-        first = {}
-        for h in centered(radius):
-            colour = buf[h + off]
-            # centered order: the first match of a colour is its earliest h
-            if colour == buf[h + g + off] and colour not in first:
-                first[colour] = h
-        if first:
-            colour = min(first, key=symbol_key)
-            return RecurrenceVerdict(True, g=g, colour=colour, h=first[colour])
-        exact = exact and tails is not None and tails.covers(abs(g), radius)
-    return RecurrenceVerdict(False, radius=radius, exact=exact)
+    return _first_return(R, coloring, radius, sorted(set(coloring.alphabet), key=symbol_key))
 
 
 def syndetic_return_check(R: CandidateSet, subset: SequenceOracle,
                           radius: int) -> RecurrenceVerdict:
-    """First (g, h) with h and h+g both in the set.
+    """First (g, h) with h and h+g both in the set: the chromatic scan over
+    the one colour 1, reported without a colour.
 
-    The scan reads one window, and a negative radius is an InputError.
+    The scan reads one digit string, and a negative radius is an InputError.
     """
-    buf, off = _scan_window(R, subset, radius)
-    tails = subset.tails()
-    exact = True
-    for g in R.elements:
-        for h in centered(radius):
-            if buf[h + off] == 1 and buf[h + g + off] == 1:
-                return RecurrenceVerdict(True, g=g, h=h)
-        exact = exact and tails is not None and tails.covers(abs(g), radius)
-    return RecurrenceVerdict(False, radius=radius, exact=exact)
+    verdict = _first_return(R, subset, radius, (1,))
+    verdict.colour = None
+    return verdict
 
 
 # ---------------------------------------------------------------------------

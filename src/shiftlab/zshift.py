@@ -13,16 +13,17 @@ the Chinese remainder theorem), a code image computes every pattern code
 at once in byte lanes of one int (SIMD within a register) and maps codes
 to output digits by one translate, and a patch remaps its inner digits by
 one translate.  A code image or a patch reads its inner oracle once.
-``window`` decodes the digit string into a list of symbols; a rotation
-coding's ``window`` is its orbit walk's own label list.  On top of
-evaluation this module extracts windowed languages, finds word
-occurrences, measures gap statistics, and produces uniform-recurrence
-certificates; a windowed refutation is only a candidate unless the
-rotation backend can settle the word exactly.  Every word scan goes through one bit-parallel matcher: the
-window keeps one int mask per alphabet symbol, a word's starts are the AND
-of its symbols' masks shifted by their offsets (shift-and, Baeza-Yates &
-Gonnet 1992), and positions and gap statistics are read off the result in
-C rather than position by position in Python.
+``window`` decodes the digit string into a list of symbols, for every
+oracle alike, and no verdict reads it.  On top of evaluation this module
+extracts windowed languages, finds word occurrences, measures gap
+statistics, and produces uniform-recurrence certificates; a windowed
+refutation is only a candidate unless the rotation backend can settle the
+word exactly.  Every word scan, the recurrence module's return checks
+among them, goes through one bit-parallel matcher: the window keeps one
+int mask per alphabet symbol, a word's starts are the AND of its symbols'
+masks shifted by their offsets (shift-and, Baeza-Yates & Gonnet 1992), and
+positions and gap statistics are read off the result in C rather than
+position by position in Python.
 
 Oracles other than rotation codings are eventually periodic in both
 directions; ``tails()`` exposes that structure (period and thresholds) and
@@ -188,9 +189,8 @@ class SequenceOracle:
     alphabet: tuple
 
     def window(self, lo: int, hi: int):
-        """The symbols at lo..hi, as a fresh list."""
-        _checked(lo, hi)
-        return self._symbols(lo, hi)
+        """The symbols at lo..hi, as a fresh list: ``digits`` decoded."""
+        return _digits_of(self.alphabet).decode(self.digits(lo, hi))
 
     def digits(self, lo: int, hi: int) -> str:
         """The window lo..hi as a digit string: character i is chr(k) for the
@@ -204,9 +204,6 @@ class SequenceOracle:
     def _digits(self, lo: int, hi: int) -> str:
         """The subclass's one evaluator: the digit string of lo..hi, lo <= hi."""
         raise NotImplementedError
-
-    def _symbols(self, lo: int, hi: int):
-        return _digits_of(self.alphabet).decode(self._digits(lo, hi))
 
     def tails(self) -> EventualTails | None:
         return None
@@ -306,15 +303,12 @@ class SetOracle(SequenceOracle):
 
 
 class RotationOracle(SequenceOracle):
-    """A rotation coding read by its orbit walk: ``window`` is the walk's own
-    label list, and a digit string is that list joined once."""
+    """A rotation coding read by its orbit walk: a digit string is the walk's
+    label list encoded once."""
 
     def __init__(self, coding: "_rotation.RotationCoding"):
         self.coding = coding
         self.alphabet = tuple(coding.labels())
-
-    def _symbols(self, lo, hi):
-        return self.coding.orbit_symbols(lo, hi)
 
     def _digits(self, lo, hi):
         return _digits_of(self.alphabet).encode(self.coding.orbit_symbols(lo, hi))

@@ -426,6 +426,23 @@ def test_oversized_pattern_arity_exits_3(files, capsys):
     assert err == "bound exceeded: 2**100000000 tuples exceed the cap 1000000\n"
 
 
+@pytest.mark.parametrize("source", ["const.yaml", "alt.yaml"])
+@pytest.mark.parametrize("bounds,message", [
+    (("--depth", "30"), "projection depth 30 exceeds 24"),
+    (("--depth", "6", "--window", "3"), "projection radius must be at least the depth"),
+])
+def test_search_depth_bounds_do_not_depend_on_the_source(tmp_path, capsys, source, bounds,
+                                                         message):
+    # a constant source has no consistent shift for the alternating target, and
+    # the bounds were once checked only after one was found
+    for name, word in (("alt.yaml", "01"), ("const.yaml", "0")):
+        (tmp_path / name).write_text(f'kind: oracle\nid: w\nperiodic: "{word}"\n',
+                                     encoding="utf-8")
+    assert run_cli("code", "search", "--target", str(tmp_path / "alt.yaml"),
+                   "--source", str(tmp_path / source), *bounds) == 3
+    assert capsys.readouterr().err == f"bound exceeded: {message}\n"
+
+
 def _knob(draw, extremes):
     return draw(st.integers(-30, 30) | st.sampled_from(extremes))
 

@@ -1,20 +1,29 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftlab.algebra import QuadraticNumber, Z3B_IDENTITY, Z3BElement, z3b, z3b_f
+from shiftlab.algebra import QuadraticNumber, Z3B_IDENTITY, Z3BElement, symbol_key, z3b, z3b_f
+from shiftlab.codes import BlockCode
 from shiftlab.errors import BoundsExceededError, InputError
 from shiftlab.recurrence import (
     CandidateSet,
+    RecurrenceVerdict,
     chromatic_recurrence_check,
     eqtech_search,
     reverify_eqtech,
     syndetic_return_check,
 )
 from shiftlab.rotation import Arc, CircleIntervalSet, RotationCoding, classify_minimality
-from shiftlab.zshift import PeriodicOracle, RotationOracle, SetOracle
+from shiftlab.zshift import (
+    CodeImageOracle,
+    OverrideOracle,
+    PeriodicOracle,
+    RotationOracle,
+    SetOracle,
+    centered,
+)
 
 ALPHA = QuadraticNumber(-2, 1, 5)
 ALT = PeriodicOracle((0, 1))
@@ -93,6 +102,105 @@ def test_even_integers_miss_step_one_exactly():
 def test_even_integers_hit_step_two_at_origin():
     res = syndetic_return_check(CandidateSet.integers([2]), EVENS, 1000)
     assert (res.found, res.g, res.h) == (True, 2, 0)
+
+
+# -- the position-by-position reference ----------------------------------------------
+
+def scan_reference(R, oracle, radius, syndetic):
+    """Both return checks as position loops over one symbol list: for each g
+    in increasing order, h runs in centred order (0, 1, -1, ...).  The
+    chromatic loop keeps each colour's first h and reports the least colour
+    in ``symbol_key`` order; the syndetic loop stops at the first h with
+    h and h + g both 1."""
+    lo = -radius + min(0, min(R.elements, default=0))
+    hi = radius + max(0, max(R.elements, default=0))
+    buf, off = oracle.window(lo, hi), -lo
+    tails = oracle.tails()
+    exact = True
+    for g in R.elements:
+        first = {}
+        for h in centered(radius):
+            colour = buf[h + off]
+            if syndetic and colour == 1 and buf[h + g + off] == 1:
+                return RecurrenceVerdict(True, g=g, h=h)
+            if not syndetic and colour == buf[h + g + off] and colour not in first:
+                first[colour] = h
+        if first:
+            colour = min(first, key=symbol_key)
+            return RecurrenceVerdict(True, g=g, colour=colour, h=first[colour])
+        exact = exact and tails is not None and tails.covers(abs(g), radius)
+    return RecurrenceVerdict(False, radius=radius, exact=exact)
+
+
+PALETTES = ((0, 1, 2), ("a", "b", "c"), (0, "a", 1))
+
+
+@st.composite
+def scan_oracles(draw, depth=2):
+    """Periodic words, sets (union, intersection or complement), patches and
+    code images over one palette, and rotation codings cut at rationals
+    k/12 with labels drawn from it."""
+    palette = draw(st.sampled_from(PALETTES))
+    kinds = ("periodic", "set", "rotation") + (("patched", "image") if depth else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "periodic":
+        return PeriodicOracle(draw(st.lists(st.sampled_from(palette), min_size=1, max_size=6)))
+    if kind == "set":
+        points = st.lists(st.integers(-12, 12), max_size=4)
+        return SetOracle(aps=draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)),
+                                           max_size=3)),
+                         halfline=draw(st.none() | st.integers(-8, 8)),
+                         include=draw(points), exclude=draw(points),
+                         op=draw(st.sampled_from(("union", "inter", "complement"))))
+    if kind == "rotation":
+        cuts = sorted(draw(st.sets(st.integers(0, 11), min_size=2, max_size=4)))
+        labels = draw(st.lists(st.sampled_from(palette), min_size=len(cuts),
+                               max_size=len(cuts)))
+        pieces = {}
+        for i, k in enumerate(cuts):
+            end = QuadraticNumber(Fraction(cuts[(i + 1) % len(cuts)], 12))
+            pieces.setdefault(labels[i], []).append(
+                Arc(QuadraticNumber(Fraction(k, 12)), True, end, False))
+        cells = {label: CircleIntervalSet(arcs) for label, arcs in pieces.items()}
+        return RotationOracle(RotationCoding(ALPHA, cells))
+    inner = draw(scan_oracles(depth - 1))
+    if kind == "patched":
+        return OverrideOracle(inner, draw(st.dictionaries(st.integers(-12, 12),
+                                                          st.sampled_from(palette),
+                                                          max_size=4)))
+    offsets = tuple(sorted(draw(st.sets(st.integers(-3, 3), min_size=1, max_size=2))))
+    patterns = product(inner.alphabet, repeat=len(offsets))
+    rule = {p: draw(st.sampled_from(palette)) for p in patterns}
+    return CodeImageOracle(BlockCode(offsets, rule, inner.alphabet), inner)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle=scan_oracles(),
+       steps=st.lists(st.integers(-9, 9).filter(bool), max_size=4),
+       radius=st.integers(0, 30),
+       syndetic=st.booleans())
+def test_return_checks_match_the_position_scan(oracle, steps, radius, syndetic):
+    R = CandidateSet.integers(steps)
+    check = syndetic_return_check if syndetic else chromatic_recurrence_check
+    got = check(R, oracle, radius)
+    assert got.describe() == scan_reference(R, oracle, radius, syndetic).describe()
+
+
+def patched_abc(points):
+    """The word bcd, in which no two neighbours agree, with "a" at points."""
+    return OverrideOracle(PeriodicOracle("bcd"), {n: "a" for n in points})
+
+
+@pytest.mark.parametrize("points,h", [
+    ((-2, -1, 3, 4), -2),  # -2 comes before +3 in centred order
+    ((-2, -1, 2, 3), 2),  # +2 and -2 tie, and +t wins
+])
+def test_first_centred_h_by_value(points, h):
+    one = CandidateSet.integers([1])
+    colour = chromatic_recurrence_check(one, patched_abc(points), 5)
+    assert colour.describe() == {"found": True, "g": 1, "h": h, "colour": "a"}
+    returned = syndetic_return_check(one, SetOracle(include=points), 5)
+    assert returned.describe() == {"found": True, "g": 1, "h": h}  # no colour key
 
 
 # -- fixture-suite consistency invariants --------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from shiftlab.algebra import QuadraticNumber, frac_part, symbol_key
 from shiftlab.codes import BlockCode
+from shiftlab.recurrence import CandidateSet, chromatic_recurrence_check, syndetic_return_check
 from shiftlab.errors import (
     AlphabetMismatchError,
     BoundsExceededError,
@@ -113,6 +114,14 @@ def test_window_symbols_keep_their_type():
         got = PeriodicOracle(word).window(0, 5)
         assert got == list(word) * 2
         assert list(map(type, got)) == list(map(type, word)) * 2
+    # a rotation coding's window decodes its digits back to the labels 1..4
+    quarter = [QuadraticNumber(Fraction(k, 4)) for k in range(5)]
+    coding = RotationCoding(QuadraticNumber(-1, 1, 2), {
+        k + 1: CircleIntervalSet([Arc(quarter[k], True, quarter[k + 1], False)])
+        for k in range(4)})
+    got = RotationOracle(coding).window(-20, 20)
+    assert got == SpecOracle(RotationOracle(coding)).window(-20, 20)
+    assert set(got) == {1, 2, 3, 4} and {type(s) for s in got} == {int}
 
 
 def test_window_cap():
@@ -128,7 +137,8 @@ def test_pinned_sets_agree_with_their_definitions():
 
 class CountingOracle(PeriodicOracle):
     """A periodic oracle that counts how it is read: as symbols, as a digit
-    string, or one value at a time."""
+    string, or one value at a time.  A symbol read decodes a digit-string
+    read, so it counts as both."""
 
     windows = digit_reads = values = 0
 
@@ -174,6 +184,17 @@ def test_wide_and_string_wrappers_read_their_inner_oracle_once(word, wrap):
     got = outer.window(-30, 40)
     assert (inner.windows, inner.digit_reads, inner.values) == (0, 1, 0)
     assert got == SpecOracle(outer).window(-30, 40)
+
+
+@pytest.mark.parametrize("check", [chromatic_recurrence_check, syndetic_return_check])
+@pytest.mark.parametrize("word,steps", [
+    ((0, 1, 1, 0, 1), (-3, 2, 5)),  # found
+    ((0, 1), (-3, 1, 5)),  # missed at every step
+])
+def test_each_return_check_reads_its_oracle_once_as_digits(check, word, steps):
+    oracle = CountingOracle(word)
+    check(CandidateSet.integers(steps), oracle, 40)
+    assert (oracle.windows, oracle.digit_reads, oracle.values) == (0, 1, 0)
 
 
 # -- window evaluators against the per-symbol reference ----------------------------
