@@ -11,14 +11,15 @@ caveat is the weakest of them (exact < windowed < search-exhausted).  The
 table holds no library or builder function, so rebinding a name in this
 module or in ``scenarios`` reaches every call.  ``repro`` is handled apart.
 
-Exit codes: 0 when a verdict was produced (whatever the verdict says),
-2 on input errors, 3 when a bound was exceeded, 4 when an internal
-re-check of a result failed.
+Exit codes: 0 when a verdict was produced (whatever the verdict says,
+and also when the reader closed stdout early), 2 on input errors, 3 when
+a bound was exceeded, 4 when an internal re-check of a result failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -411,7 +412,14 @@ def main(argv=None) -> int:
         slug = report.command.replace(" ", "-")
         (args.out / f"{slug}.json").write_text(report.to_json(wall_ms), encoding="utf-8")
         (args.out / f"{slug}.txt").write_text(report.to_text(wall_ms), encoding="utf-8")
-    print(report.to_json(wall_ms) if args.json else report.to_text(wall_ms))
+    try:
+        print(report.to_json(wall_ms) if args.json else report.to_text(wall_ms))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does, after the verdict was
+        # produced; point stdout at devnull so that the flush at exit cannot
+        # raise again (the SIGPIPE note in the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

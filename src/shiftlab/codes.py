@@ -16,7 +16,10 @@ code, and the search hands it each candidate rule as its list of output
 digits, building a BlockCode only for the rule it returns.
 
 Windowed verdicts are certificates at their stated depth, never proofs
-for all of Z; report objects carry that caveat explicitly.
+for all of Z; report objects carry that caveat explicitly.  The
+intersection-pattern check decides each pattern set through the window's
+``absent`` in the zshift module, so a set is empty over Z exactly when a
+return check would call the same word's miss exact.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ from .algebra import symbol_key
 from .errors import AlphabetMismatchError, BoundsExceededError, InputError, VerificationFailedError
 from .zshift import (
     CodeImageOracle,
-    RotationOracle,
     SequenceOracle,
-    WordPattern,
     _digits_of,
     _EncodedWindow,
     _pattern_codes,
@@ -514,26 +515,6 @@ class PatternCheckResult:
         return d
 
 
-def _nonempty_exact(oracle, window, gs, eps, radius):
-    """(nonempty, exact): membership of the tuple-intersection, decided exactly
-    when the oracle admits tail analysis or a rotation backend.
-
-    ``window`` is the oracle's encoded window over every n the scan reads."""
-    if window.starts(gs, eps, -radius, radius):
-        return True, True
-    if isinstance(oracle, RotationOracle) and set(oracle.alphabet) == {0, 1}:
-        by_offset = {}
-        for g, e in zip(gs, eps):
-            if by_offset.setdefault(g, e) != e:
-                return False, True  # conflicting constraints at one position
-        items = sorted(by_offset.items())
-        word = WordPattern(tuple(g for g, _ in items), tuple(e for _, e in items))
-        from . import rotation as _rotation
-        return _rotation.classify_word(oracle.coding, word).kind != "empty", True
-    tails = oracle.tails()
-    return False, tails is not None and tails.covers(max(abs(g) for g in gs), radius)
-
-
 def intersection_pattern_check(a: SequenceOracle, b: SequenceOracle, shifts, arity: int,
                                radius: int) -> PatternCheckResult:
     """Compare nonemptiness of all shifted intersection patterns of two binary sets.
@@ -542,7 +523,7 @@ def intersection_pattern_check(a: SequenceOracle, b: SequenceOracle, shifts, ari
     intersection of the translated sets (or complements) must be nonempty
     for A exactly when it is for B.  The first mismatching tuple in
     canonical order is returned.  Verdicts are exact when both sides decide
-    emptiness exactly (tail analysis or rotation backend), else windowed.
+    emptiness exactly (the window's ``absent``), else windowed.
     Each oracle is read once, over one window; a negative radius, an arity
     below 1 or an empty shift list is an InputError.
     """
@@ -560,18 +541,18 @@ def intersection_pattern_check(a: SequenceOracle, b: SequenceOracle, shifts, ari
             f"{len(shifts) * 2}**{arity} tuples exceed the cap {SEARCH_TUPLE_CAP}")
     lo = -radius + min(shifts, default=0)
     hi = radius + max(shifts, default=0)
-    win_a = _EncodedWindow(a.alphabet, a.digits(lo, hi), lo)
-    win_b = _EncodedWindow(b.alphabet, b.digits(lo, hi), lo)
+    windows = _EncodedWindow(a, lo, hi), _EncodedWindow(b, lo, hi)
     all_exact = True
     for gs in product(shifts, repeat=arity):
         for eps in product((0, 1), repeat=arity):
-            na, ea = _nonempty_exact(a, win_a, gs, eps, radius)
-            nb, eb = _nonempty_exact(b, win_b, gs, eps, radius)
-            all_exact = all_exact and ea and eb
+            absent = [window.absent(gs, eps, radius) for window in windows]
+            exact = None not in absent
+            all_exact = all_exact and exact
+            na, nb = (verdict is False for verdict in absent)
             if na != nb:
                 witness = {"shifts": list(gs), "values": list(eps),
                            "nonempty_a": na, "nonempty_b": nb}
                 return PatternCheckResult(False, arity, shifts, radius,
-                                          exact=ea and eb, witness=witness)
+                                          exact=exact, witness=witness)
     return PatternCheckResult(True, arity, shifts, radius, exact=all_exact)
 

@@ -2,13 +2,16 @@
 
 Whether a candidate set returns some colour class (or a single set) to
 itself is checked by one bounded scan that reports an explicit witness or
-a window-limited miss; a miss is exact only when the colouring has
-analysable periodic structure.  The scan reads the oracle once, as a digit
+a window-limited miss.  The scan reads the oracle once, as a digit
 string, and matches each step g and colour c as the word (c, c) at offsets
 (0, g) with the bit-parallel matcher every word scan shares; a set's
-return is the same scan over the one colour 1.  The module also runs the
-two-part witness search on Z/3Z (+) B used to show that the naive
-left-shift system fails beyond Boolean groups.
+return is the same scan over the one colour 1.  A miss is exact only when
+the window's ``absent`` finds every such word absent from Z: a colour
+outside the alphabet, an empty rotation locus, or tails that cover the
+scan.  A return that occurs outside the window is not reported as found,
+and leaves the miss windowed.  The module also runs the two-part witness
+search on Z/3Z (+) B used to show that the naive left-shift system fails
+beyond Boolean groups.
 
 One-sided semantics throughout: a Found verdict is a theorem about the
 input, a NotFoundInWindow verdict is only as strong as its window flag.
@@ -66,14 +69,13 @@ class RecurrenceVerdict:
 def _first_return(R: CandidateSet, oracle: SequenceOracle, radius: int, colours):
     """The scan of both checks: the oracle is read once as a digit string,
     and each (g, colour), g in increasing order and colours in the given
-    order, is one ``starts`` mask of the word (colour, colour) at (0, g)."""
+    order, is one ``starts`` mask of the word (colour, colour) at (0, g).
+    Only when every mask is empty does ``absent`` decide if the miss is exact."""
     if radius < 0:
         raise InputError(f"scan radius must be non-negative, got {radius}")
     lo = -radius + min(0, min(R.elements, default=0))
     hi = radius + max(0, max(R.elements, default=0))
-    window = _EncodedWindow(oracle.alphabet, oracle.digits(lo, hi), lo)
-    tails = oracle.tails()
-    exact = True
+    window = _EncodedWindow(oracle, lo, hi)
     for g in R.elements:
         for colour in colours:
             hits = window.starts((0, g), (colour, colour), -radius, radius)  # bit h + radius
@@ -85,7 +87,7 @@ def _first_return(R: CandidateSet, oracle: SequenceOracle, radius: int, colours)
                 minus = radius + 1 - down.bit_length() if down else radius + 1
                 return RecurrenceVerdict(True, g=g, colour=colour,
                                          h=plus if plus <= minus else -minus)
-        exact = exact and tails is not None and tails.covers(abs(g), radius)
+    exact = all(window.absent((0, g), (c, c), radius) for g in R.elements for c in colours)
     return RecurrenceVerdict(False, radius=radius, exact=exact)
 
 
@@ -95,7 +97,7 @@ def chromatic_recurrence_check(R: CandidateSet, coloring, radius: int) -> Recurr
     g runs over the candidate set in increasing order; for each g the
     smallest colour in ``symbol_key`` order that returns at all wins, with
     its first h in centred order (h = 0, 1, -1, ...).  Misses carry a
-    window caveat unless tail analysis covers the whole scan.  The scan
+    window caveat unless every (g, colour) word is absent from Z.  The scan
     reads one digit string, and a negative radius is an InputError.
     """
     return _first_return(R, coloring, radius, sorted(set(coloring.alphabet), key=symbol_key))

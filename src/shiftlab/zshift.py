@@ -27,7 +27,13 @@ position by position in Python.
 
 Oracles other than rotation codings are eventually periodic in both
 directions; ``tails()`` exposes that structure (period and thresholds) and
-is what makes limit-point analysis in the code module exact.
+is what makes limit-point analysis in the code module exact.  What a miss
+in a window proves about Z is decided here alone, by the window's
+``absent``: a word occurs nowhere when its symbols conflict or leave the
+alphabet, when a rotation coding's locus for it is empty, or when the
+tails cover the scan.  The pattern check and both return checks ask it,
+and a verified certificate is exact only when its window holds every gap
+on Z.
 """
 
 from __future__ import annotations
@@ -389,21 +395,23 @@ class OverrideOracle(SequenceOracle):
 # ---------------------------------------------------------------------------
 
 class _EncodedWindow:
-    """An oracle window as a str, one character per alphabet symbol, and
-    lazily one int mask per character: bit i is set when the window holds
-    that character at ``lo + i``.
+    """An oracle's window lo..hi as its digit string, and lazily one int mask
+    per digit: bit i is set when the window holds that digit at ``lo + i``.
 
     A word's starts are one AND per constrained offset of a shifted mask,
     so a scan costs a few big-int operations in C, whatever the number of
     hits or the distance between offsets.  ``occurrences``, the recurrence
-    certificate and the intersection-pattern check share it.
+    certificate, the intersection-pattern check and the return checks share
+    it, and ``absent`` is the one place that decides what a miss in the
+    window proves about Z.
     """
 
-    __slots__ = ("lo", "text", "_chars", "_masks")
+    __slots__ = ("oracle", "lo", "text", "_chars", "_masks")
 
-    def __init__(self, alphabet, text: str, lo: int):
-        self._chars = _digits_of(alphabet).chars
-        self.text = text  # a digit string over alphabet
+    def __init__(self, oracle: SequenceOracle, lo: int, hi: int):
+        self.oracle = oracle
+        self._chars = _digits_of(oracle.alphabet).chars
+        self.text = oracle.digits(lo, hi)  # a digit string over the oracle's alphabet
         self.lo = lo  # the position of text[0]
         self._masks = {}
 
@@ -433,6 +441,27 @@ class _EncodedWindow:
             hits &= self.mask(c) >> (lo + o - self.lo)
         return hits
 
+    def absent(self, offsets, symbols, radius: int) -> bool | None:
+        """Whether the word with symbols[k] at h + offsets[k] occurs at no h in
+        Z: False when it occurs (at a start in [-radius, radius], which the
+        window covers as for ``starts``, or where a rotation locus is met);
+        True when two symbols share an offset, a symbol is outside the
+        alphabet, a rotation locus is empty or the tails cover the scan; and
+        None when neither the window nor the oracle can tell."""
+        if self.starts(offsets, symbols, -radius, radius):
+            return False
+        by_offset = {}
+        for o, s in zip(offsets, symbols):
+            if s not in self._chars or by_offset.setdefault(o, s) != s:
+                return True
+        if isinstance(self.oracle, RotationOracle):
+            word = WordPattern(*zip(*sorted(by_offset.items())))
+            return _rotation.classify_word(self.oracle.coding, word).kind == "empty"
+        tails = self.oracle.tails()
+        if tails is not None and tails.covers(max(map(abs, offsets)), radius):
+            return True
+        return None
+
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
@@ -455,8 +484,7 @@ def occurrences(oracle: SequenceOracle, word: WordPattern, lo: int, hi: int):
     if lo > hi:
         raise InputError(f"window [{lo}, {hi}] is empty")
     buf_lo = lo + word.offsets[0]
-    window = _EncodedWindow(oracle.alphabet, oracle.digits(buf_lo, hi + word.offsets[-1]),
-                            buf_lo)
+    window = _EncodedWindow(oracle, buf_lo, hi + word.offsets[-1])
     return _positions(window.starts(word.offsets, word.symbols, lo, hi), lo)
 
 
@@ -543,6 +571,10 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
     Verified when each initial word of length <= max_len occurs with all
     gaps and both end slacks at most gap_bound (default radius // 2); the
     echoed g* is the worst gap seen, so the certificate can be re-checked.
+    A verified certificate is exact for a rotation coding, and for an
+    oracle with tails when ``tails.covers(max_len + period, radius)`` and
+    each initial word starts in one period of both periodic tails: then
+    every gap on Z is a gap in the window.  Otherwise it is windowed.
     A violating word yields a candidate refutation: heuristic in general
     (a window cannot prove non-recurrence), upgraded to exact when the
     oracle is rotation-coded and the word's locus classifies as finite or
@@ -564,15 +596,23 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
             f"max_len <= {MAX_WORD_LENGTH} and radius <= {MAX_WINDOW_RADIUS} required")
     if gap_bound is None:
         gap_bound = max(1, radius // 2)
-    window = _EncodedWindow(oracle.alphabet, oracle.digits(-radius, radius + max_len - 1),
-                            -radius)
+    window = _EncodedWindow(oracle, -radius, radius + max_len - 1)
     prefix = _digits_of(oracle.alphabet).decode(window.text[radius:radius + max_len])
+    tails = oracle.tails()  # None for a rotation coding
+    exact = isinstance(oracle, RotationOracle) or (
+        tails is not None and tails.covers(max_len + tails.period, radius))
     worst = 0
     violations = []
     occ = (1 << (2 * radius + 1)) - 1  # bit h + radius: h starts the prefix
     for length in range(1, max_len + 1):
         # the prefix occurs at h iff the shorter one does and one more symbol agrees
         occ &= window.mask(window.text[radius + length - 1]) >> (length - 1)
+        if exact and tails is not None:
+            # a start in one period of each tail: from right_from on, and
+            # among the last P whose word ends by left_upto
+            one_period = (1 << tails.period) - 1
+            exact = bool(occ >> (tails.right_from + radius) & one_period and occ >> (
+                tails.left_upto - length + 2 - tails.period + radius) & one_period)
         stats = gap_stats(occ, -radius, radius)
         if stats.worst is not None and stats.worst <= gap_bound:
             worst = max(worst, stats.worst)
@@ -580,7 +620,7 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
             violations.append((WordPattern.contiguous(prefix[:length]), occ, stats))
     if not violations:
         return RecurrenceCertificate("verified", max_len, radius, gap_bound,
-                                     g_star=worst, exact=True)
+                                     g_star=worst, exact=exact)
     # report the most damning violator: an unbounded or the worst statistic
     # first, then the shortest word
     word, occ, stats = max(violations, key=lambda v: (

@@ -850,6 +850,74 @@ def test_code_verify_caveat_is_its_weakest_part(tmp_path, capsys, target, caveat
     assert doc["verdict"].get("realization", {"agrees": True})["agrees"] is True
 
 
+# 1 on [0, 1/3) under alpha = sqrt(5) - 2: [0, 1/3) and [0, 1/3) - 2 alpha are
+# disjoint, so the word (1, 1) at offsets (0, 2) occurs nowhere on Z
+FIRST_THIRD = """\
+kind: oracle
+id: first-third
+rotation:
+  alpha: sqrt(5)-2
+  cells:
+    1: [{lo: 0, lo_closed: true, hi: 1/3, hi_closed: false}]
+    0: [{lo: 1/3, lo_closed: true, hi: 1, hi_closed: false}]
+"""
+STEP_TWO = "kind: candidate-set\nid: two\nelements: [2]\n"
+# x_h and x_{h+2} take all four value pairs, (1, 1) at h = 3
+THREE_ON = 'kind: oracle\nid: three-on\nperiodic: "000111"\n'
+
+
+def test_the_pattern_check_and_the_return_check_agree_that_a_word_is_absent(tmp_path, capsys):
+    for name, text in (("third.yaml", FIRST_THIRD), ("two.yaml", STEP_TWO),
+                       ("on.yaml", THREE_ON)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run_cli("recur", "syndetic", "--set", str(tmp_path / "two.yaml"),
+                   "--oracle", str(tmp_path / "third.yaml"), "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["caveat"] == "exact"
+    assert doc["verdict"] == {"found": False, "radius": 1000, "exact": True}
+    assert run_cli("code", "patterns", "--a", str(tmp_path / "third.yaml"),
+                   "--b", str(tmp_path / "on.yaml"), "--shifts", "0,2", "--k", "2",
+                   "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["caveat"] == "exact" and doc["verdict"]["equivalent"] is False
+    assert doc["verdict"]["witness"] == {"shifts": [0, 2], "values": [1, 1],
+                                         "nonempty_a": False, "nonempty_b": True}
+
+
+@pytest.mark.parametrize("oracle,flags,g_star,caveat", [
+    # the tails start at 100002, past the window
+    ("set: {halfline: {from: 100000}}", ["--max-len", "3"], 1, "windowed"),
+    # the word 1 never occurs in the right tail, so its gap on Z is unbounded
+    ("set: {op: complement, halfline: {from: 11}}", ["--max-len", "3", "--gap-bound", "5000"],
+     992, "windowed"),
+    ('periodic: "01"', [], 2, "exact"),
+])
+def test_seq_recur_labels_a_verified_certificate_exact_only_over_z(tmp_path, capsys, oracle,
+                                                                    flags, g_star, caveat):
+    path = tmp_path / "o.yaml"
+    path.write_text(f"kind: oracle\nid: o\n{oracle}\n", encoding="utf-8")
+    assert run_cli("seq", "recur", "--oracle", str(path), *flags, "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"]["verdict"], doc["verdict"]["g_star"]) == ("verified", g_star)
+    assert doc["caveat"] == caveat and doc["verdict"]["exact"] is (caveat == "exact")
+
+
+def test_a_reader_that_closes_stdout_early_ends_nothing_in_a_traceback(tmp_path):
+    # 200001 values: far more than a pipe buffer holds
+    path = tmp_path / "alt.yaml"
+    path.write_text(ALTERNATING, encoding="utf-8")
+    src = str(Path(scenarios.__file__).resolve().parents[2])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shiftlab.cli.main", "seq", "window", "--oracle", str(path),
+         "--lo", "-100000", "--hi", "100000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=src)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 @pytest.mark.parametrize("text,message", [
     ("kind: repro\nid: x\n", "kind must be one of"),
     (STURMIAN_CODING, "expected a oracle scenario, got coding"),

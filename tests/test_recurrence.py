@@ -15,13 +15,15 @@ from shiftlab.recurrence import (
     reverify_eqtech,
     syndetic_return_check,
 )
-from shiftlab.rotation import Arc, CircleIntervalSet, RotationCoding, classify_minimality
+from shiftlab.rotation import Arc, CircleIntervalSet, RotationCoding, classify_minimality, \
+    word_locus
 from shiftlab.zshift import (
     CodeImageOracle,
     OverrideOracle,
     PeriodicOracle,
     RotationOracle,
     SetOracle,
+    WordPattern,
     centered,
 )
 
@@ -104,18 +106,60 @@ def test_even_integers_hit_step_two_at_origin():
     assert (res.found, res.g, res.h) == (True, 2, 0)
 
 
+def thirds(*labels):
+    """A coding of ALPHA that labels [k/3, (k+1)/3) with labels[k]."""
+    arcs = {}
+    for k, label in enumerate(labels):
+        lo, hi = QuadraticNumber(Fraction(k, 3)), QuadraticNumber(Fraction(k + 1, 3))
+        arcs.setdefault(label, []).append(Arc(lo, True, hi, False))
+    cells = {label: CircleIntervalSet(a) for label, a in arcs.items()}
+    return RotationOracle(RotationCoding(ALPHA, cells))
+
+
+@pytest.mark.parametrize("check,oracle,radius,exact", [
+    # 2 alpha lies in [1/3, 2/3] mod 1, so no third meets itself moved by it
+    (syndetic_return_check, thirds(1, 0, 0), 1000, True),
+    (chromatic_recurrence_check, thirds(0, 1, 2), 1000, True),
+    (chromatic_recurrence_check, thirds(0, 1, 2), 0, True),
+    # the word (0, 0) at (0, 2) occurs, though not at h = 0
+    (chromatic_recurrence_check, thirds(0, 1, 0), 0, False),
+])
+def test_a_rotation_miss_is_exact_when_every_locus_is_empty(check, oracle, radius, exact):
+    res = check(CandidateSet.integers([2]), oracle, radius)
+    assert res.describe() == {"found": False, "radius": radius, "exact": exact}
+
+
 # -- the position-by-position reference ----------------------------------------------
+
+def miss_is_exact(oracle, offsets, symbols, radius):
+    """Whether a word the window [-radius, radius] misses occurs nowhere on Z,
+    rule by rule: two symbols at one offset, a symbol outside the alphabet,
+    an empty ``word_locus`` for a rotation coding (its cells here are
+    half-open arcs, so a locus is empty or has interior), or tails that
+    cover the scan."""
+    by_offset = {}
+    for o, s in zip(offsets, symbols):
+        if s not in oracle.alphabet or by_offset.setdefault(o, s) != s:
+            return True
+    if isinstance(oracle, RotationOracle):
+        items = sorted(by_offset.items())
+        word = WordPattern(tuple(o for o, _ in items), tuple(s for _, s in items))
+        return word_locus(oracle.coding, word).is_empty()
+    tails = oracle.tails()
+    return tails is not None and tails.covers(max(abs(o) for o in offsets), radius)
+
 
 def scan_reference(R, oracle, radius, syndetic):
     """Both return checks as position loops over one symbol list: for each g
     in increasing order, h runs in centred order (0, 1, -1, ...).  The
     chromatic loop keeps each colour's first h and reports the least colour
     in ``symbol_key`` order; the syndetic loop stops at the first h with
-    h and h + g both 1."""
+    h and h + g both 1.  A miss is exact when ``miss_is_exact`` holds for
+    every g and colour."""
     lo = -radius + min(0, min(R.elements, default=0))
     hi = radius + max(0, max(R.elements, default=0))
     buf, off = oracle.window(lo, hi), -lo
-    tails = oracle.tails()
+    colours = (1,) if syndetic else set(oracle.alphabet)
     exact = True
     for g in R.elements:
         first = {}
@@ -128,7 +172,7 @@ def scan_reference(R, oracle, radius, syndetic):
         if first:
             colour = min(first, key=symbol_key)
             return RecurrenceVerdict(True, g=g, colour=colour, h=first[colour])
-        exact = exact and tails is not None and tails.covers(abs(g), radius)
+        exact = exact and all(miss_is_exact(oracle, (0, g), (c, c), radius) for c in colours)
     return RecurrenceVerdict(False, radius=radius, exact=exact)
 
 

@@ -1,11 +1,14 @@
+import ast
 import random
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import shiftlab
 from shiftlab.algebra import QuadraticNumber, frac_part, symbol_key
 from shiftlab.codes import BlockCode
 from shiftlab.recurrence import CandidateSet, chromatic_recurrence_check, syndetic_return_check
@@ -26,6 +29,7 @@ from shiftlab.zshift import (
     RotationOracle,
     SetOracle,
     WordPattern,
+    _EncodedWindow,
     centered,
     gap_stats,
     occurrences,
@@ -411,9 +415,32 @@ def as_mask(positions, lo):
     return sum(1 << (h - lo) for h in set(positions))
 
 
+FAR = 10**6
+
+
+def recurs_in_far_tails(oracle, prefix, radius):
+    """Whether a verified certificate holds over Z for an oracle with tails:
+    the tails cover the scan with two periods to spare, and each initial
+    word occurs among the period of starts at FAR and the period ending
+    max_len before -FAR, read by brute force from windows there."""
+    tails, max_len = oracle.tails(), len(prefix)
+    if tails is None or not tails.covers(max_len + tails.period, radius):
+        return False
+    assert tails.left_upto >= -FAR and tails.right_from <= FAR  # FAR is in both tails
+    for start in (FAR, -FAR - tails.period - max_len):
+        buf = SpecOracle(oracle).window(start, start + tails.period + max_len - 1)
+        if not all(any(tuple(buf[i:i + length]) == prefix[:length]
+                       for i in range(tails.period))
+                   for length in range(1, max_len + 1)):
+            return False
+    return True
+
+
 def rescanning_certificate(oracle, max_len, radius, gap_bound=None):
     """Reference for ``uniform_recurrence_certificate``: each prefix length
-    rescans all 2r + 1 positions with a tuple comparison."""
+    rescans all 2r + 1 positions with a tuple comparison.  A verified
+    certificate is exact for a rotation coding, and otherwise when
+    ``recurs_in_far_tails`` holds."""
     if gap_bound is None:
         gap_bound = max(1, radius // 2)
     buf = oracle.window(-radius, radius + max_len - 1)
@@ -429,8 +456,9 @@ def rescanning_certificate(oracle, max_len, radius, gap_bound=None):
         else:
             violations.append((WordPattern.contiguous(target), occ, stats))
     if not violations:
+        exact = isinstance(oracle, RotationOracle) or recurs_in_far_tails(oracle, prefix, radius)
         return RecurrenceCertificate("verified", max_len, radius, gap_bound,
-                                     g_star=worst, exact=True)
+                                     g_star=worst, exact=exact)
     word, occ, stats = max(violations, key=lambda v: (
         v[2].worst is None, v[2].worst or 0, -len(v[0].symbols)))
     evidence = {
@@ -729,6 +757,21 @@ def test_rotation_certificate_inconclusive_when_backend_proves_syndetic():
     assert cert.word is not None
 
 
+@pytest.mark.parametrize("oracle,radius,exact", [
+    (PeriodicOracle("01"), 1000, True),
+    (PeriodicOracle("01"), 7, True),  # covers(3 + 2, radius) needs radius 0 + 5 + 2
+    (PeriodicOracle("01"), 6, False),
+    (SetOracle(halfline=100_000), 1000, False),  # the tails lie past the window
+    (SetOracle(halfline=11, op="complement"), 1000, False),  # 1 is never in the right tail
+    (SetOracle(halfline=-10), 1000, False),  # 1 is never in the left tail
+])
+def test_a_verified_certificate_is_exact_only_when_its_window_holds_every_gap(
+        oracle, radius, exact):
+    cert = uniform_recurrence_certificate(oracle, 3, radius, 5000)
+    assert (cert.verdict, cert.exact) == ("verified", exact)
+    assert cert.describe() == rescanning_certificate(oracle, 3, radius, 5000).describe()
+
+
 @pytest.mark.parametrize("max_len,gap_bound", [(0, None), (-3, None), (4, 0), (4, -1)])
 def test_certificate_rejects_vacuous_parameters(max_len, gap_bound):
     # max_len < 1 checks no word at all; gap_bound < 1 no gap can meet
@@ -772,6 +815,80 @@ def test_set_oracle_validation():
         SetOracle(aps=[(0, 0)])
     with pytest.raises(InputError):
         SetOracle(op="xor")
+
+
+THIRD = RotationOracle(RotationCoding(QuadraticNumber(-2, 1, 5), {
+    1: CircleIntervalSet([Arc(QuadraticNumber(0), True, QuadraticNumber(Fraction(1, 3)), False)]),
+    0: CircleIntervalSet([Arc(QuadraticNumber(Fraction(1, 3)), True, QuadraticNumber(1), False)]),
+}))
+
+
+@pytest.mark.parametrize("oracle,offsets,symbols,radius,want", [
+    (PeriodicOracle("01"), (0, 2), ("0", "0"), 0, False),
+    (PeriodicOracle("01"), (0, 1), ("0", "0"), 3, True),  # covers(1, 3): 0 + 1 + 2
+    (PeriodicOracle("01"), (0, 1), ("0", "0"), 2, None),
+    (PeriodicOracle("01"), (-1, 0), ("0", "0"), 3, True),
+    (PeriodicOracle("01"), (3, 3), ("0", "1"), 0, True),  # two symbols at one offset
+    (PeriodicOracle("01"), (0, 1), ("0", "2"), 0, True),  # 2 is outside the alphabet
+    (SetOracle(halfline=100_000), (0,), (1,), 1000, None),
+    (THIRD, (0, 2), (1, 1), 1000, True),  # [0, 1/3) and [0, 1/3) - 2 alpha are disjoint
+    (THIRD, (0, 1), (1, 1), 0, False),  # a syndetic locus the window misses
+    (THIRD, (0, 1), (1, 2), 0, True),
+])
+def test_absent_by_value(oracle, offsets, symbols, radius, want):
+    window = _EncodedWindow(oracle, -radius + min(offsets), radius + max(offsets))
+    assert window.absent(offsets, symbols, radius) is want
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle=nested_oracles(), data=st.data())
+def test_an_absent_word_occurs_in_no_far_window(oracle, data):
+    spec = SpecOracle(oracle)
+    offsets = data.draw(st.lists(st.integers(-4, 8), min_size=1, max_size=4))
+    at = data.draw(st.integers(-150, 150))
+    how = data.draw(st.sampled_from(("read", "change one", "draw")))
+    if how != "draw":  # read the word off the oracle at `at`, so that it occurs
+        symbols = [spec.value(at + o) for o in offsets]
+        if how == "change one":  # then it may occur nowhere
+            symbols[data.draw(st.integers(0, len(offsets) - 1))] = data.draw(
+                st.sampled_from(oracle.alphabet))
+    else:
+        symbols = data.draw(st.lists(st.sampled_from([*oracle.alphabet, "x"]),
+                                     min_size=len(offsets), max_size=len(offsets)))
+    radius = data.draw(st.integers(0, 120))
+    window = _EncodedWindow(oracle, -radius + min(offsets), radius + max(offsets))
+    absent = window.absent(offsets, symbols, radius)
+
+    def matches(centre, width):
+        lo = centre - width + min(offsets)
+        buf = spec.window(lo, centre + width + max(offsets))
+        return [h for h in range(centre - width, centre + width + 1)
+                if all(buf[h + o - lo] == s for o, s in zip(offsets, symbols))]
+
+    if not isinstance(oracle, RotationOracle):  # a rotation locus may be met outside
+        assert (absent is False) == bool(matches(0, radius))
+    if absent:
+        for centre, width in ((0, radius), (at, 0), (FAR, 20), (-FAR, 20), (10**9, 20),
+                              (-10**9, 20)):
+            assert not matches(centre, width)
+
+
+def test_only_zshift_decides_what_a_window_miss_proves():
+    # whether a word the window misses occurs nowhere on Z rests on two
+    # questions, a rotation coding's locus and the tails' cover bound; asked
+    # in a second module, that decision would be written twice
+    package = Path(shiftlab.__file__).parent
+    askers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "covers":
+                askers.add(path.relative_to(package).as_posix())
+            if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and "RotationOracle" in ast.unparse(node.args[-1])):
+                askers.add(path.relative_to(package).as_posix())
+    assert askers == {"zshift.py"}
 
 
 def test_shared_scan_order_and_tail_bound():
