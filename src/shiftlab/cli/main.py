@@ -12,8 +12,10 @@ table holds no library or builder function, so rebinding a name in this
 module or in ``scenarios`` reaches every call.  ``repro`` is handled apart.
 
 Exit codes: 0 when a verdict was produced (whatever the verdict says,
-and also when the reader closed stdout early), 2 on input errors, 3 when
-a bound was exceeded, 4 when an internal re-check of a result failed.
+and also when the reader closed stdout early), 2 on input errors (an
+``--out`` directory that cannot be written among them), 3 when a bound
+was exceeded, 4 when an internal re-check of a result failed.  A failure
+is one stderr line, and a closed stderr does not change its code.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def _load(path, kind):
     """The object a ``kind`` scenario file describes, and its params record."""
     try:
         doc = scenarios.load_scenario(path)
-    except (OSError, InputError) as exc:
+    except (OSError, UnicodeDecodeError, InputError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     if doc["kind"] != kind:
         raise InputError(f"{path}: expected a {kind} scenario, got {doc['kind']}")
@@ -391,6 +393,18 @@ def dispatch(args) -> Report:
     return Report(name, verdict, weakest(caveats), params=params, lines=lines)
 
 
+def _write(stream, text):
+    """Print a line to stream.  A reader that has closed it, as `| head`
+    does, ends nothing in a traceback: the stream is pointed at devnull, so
+    that the flush at exit cannot raise again (the SIGPIPE note in the
+    Python signal docs), and the exit code stays the one the run earned."""
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -398,28 +412,25 @@ def main(argv=None) -> int:
     try:
         report = dispatch(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"input error: {exc}")
         return 2
     except BoundExceeded as exc:
-        print(f"bound exceeded: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"bound exceeded: {exc}")
         return 3
     except VerificationFailedError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"verification failed: {exc}")
         return 4
     wall_ms = (time.perf_counter() - started) * 1000.0
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         slug = report.command.replace(" ", "-")
-        (args.out / f"{slug}.json").write_text(report.to_json(wall_ms), encoding="utf-8")
-        (args.out / f"{slug}.txt").write_text(report.to_text(wall_ms), encoding="utf-8")
-    try:
-        print(report.to_json(wall_ms) if args.json else report.to_text(wall_ms))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout, as `| head` does, after the verdict was
-        # produced; point stdout at devnull so that the flush at exit cannot
-        # raise again (the SIGPIPE note in the Python signal docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            (args.out / f"{slug}.json").write_text(report.to_json(wall_ms), encoding="utf-8")
+            (args.out / f"{slug}.txt").write_text(report.to_text(wall_ms), encoding="utf-8")
+        except OSError as exc:
+            _write(sys.stderr, f"input error: --out {args.out}: {exc}")
+            return 2
+    _write(sys.stdout, report.to_json(wall_ms) if args.json else report.to_text(wall_ms))
     return 0
 
 

@@ -110,14 +110,6 @@ def apply_code(code: BlockCode, oracle: SequenceOracle) -> SequenceOracle:
     return CodeImageOracle(code, oracle)
 
 
-def shifted_oracle(oracle: SequenceOracle, t: int) -> SequenceOracle:
-    """The oracle n -> oracle(n + t), as a width-one code image."""
-    if t == 0:
-        return oracle
-    code = BlockCode((t,), {(s,): s for s in oracle.alphabet}, tuple(oracle.alphabet))
-    return CodeImageOracle(code, oracle)
-
-
 # ---------------------------------------------------------------------------
 # Realization
 # ---------------------------------------------------------------------------
@@ -483,7 +475,9 @@ def search_isomorphism_code(target: SequenceOracle, source: SequenceOracle,
             rule = dict(zip(product(in_alpha, repeat=len(offsets)),
                             map(out_alpha.__getitem__, digits)))
             code = BlockCode(offsets, rule, in_alpha, out_alpha)
-            real = verify_realization(code, shifted_oracle(source, t), target, radius)
+            # the code read at offsets + t on the source is the code on the shifted source
+            shifted = BlockCode(tuple(o + t for o in offsets), rule, in_alpha, out_alpha)
+            real = verify_realization(shifted, source, target, radius)
             if not real.agrees:
                 raise VerificationFailedError("forced rule failed its own realization recheck")
             return SearchResult(True, code=code, shift=t, realization=real,

@@ -37,7 +37,6 @@ label of the last one.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from operator import attrgetter
@@ -45,10 +44,12 @@ from types import MappingProxyType
 
 from .algebra import QuadraticNumber, _reduced, frac_part, quadratic_floor, quadratic_sign, \
     solve_hit, symbol_key
-from .errors import InputError, MismatchedFieldError, RationalAlphaError
+from .errors import BoundsExceededError, InputError, MismatchedFieldError, RationalAlphaError
 
 Q0 = QuadraticNumber(0)
 Q1 = QuadraticNumber(1)
+# how far a minimality witness with a mixed locus is grown on each side
+MAX_GROW = 64
 
 # the exact order of values, and a key by integers: hashing a rational value
 # would build a Fraction
@@ -65,6 +66,35 @@ class Arc:
     lo_closed: bool
     hi: QuadraticNumber
     hi_closed: bool
+
+
+@dataclass(frozen=True)
+class WordPattern:
+    """Symbols constrained at strictly increasing offsets."""
+
+    offsets: tuple
+    symbols: tuple
+
+    def __post_init__(self):
+        if len(self.offsets) != len(self.symbols) or not self.offsets:
+            raise InputError("word pattern needs matching, nonempty offsets and symbols")
+        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+            raise InputError("word pattern offsets must be strictly increasing")
+
+    @classmethod
+    def contiguous(cls, symbols, start: int = 0):
+        symbols = tuple(symbols)
+        return cls(tuple(range(start, start + len(symbols))), symbols)
+
+    @property
+    def span(self):
+        return self.offsets[-1] - self.offsets[0]
+
+    def describe(self):
+        return {"symbols": list(self.symbols), "offsets": list(self.offsets)}
+
+    def __str__(self):
+        return "".join(map(str, self.symbols)) + ";" + ",".join(map(str, self.offsets))
 
 
 def _span(i, k, m):
@@ -145,12 +175,6 @@ class CircleIntervalSet:
     def has_interior(self) -> bool:
         return any(self.in_gap)
 
-    def contains(self, x: QuadraticNumber) -> bool:
-        x = frac_part(x)
-        j = bisect_right(self.cuts, x) - 1
-        # below the first cut, x lies in the last gap (j = -1)
-        return self.at_cut[j] if j >= 0 and self.cuts[j] == x else self.in_gap[j]
-
     # -- views of the table --
 
     @property
@@ -159,33 +183,6 @@ class CircleIntervalSet:
         gap = self.in_gap
         return tuple(x for j, x in enumerate(self.cuts)
                      if self.at_cut[j] and not gap[j - 1] and not gap[j])
-
-    def logical_arcs(self):
-        """The arcs, one per gap in the set; a wrapped arc has hi < lo.
-
-        An arc ending at the cut 0 from below is written with hi = 1, and
-        the circle minus one point p != 0 is the arc (p, p).
-        """
-        cuts, at = self.cuts, self.at_cut
-        if not cuts:
-            return [Arc(Q0, True, Q1, False)] if self.in_gap[0] else []
-        out = []
-        for j, inside in enumerate(self.in_gap):
-            if inside:
-                k = (j + 1) % len(cuts)
-                hi = Q1 if k == 0 and cuts[0] == Q0 else cuts[k]
-                out.append(Arc(cuts[j], at[j], hi, at[k]))
-        return out
-
-    @property
-    def arcs(self):
-        """The arcs as pieces inside [0, 1] sorted by lo; one wrapping
-        through 0 is split there into [0, hi) and (lo, 1)."""
-        arcs = self.logical_arcs()
-        if arcs and arcs[-1].hi.compare(arcs[-1].lo) <= 0:
-            a = arcs.pop()
-            arcs = [Arc(Q0, True, a.hi, a.hi_closed), *arcs, Arc(a.lo, a.lo_closed, Q1, False)]
-        return tuple(arcs)
 
     # -- set algebra --
 
@@ -230,23 +227,32 @@ class CircleIntervalSet:
     def __hash__(self):
         return hash((self.cuts, self.at_cut, self.in_gap))
 
-    def _shown_arcs(self):
-        # the arc (p, p) of a circle minus one point p != 0 would read back as
-        # empty, so it shows as its two pieces at the seam
-        if len(self.cuts) == 1 and self.in_gap[0] and self.cuts[0] != Q0:
-            return self.arcs
-        return self.logical_arcs()
+    def _arcs(self):
+        """The arcs that ``describe`` and ``repr`` show, one per gap in the set.
+
+        A wrapped arc has hi < lo, and an arc ending at the cut 0 from below
+        has hi = 1.  The circle minus one point p != 0 would be the arc
+        (p, p), which reads back as empty, so it shows as [0, p) and (p, 1).
+        """
+        cuts, at = self.cuts, self.at_cut
+        if not cuts:
+            return [Arc(Q0, True, Q1, False)] if self.in_gap[0] else []
+        if len(cuts) == 1 and self.in_gap[0] and cuts[0] != Q0:
+            return [Arc(Q0, True, cuts[0], False), Arc(cuts[0], False, Q1, False)]
+        m, top = len(cuts), Q1 if cuts[0] == Q0 else cuts[0]
+        return [Arc(cuts[j], at[j], cuts[j + 1] if j + 1 < m else top, at[(j + 1) % m])
+                for j, inside in enumerate(self.in_gap) if inside]
 
     def describe(self):
         """JSON-friendly exact description with endpoint strings."""
         arcs = [{"lo": str(a.lo), "lo_closed": a.lo_closed,
                  "hi": str(a.hi), "hi_closed": a.hi_closed}
-                for a in self._shown_arcs()]
+                for a in self._arcs()]
         return {"arcs": arcs, "points": [str(p) for p in self.points]}
 
     def __repr__(self):
         bits = [f"{'[' if a.lo_closed else '('}{a.lo},{a.hi}{']' if a.hi_closed else ')'}"
-                for a in self._shown_arcs()]
+                for a in self._arcs()]
         bits += [f"{{{p}}}" for p in self.points]
         return "Circle(" + " u ".join(bits) + ")" if bits else "Circle(empty)"
 
@@ -630,7 +636,7 @@ def strongly_dyn_syndetic(coding: RotationCoding, label) -> SyndeticityResult:
 @dataclass
 class MinimalityResult:
     minimal: bool
-    witness: object = None          # WordPattern for the refuting word
+    witness: WordPattern | None = None  # the refuting word
     occurrences: list | None = None
     locus: CircleIntervalSet | None = None
     hits: list = field(default_factory=list)
@@ -680,8 +686,6 @@ def classify_minimality(coding: RotationCoding, scope="set") -> MinimalityResult
 
 
 def _classify_one(coding: RotationCoding) -> MinimalityResult:
-    from .zshift import WordPattern  # local import; zshift depends on rotation
-
     hits = boundary_hits(coding)
     if not hits:
         return MinimalityResult(True, hits=[], resonance_bound=0)
@@ -716,16 +720,16 @@ def _classify_one(coding: RotationCoding) -> MinimalityResult:
     return MinimalityResult(True, hits=hits, resonance_bound=M)
 
 
-def _finite_refutation(coding, word, J, max_grow=64):
+def _finite_refutation(coding, word, J):
     """A (possibly extended) word with finite nonempty hit locus, or None.
 
     A locus that is a pure point set with a hit refutes directly.  A locus
     with interior but also a hit isolated point is grown along the actual
     sequence around its occurrence until the interior dies; termination is
-    guaranteed because distinct circle points cannot share a full coding.
+    guaranteed because distinct circle points cannot share a full coding,
+    but a word grown by MAX_GROW on each side without isolating its hit is
+    a BoundsExceededError.
     """
-    from .zshift import WordPattern
-
     hits = _hit_times(coding, J.points)
     if not hits:
         return None
@@ -734,9 +738,9 @@ def _finite_refutation(coding, word, J, max_grow=64):
     # mixed locus: extend the reading of the sequence around the hit occurrence
     h0 = hits[0]
     length = len(word.offsets)
-    buf = coding.orbit_symbols(h0 - max_grow, h0 + length - 1 + max_grow)
-    for grow in range(1, max_grow + 1):
-        symbols = tuple(buf[max_grow - grow:max_grow + length + grow])
+    buf = coding.orbit_symbols(h0 - MAX_GROW, h0 + length - 1 + MAX_GROW)
+    for grow in range(1, MAX_GROW + 1):
+        symbols = tuple(buf[MAX_GROW - grow:MAX_GROW + length + grow])
         bigger = WordPattern(tuple(range(len(symbols))), symbols)
         J2 = word_locus(coding, bigger)
         if not J2.has_interior():
@@ -744,4 +748,5 @@ def _finite_refutation(coding, word, J, max_grow=64):
             if not occ:
                 return None
             return (bigger, occ, J2)
-    raise InputError("could not isolate a finite witness word; coding too degenerate")
+    raise BoundsExceededError(f"could not isolate a finite witness word by growing it "
+                              f"{MAX_GROW} symbols on each side")

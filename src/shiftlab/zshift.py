@@ -43,41 +43,13 @@ from dataclasses import dataclass
 from itertools import compress, product
 
 from . import rotation as _rotation
+from .rotation import WordPattern
 from .algebra import symbol_key
 from .errors import AlphabetMismatchError, BoundsExceededError, InputError, WindowTooLargeError
 
 WINDOW_CAP = 10**7
 MAX_WORD_LENGTH = 64
 MAX_WINDOW_RADIUS = 10**6
-
-
-@dataclass(frozen=True)
-class WordPattern:
-    """Symbols constrained at strictly increasing offsets."""
-
-    offsets: tuple
-    symbols: tuple
-
-    def __post_init__(self):
-        if len(self.offsets) != len(self.symbols) or not self.offsets:
-            raise InputError("word pattern needs matching, nonempty offsets and symbols")
-        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
-            raise InputError("word pattern offsets must be strictly increasing")
-
-    @classmethod
-    def contiguous(cls, symbols, start: int = 0):
-        symbols = tuple(symbols)
-        return cls(tuple(range(start, start + len(symbols))), symbols)
-
-    @property
-    def span(self):
-        return self.offsets[-1] - self.offsets[0]
-
-    def describe(self):
-        return {"symbols": list(self.symbols), "offsets": list(self.offsets)}
-
-    def __str__(self):
-        return "".join(map(str, self.symbols)) + ";" + ",".join(map(str, self.offsets))
 
 
 @dataclass(frozen=True)
@@ -229,7 +201,9 @@ class PeriodicOracle(SequenceOracle):
         return (word[lo % p:] + word * ((hi - lo) // p + 1))[:hi - lo + 1]
 
     def tails(self):
-        return EventualTails(period=len(self.word), left_upto=0, right_from=0)
+        # the least period: the least rotation of the word onto itself
+        word = _digits_of(self.alphabet).encode(self.word)
+        return EventualTails(period=(word + word).find(word, 1), left_upto=0, right_from=0)
 
 
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -573,8 +547,9 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
     echoed g* is the worst gap seen, so the certificate can be re-checked.
     A verified certificate is exact for a rotation coding, and for an
     oracle with tails when ``tails.covers(max_len + period, radius)`` and
-    each initial word starts in one period of both periodic tails: then
-    every gap on Z is a gap in the window.  Otherwise it is windowed.
+    the longest initial word, and so each shorter one, starts in one period
+    of both periodic tails: then every gap on Z is a gap in the window.
+    Otherwise it is windowed.
     A violating word yields a candidate refutation: heuristic in general
     (a window cannot prove non-recurrence), upgraded to exact when the
     oracle is rotation-coded and the word's locus classifies as finite or
@@ -607,18 +582,20 @@ def uniform_recurrence_certificate(oracle: SequenceOracle, max_len: int, radius:
     for length in range(1, max_len + 1):
         # the prefix occurs at h iff the shorter one does and one more symbol agrees
         occ &= window.mask(window.text[radius + length - 1]) >> (length - 1)
-        if exact and tails is not None:
-            # a start in one period of each tail: from right_from on, and
-            # among the last P whose word ends by left_upto
-            one_period = (1 << tails.period) - 1
-            exact = bool(occ >> (tails.right_from + radius) & one_period and occ >> (
-                tails.left_upto - length + 2 - tails.period + radius) & one_period)
         stats = gap_stats(occ, -radius, radius)
         if stats.worst is not None and stats.worst <= gap_bound:
             worst = max(worst, stats.worst)
         else:
             violations.append((WordPattern.contiguous(prefix[:length]), occ, stats))
     if not violations:
+        if exact and tails is not None:
+            # a start of the longest initial word in one period of each tail:
+            # from right_from on, and among the last P whose word ends by
+            # left_upto; it starts every shorter one, and a start in a tail
+            # moves by P within it
+            one_period = (1 << tails.period) - 1
+            exact = bool(occ >> (tails.right_from + radius) & one_period and occ >> (
+                tails.left_upto - max_len + 2 - tails.period + radius) & one_period)
         return RecurrenceCertificate("verified", max_len, radius, gap_bound,
                                      g_star=worst, exact=exact)
     # report the most damning violator: an unbounded or the worst statistic

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from shiftlab import rotation
 from shiftlab.cli import scenarios
 from shiftlab.cli.main import COMMANDS, build_parser, main
 from shiftlab.cli.reports import CAVEATS, weakest
@@ -916,6 +918,68 @@ def test_a_reader_that_closes_stdout_early_ends_nothing_in_a_traceback(tmp_path)
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_an_error_report_to_a_closed_stderr_keeps_its_exit_code(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    src = str(Path(scenarios.__file__).resolve().parents[2])
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "shiftlab.cli.main", "seq", "window", "--oracle",
+             str(tmp_path / "missing.yaml"), "--lo", "0", "--hi", "3"],
+            stdout=subprocess.PIPE, stderr=write_end, cwd=src, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2 and result.stdout == b""
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+def test_an_out_directory_that_cannot_be_made_exits_2_in_one_line(tmp_path, capsys, where):
+    blocker = tmp_path / "report"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker if where == "a file" else blocker / "sub"
+    assert run_cli("repro", "eqtech", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: --out {out}: ") and err.count("\n") == 1
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_a_scenario_that_is_not_utf8_exits_2_in_one_line(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("kind: oracle\nid: caf\xe9\nperiodic: \"01\"\n".encode("latin-1"))
+    assert run_cli("seq", "window", "--oracle", str(path), "--lo", "0", "--hi", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+# 0 on [0, 1/3) and at 2*alpha: the word "0" has a locus with interior and a
+# point the orbit meets at n = 2, and the witness grows two symbols each side
+MIXED_LOCUS_CODING = """\
+kind: coding
+id: mixed-locus
+alpha: sqrt(5)-2
+cells:
+  "0": {arcs: [{lo: 0, hi: 1/3}], points: [2*alpha]}
+  "1":
+    - {lo: 1/3, lo_closed: true, hi: 2*alpha, hi_closed: false}
+    - {lo: 2*alpha, lo_closed: false, hi: 1, hi_closed: false}
+"""
+
+
+@pytest.mark.parametrize("grow,code", [(1, 3), (2, 0)])
+def test_a_witness_past_the_growth_bound_exits_3_in_one_line(tmp_path, capsys, monkeypatch,
+                                                             grow, code):
+    path = tmp_path / "mixed.yaml"
+    path.write_text(MIXED_LOCUS_CODING, encoding="utf-8")
+    monkeypatch.setattr(rotation, "MAX_GROW", grow)
+    assert run_cli("rotation", "classify", "--coding", str(path), "--json") == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("bound exceeded: could not isolate") and err.count("\n") == 1
+    else:
+        assert json.loads(out)["verdict"]["witness"]["symbols"] == [0, 0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("text,message", [

@@ -20,7 +20,6 @@ from shiftlab.codes import (
     intersection_pattern_check,
     parity_code,
     search_isomorphism_code,
-    shifted_oracle,
     verify_generalized_projection,
     verify_realization,
     windowed_orbit_representatives,
@@ -31,6 +30,7 @@ from shiftlab.systems import build_orbit_system, equivariant_isomorphism
 from shiftlab.rotation import Arc, CircleIntervalSet, RotationCoding
 from shiftlab.zshift import (
     CodeImageOracle,
+    EventualTails,
     OverrideOracle,
     PeriodicOracle,
     RotationOracle,
@@ -51,6 +51,14 @@ PARITY3 = parity_code((0, 1, 2))
 
 def identity_code(alphabet):
     return BlockCode((0,), {(s,): s for s in alphabet}, tuple(alphabet))
+
+
+def shifted_oracle(oracle, t):
+    """The oracle n -> oracle(n + t), as a width-one code image."""
+    if t == 0:
+        return oracle
+    code = BlockCode((t,), {(s,): s for s in oracle.alphabet}, tuple(oracle.alphabet))
+    return CodeImageOracle(code, oracle)
 
 
 def relabel_code(mapping):
@@ -589,6 +597,19 @@ def test_a_tail_period_that_is_a_multiple_of_the_true_period():
     assert fast == slow and len(fast[0]) == 61
     assert forced_rule_calls(target, source, 2, 30) == 4 * 4
     assert_search_matches_the_scanning_oracle(target, source, 2, 3, 30)
+
+
+def test_a_depth_0_verdict_rests_on_where_the_set_thresholds_anchor_its_limits(monkeypatch):
+    # {n = 2 mod 3} has three limit phases, and two share the center word 0;
+    # the one read last represents it, and which one that is depends on where
+    # the tile is read from.  bench/reference.py anchors its limits the same
+    # way, so this verdict moves with the thresholds and no benchmark check sees it
+    code = BlockCode((0, 1), {p: int(p == (0, 1)) for p in product((0, 1), repeat=2)}, (0, 1))
+    oracle = SetOracle(aps=[(2, 3)])
+    assert oracle.tails() == EventualTails(period=3, left_upto=-6, right_from=6)
+    assert verify_generalized_projection(code, oracle, 0, 30).separates is False
+    monkeypatch.setattr(SetOracle, "tails", lambda self: EventualTails(3, -1, 1))
+    assert verify_generalized_projection(code, oracle, 0, 30).separates is True
 
 
 def test_a_repeating_source_scans_each_residue_class_once_per_offset_set():

@@ -27,6 +27,8 @@ from shiftlab.rotation import (
 )
 from shiftlab.zshift import RotationOracle, WordPattern, occurrences, uniform_recurrence_certificate
 
+from circle_reference import contains, logical_arcs, split_arcs
+
 Q = QuadraticNumber
 F = Fraction
 ALPHA = Q(-2, 1, 5)  # sqrt(5) - 2
@@ -69,27 +71,27 @@ def four_colouring():
 
 def test_normalize_keeps_plain_arc():
     s = CircleIntervalSet([arc(0, True, "1/7", False)])
-    assert len(s.arcs) == 1 and not s.points
+    assert len(split_arcs(s)) == 1 and not s.points
 
 
 def test_normalize_merges_abutting_arcs():
     s = CircleIntervalSet([arc(0, True, "1/4", True), arc("1/4", False, "1/2", False)])
-    assert len(s.arcs) == 1
-    a = s.arcs[0]
+    assert len(split_arcs(s)) == 1
+    a = split_arcs(s)[0]
     assert a.lo == Q(0) and a.hi == Q(F(1, 2)) and a.lo_closed and not a.hi_closed
 
 
 def test_normalize_splits_wraparound_but_reports_whole():
     s = CircleIntervalSet([arc("6/7", False, "1/7", False)])
-    assert len(s.arcs) == 2  # stored split at 0
-    logical = s.logical_arcs()
+    assert len(split_arcs(s)) == 2  # split at 0
+    logical = logical_arcs(s)
     assert len(logical) == 1
     assert logical[0].lo == Q(F(6, 7)) and logical[0].hi == Q(F(1, 7))
 
 
 def test_normalize_absorbs_point_into_open_endpoint():
     s = CircleIntervalSet([arc(0, True, "1/4", False)], [Q(F(1, 4))])
-    assert not s.points and s.arcs[0].hi_closed
+    assert not s.points and split_arcs(s)[0].hi_closed
 
 
 def test_normalize_degenerate_arcs():
@@ -139,7 +141,7 @@ def test_normalize_preserves_union_membership(arc_specs, point_specs, probes):
     for probe in probes:
         want = any(_raw_member(probe, *spec) for spec in arc_specs) \
             or any(probe % 1 == p % 1 for p in point_specs)
-        assert s.contains(Q(probe)) == want, (arc_specs, point_specs, probe)
+        assert contains(s, Q(probe)) == want, (arc_specs, point_specs, probe)
 
 
 @given(st.lists(raw_arcs, min_size=1, max_size=3),
@@ -152,7 +154,7 @@ def test_complement_laws_on_random_sets(arc_specs, probes):
     assert s.intersect(c).is_empty()
     assert c.complement() == s
     for probe in probes:
-        assert s.contains(Q(probe)) != c.contains(Q(probe))
+        assert contains(s, Q(probe)) != contains(c, Q(probe))
 
 
 ROOT2_ALPHA = Q(-1, 1, 2)  # sqrt(2) - 1
@@ -188,7 +190,7 @@ def _probes(values):
 @settings(max_examples=200, deadline=None)
 def test_exact_order_within_float_resolution(arc_specs, point_specs):
     s = CircleIntervalSet([Arc(*spec) for spec in arc_specs], point_specs)
-    for a, b in zip(s.arcs, s.arcs[1:]):
+    for a, b in zip(split_arcs(s), split_arcs(s)[1:]):
         # sorted, disjoint, and merged wherever they touch
         c = a.hi.compare(b.lo)
         assert c < 0 or (c == 0 and not a.hi_closed and not b.lo_closed), s
@@ -197,8 +199,8 @@ def test_exact_order_within_float_resolution(arc_specs, point_specs):
     for probe in _probes(values):
         want = any(_raw_member(probe, *spec) for spec in arc_specs) \
             or any(probe == p for p in point_specs)
-        assert s.contains(probe) == want, (arc_specs, point_specs, probe)
-        assert c.contains(probe) != want, (arc_specs, point_specs, probe)
+        assert contains(s, probe) == want, (arc_specs, point_specs, probe)
+        assert contains(c, probe) != want, (arc_specs, point_specs, probe)
 
 
 def test_complement_involution_and_disjointness():
@@ -253,10 +255,10 @@ def test_rotate_intersect_and_complement_keep_membership(first, second, t, negat
     t = -t if negate else t
     rotated, meet, rest = s.rotate(t), s.intersect(u), s.complement()
     for x in _probes(s_values + u_values):
-        assert s.contains(x) == in_s(x), (s, x)
-        assert rotated.contains(x + t) == in_s(x), (s, t, rotated, x)
-        assert meet.contains(x) == (in_s(x) and in_u(x)), (s, u, meet, x)
-        assert rest.contains(x) != in_s(x), (s, rest, x)
+        assert contains(s, x) == in_s(x), (s, x)
+        assert contains(rotated, x + t) == in_s(x), (s, t, rotated, x)
+        assert contains(meet, x) == (in_s(x) and in_u(x)), (s, u, meet, x)
+        assert contains(rest, x) != in_s(x), (s, rest, x)
 
 
 def read_back(description):
@@ -286,7 +288,7 @@ def cell_symbol(coding, n):
     Fraction arithmetic, then exact cell membership."""
     x = orbit_point(coding, n)
     for label in coding.labels():
-        if coding.cells[label].contains(x):
+        if contains(coding.cells[label], x):
             return label
     raise AssertionError(f"orbit point at n={n} ({x}) lies in no cell")
 
@@ -393,7 +395,7 @@ def per_arc_walk(coding, lo, hi):
     labels = coding.labels()
     cells = [coding.cells[label] for label in labels]
     D = math.lcm(coding.alpha.c, coding.base.c,
-                 *(e.c for cell in cells for a in cell.arcs for e in (a.lo, a.hi)),
+                 *(e.c for cell in cells for a in split_arcs(cell) for e in (a.lo, a.hi)),
                  *(p.c for cell in cells for p in cell.points))
 
     def enc(x):
@@ -402,8 +404,8 @@ def per_arc_walk(coding, lo, hi):
     d, (ap, aq), (bp, bq) = coding.alpha.d, enc(coding.alpha), enc(coding.base)
     table = []
     for label, cell in zip(labels, cells):
-        arcs = [(enc(a.lo), a.lo_closed, enc(a.hi), a.hi_closed) for a in cell.arcs]
-        seam = any(a.hi_closed and enc(a.hi) == (D, 0) for a in cell.arcs)
+        arcs = [(enc(a.lo), a.lo_closed, enc(a.hi), a.hi_closed) for a in split_arcs(cell)]
+        seam = any(a.hi_closed and enc(a.hi) == (D, 0) for a in split_arcs(cell))
         table.append((label, arcs, [enc(p) for p in cell.points], seam))
     p, q = lo * ap + bp, lo * aq + bq
     p -= quadratic_floor(p, q, D, d) * D
@@ -573,18 +575,18 @@ def test_circle_sets_are_immutable_and_still_pickle():
                                     1: CircleIntervalSet([Arc(ALPHA, False, Q(1), False)]),
                                     2: CircleIntervalSet((), [ALPHA])})
     cell = coding.cells[2]
-    for name in ("points", "arcs"):
+    for name in ("points", "cuts", "at_cut", "in_gap"):
         with pytest.raises(AttributeError):
             setattr(cell, name, ())
         with pytest.raises(AttributeError):
             delattr(cell, name)
-    assert cell.points == (ALPHA,) and not cell.arcs
+    assert cell.points == (ALPHA,) and not split_arcs(cell)
     assert coding.orbit_symbols(0, 2) == [0, 2, 1]
     assert word_locus(coding, WordPattern((0,), (2,))) == CircleIntervalSet((), [ALPHA])
     for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         for s in (cell, coding.cells[1], CircleIntervalSet()):
             twin = clone(s)
-            assert twin == s and (twin.arcs, twin.points) == (s.arcs, s.points)
+            assert twin == s and (split_arcs(twin), twin.points) == (split_arcs(s), s.points)
             with pytest.raises(AttributeError):
                 twin.points = ()
 
@@ -671,7 +673,8 @@ def test_locus_matches_windowed_occurrences_exhaustively(sturmian, four_colourin
             occ = set(occurrences(oracle, word, -2000, 2000))
             J = word_locus(coding, word)
             for h in range(-2000, 2001):
-                assert (h in occ) == J.contains(orbit_point(coding, h)), (coding.name, str(word), h)
+                assert (h in occ) == contains(J, orbit_point(coding, h)), \
+                    (coding.name, str(word), h)
 
 
 # -- word classification --------------------------------------------------------------
@@ -681,7 +684,7 @@ def longest_arc_length(s):
     if is_full_circle(s):
         return Q(1)
     # a wrapped arc has hi < lo, and its length is hi + 1 - lo
-    lengths = [a.hi - a.lo for a in s.logical_arcs()]
+    lengths = [a.hi - a.lo for a in logical_arcs(s)]
     return max((l + 1 if l.sign() < 0 else l for l in lengths), key=BY_VALUE)
 
 def test_classify_double_zero_finite_once(sturmian):
@@ -844,7 +847,7 @@ def reference_validate(alpha, cells, base):
             if not inter.is_empty():
                 raise InputError(f"cells {l1!r} and {l2!r} overlap: {inter!r}")
     union = CircleIntervalSet(
-        [a for c in cells.values() for a in c.arcs],
+        [a for c in cells.values() for a in split_arcs(c)],
         [p for c in cells.values() for p in c.points],
     )
     uncovered = union.complement()
@@ -860,7 +863,7 @@ def reference_boundary_points(cell):
     if is_full_circle(cell):
         return list(cell.points)
     out = []
-    for a in cell.logical_arcs():
+    for a in logical_arcs(cell):
         for p in (a.lo, a.hi):
             p = frac_part(p)
             if all(p != q for q in out):
@@ -886,7 +889,7 @@ def reference_boundary_hits(coding):
             continue
         adjacent = [label for label in coding.labels()
                     if any(p == q for q in boundaries[label])
-                    or coding.cells[label].contains(p)]
+                    or contains(coding.cells[label], p)]
         out.append((n, p, adjacent))
     out.sort(key=lambda t: t[0])
     return out

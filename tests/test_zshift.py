@@ -6,7 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import shiftlab
 from shiftlab.algebra import QuadraticNumber, frac_part, symbol_key
@@ -35,6 +35,8 @@ from shiftlab.zshift import (
     occurrences,
     uniform_recurrence_certificate,
 )
+
+from circle_reference import contains
 
 # pinned sets: a = 1 on {0,1,3,5,...} and b = 1 on {2,4,6,...}
 PINNED_A = SetOracle(aps=[(1, 2)], halfline=1, include=[0], op="inter")
@@ -71,7 +73,7 @@ class SpecOracle:
             return int(any(votes) != (o.op == "complement"))
         if isinstance(o, RotationOracle):
             point = frac_part(n * o.coding.alpha + o.coding.base)
-            return next(l for l in o.coding.labels() if o.coding.cells[l].contains(point))
+            return next(l for l in o.coding.labels() if contains(o.coding.cells[l], point))
         if isinstance(o, CodeImageOracle):
             return o.code.rule[tuple(self.inner.value(n + g) for g in o.code.offsets)]
         return o.patch[n] if n in o.patch else self.inner.value(n)
@@ -764,6 +766,7 @@ def test_rotation_certificate_inconclusive_when_backend_proves_syndetic():
     (SetOracle(halfline=100_000), 1000, False),  # the tails lie past the window
     (SetOracle(halfline=11, op="complement"), 1000, False),  # 1 is never in the right tail
     (SetOracle(halfline=-10), 1000, False),  # 1 is never in the left tail
+    (PeriodicOracle("0101"), 7, True),  # covers with the least period 2, not the word's 4
 ])
 def test_a_verified_certificate_is_exact_only_when_its_window_holds_every_gap(
         oracle, radius, exact):
@@ -808,6 +811,44 @@ def test_tails_describe_true_eventual_periodicity(oracle):
         assert oracle.value(n + t.period) == oracle.value(n)
     for n in range(t.left_upto - 3 * t.period, t.left_upto + 1):
         assert oracle.value(n - t.period) == oracle.value(n)
+
+
+@pytest.mark.parametrize("word,period", [
+    ("0101", 2), ("0", 1), ("000", 1), ((0, 1, 1), 3), ((1, 0) * 3, 2), ("ababa", 5),
+    ((0, "0", 0, "0"), 2),
+])
+def test_a_periodic_word_reports_its_least_period(word, period):
+    assert PeriodicOracle(word).tails() == EventualTails(period, left_upto=0, right_from=0)
+
+
+def _identity_at(offset):
+    return BlockCode((offset,), {(0,): 0, (1,): 1}, (0, 1))
+
+
+@given(nested_oracles())
+# a code's offsets move its inner thresholds, which for these sets have
+# less slack (period + 1 = 2) than the offset
+@example(CodeImageOracle(_identity_at(-3), SetOracle(halfline=10)))
+@example(CodeImageOracle(_identity_at(3), SetOracle(halfline=-10)))
+@example(OverrideOracle(PeriodicOracle("01"), {-5: 1, 7: 0}))
+@settings(max_examples=150, deadline=None)
+def test_tails_hold_at_both_thresholds_and_far_out(oracle):
+    # value(n + P) == value(n) from right_from on and value(n - P) == value(n)
+    # up to left_upto, read by the brute-force reference, for every oracle kind
+    tails = oracle.tails()
+    assume(tails is not None)
+    spec, period = SpecOracle(oracle), tails.period
+    assert period >= 1 and tails.left_upto <= tails.right_from
+    for start in (tails.right_from, 10**6 - period, 10**6):
+        assert spec.window(start, start + 2 * period - 1) == \
+            spec.window(start + period, start + 3 * period - 1)
+    for end in (tails.left_upto, -10**6 + period, -10**6):
+        assert spec.window(end - 2 * period + 1, end) == \
+            spec.window(end - 3 * period + 1, end - period)
+    if isinstance(oracle, PeriodicOracle):
+        word = list(oracle.word)
+        assert word == word[period:] + word[:period] and not any(
+            word == word[p:] + word[:p] for p in range(1, period))
 
 
 def test_set_oracle_validation():
