@@ -70,11 +70,14 @@ def _first_return(R: CandidateSet, oracle: SequenceOracle, radius: int, colours)
     """The scan of both checks: the oracle is read once as a digit string,
     and each (g, colour), g in increasing order and colours in the given
     order, is one ``starts`` mask of the word (colour, colour) at (0, g).
-    Only when every mask is empty does ``absent`` decide if the miss is exact."""
+    Only when every mask is empty does ``absent`` decide if the miss is exact.
+    An empty candidate set, which no scan could answer, is an InputError."""
     if radius < 0:
         raise InputError(f"scan radius must be non-negative, got {radius}")
-    lo = -radius + min(0, min(R.elements, default=0))
-    hi = radius + max(0, max(R.elements, default=0))
+    if not R.elements:
+        raise InputError("candidate set must be nonempty")
+    lo = -radius + min(0, *R.elements)
+    hi = radius + max(0, *R.elements)
     window = _EncodedWindow(oracle, lo, hi)
     for g in R.elements:
         for colour in colours:
@@ -146,7 +149,7 @@ def eqtech_search(S, support_bound: int, search_bound: int | None = None) -> Eqt
     z3b_f(a * (c*x)^-1 * b) for every a, b in S.  Pairs are scanned by
     total support size, then lexicographically, as integer pairs (r, support
     bitmask); the first hit returns with the full (a, b) verification
-    transcript.  A negative search bound is an InputError.
+    transcript.  A negative search bound and an empty S are InputErrors.
     """
     if search_bound is None:
         search_bound = support_bound
@@ -155,6 +158,8 @@ def eqtech_search(S, support_bound: int, search_bound: int | None = None) -> Eqt
     if search_bound > EQTECH_SUPPORT_CAP:
         raise BoundsExceededError(f"search bound {search_bound} exceeds {EQTECH_SUPPORT_CAP}")
     S = list(S)
+    if not S:
+        raise InputError("the context S must be nonempty")
     if any(max(a.support, default=0) > support_bound for a in S):
         raise InputError("an element of S has support beyond the stated bound")
     by_size = {}

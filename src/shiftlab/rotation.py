@@ -12,10 +12,13 @@ A circle set is a breakpoint table: its cuts, sorted in [0, 1), one flag
 per cut and one flag per open gap up to the next cut, where the last gap
 runs through 0 to the first cut.  A cut is kept only where membership
 changes, so equal sets have equal tables, and 0 is a point like any
-other.  Complement flips the flags, intersection merges the cut lists and
-ANDs the flags, and rotation moves every cut and restarts the list at the
-least one.  A coding's partition is a table of the same kind, with a label
-where a set has a flag.
+other.  Complement flips the flags, and rotation moves every cut and
+restarts the list at the least one.  A coding's partition is a table of
+the same kind, with a label where a set has a flag.  One merge walks two
+tables in cut order and combines their flags at every cut and in every
+gap: it builds a set as the union of one small table per arc or point,
+intersects two sets, and folds a coding's cells into its partition, where
+a slot that two cells claim is an overlap.
 
 A long coded window is read in blocks.  For an even-index convergent P/Q of
 alpha, eps = Q*alpha - P is positive and x_(n+Q) = x_n + eps.  The Q points
@@ -38,8 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cmp_to_key
-from operator import attrgetter
+from operator import and_, or_
 from types import MappingProxyType
 
 from .algebra import QuadraticNumber, _reduced, frac_part, quadratic_floor, quadratic_sign, \
@@ -51,10 +53,6 @@ Q1 = QuadraticNumber(1)
 # how far a minimality witness with a mixed locus is grown on each side
 MAX_GROW = 64
 
-# the exact order of values, and a key by integers: hashing a rational value
-# would build a Fraction
-_BY_VALUE = cmp_to_key(lambda x, y: x.compare(y))
-_key = attrgetter("a", "b", "c", "d")
 _set = object.__setattr__
 
 
@@ -97,14 +95,27 @@ class WordPattern:
         return "".join(map(str, self.symbols)) + ";" + ",".join(map(str, self.offsets))
 
 
-def _span(i, k, m):
-    """The open arc from cut i to cut k of a table of m cuts, as index lists.
+def _merge(a, b, both):
+    """Two breakpoint tables (cuts, cut flags, gap flags) merged in one pass.
 
-    It holds the gaps i, ..., k - 1 and the cuts i + 1, ..., k - 1, counted
-    cyclically; from a cut to itself it is the whole circle but that cut.
+    The cuts are those of either table, in order, and at every cut and in
+    every gap the flag is ``both`` of the two tables' flags there: a cut of
+    one table lies in the other's gap before its next cut.  Returned as
+    lists, with every cut kept.
     """
-    gaps = [(i + s) % m for s in range((k - i) % m or m)]
-    return gaps, gaps[1:]
+    (xs, x_at, x_gap), (ys, y_at, y_gap) = a, b
+    cuts, at_cut, in_gap = [], [], []
+    i = j = 0
+    m, n = len(xs), len(ys)
+    while i < m or j < n:
+        c = -1 if j == n else 1 if i == m else xs[i].compare(ys[j])
+        at_cut.append(both(x_at[i] if c <= 0 else x_gap[i - 1],
+                           y_at[j] if c >= 0 else y_gap[j - 1]))
+        cuts.append(xs[i] if c <= 0 else ys[j])
+        i += c <= 0
+        j += c >= 0
+        in_gap.append(both(x_gap[i - 1], y_gap[j - 1]))
+    return cuts, at_cut, in_gap or [both(x_gap[0], y_gap[0])]
 
 
 class CircleIntervalSet:
@@ -129,34 +140,26 @@ class CircleIntervalSet:
         with both flags closed is a single point, and with an open flag the
         arc is empty.
         """
-        spans, singles = [], [frac_part(p) for p in points]
+        table = (), (), (False,)
         for a in arcs:
             if not isinstance(a, Arc):
                 a = Arc(*a)
             lo, hi = frac_part(a.lo), frac_part(a.hi)
-            if lo != hi or a.hi == Q1:
-                spans.append((lo, a.lo_closed, hi, a.hi_closed))
+            c = lo.compare(hi)
+            if c < 0:
+                piece = (lo, hi), (a.lo_closed, a.hi_closed), (True, False)
+            elif c > 0:
+                piece = (hi, lo), (a.hi_closed, a.lo_closed), (False, True)
+            elif a.hi == Q1:
+                piece = (lo,), (a.lo_closed or a.hi_closed,), (True,)
             elif a.lo_closed and a.hi_closed:
-                singles.append(lo)
-        ends = [x for s in spans for x in (s[0], s[2])] + singles
-        cuts = sorted({_key(x): x for x in ends}.values(), key=_BY_VALUE)
-        index = {_key(x): j for j, x in enumerate(cuts)}
-        m = len(cuts)
-        at_cut, in_gap = [False] * m, [False] * max(m, 1)
-        for lo, lo_closed, hi, hi_closed in spans:
-            i, k = index[_key(lo)], index[_key(hi)]
-            gaps, inside = _span(i, k, m)
-            for j in gaps:
-                in_gap[j] = True
-            for j in inside:
-                at_cut[j] = True
-            if lo_closed:
-                at_cut[i] = True
-            if hi_closed:
-                at_cut[k] = True
-        for x in singles:
-            at_cut[index[_key(x)]] = True
-        _store(self, cuts, at_cut, in_gap)
+                piece = (lo,), (True,), (False,)
+            else:
+                continue
+            table = _merge(table, piece, or_)
+        for p in points:
+            table = _merge(table, ((frac_part(p),), (True,), (False,)), or_)
+        _store(self, *table)
 
     def __setattr__(self, *a):
         raise AttributeError("CircleIntervalSet is immutable")
@@ -191,19 +194,8 @@ class CircleIntervalSet:
                            [not f for f in self.in_gap])
 
     def intersect(self, other: "CircleIntervalSet") -> "CircleIntervalSet":
-        xs, ys = self.cuts, other.cuts
-        cuts, at_cut, in_gap = [], [], []
-        i = j = 0
-        while i < len(xs) or j < len(ys):
-            c = -1 if j == len(ys) else 1 if i == len(xs) else xs[i].compare(ys[j])
-            # a cut of one set only lies in the other's gap before its next cut
-            at_cut.append((self.at_cut[i] if c <= 0 else self.in_gap[i - 1])
-                          and (other.at_cut[j] if c >= 0 else other.in_gap[j - 1]))
-            cuts.append(xs[i] if c <= 0 else ys[j])
-            i += c <= 0
-            j += c >= 0
-            in_gap.append(self.in_gap[i - 1] and other.in_gap[j - 1])
-        return _from_table(cuts, at_cut, in_gap or [self.in_gap[0] and other.in_gap[0]])
+        return _from_table(*_merge((self.cuts, self.at_cut, self.in_gap),
+                                   (other.cuts, other.at_cut, other.in_gap), and_))
 
     def rotate(self, t: QuadraticNumber) -> "CircleIntervalSet":
         """The set translated by t on the circle."""
@@ -332,55 +324,38 @@ class RotationCoding:
     def _integer_form(self):
         """Integer form of the coding over a common denominator, as a breakpoint table.
 
-        Every relevant value (a + b*sqrt(d))/c is rescaled to D = lcm of all
-        the c's, as the integer pair (a*D/c, b*D/c).  The breakpoints are 0
-        and every cut of every cell, sorted by exact sign tests and closed by
-        the sentinel (D, 0) for the seam.  Each breakpoint gets the label of
-        the cell holding it, and so does each open gap up to the next
-        breakpoint, read off the cells' own tables; None marks a point or gap
-        no cell holds, and one that two cells claim is an InputError.  This
-        is the coding's one description of its partition: ``validate`` builds
+        The cells are folded, in ``labels()`` order, into one table of
+        labels seeded with the cut 0, by one ``_merge`` each, in which the
+        cell's flags claim their slots.  Each step scans the merged table
+        from 0, a cut before the gap after it, and the first slot that two
+        cells claim is an InputError; None marks a point or gap no cell
+        holds.  Every relevant value (a + b*sqrt(d))/c is then rescaled to
+        D = lcm of all the c's, as the integer pair (a*D/c, b*D/c), and the
+        breakpoints are closed by the sentinel (D, 0) for the seam.  This is
+        the coding's one description of its partition: ``validate`` builds
         it once and keeps it as ``_table``, which every later question reads.
         """
-        labels = self.labels()
-        cells = [self.cells[label] for label in labels]
-        D = math.lcm(self.alpha.c, self.base.c, *(x.c for cell in cells for x in cell.cuts))
+        cuts, at_point, in_gap = [Q0], [None], [None]
+        for label in self.labels():
+            cell = self.cells[label]
+            cuts, at_point, in_gap = _merge((cuts, at_point, in_gap),
+                                            (cell.cuts, cell.at_cut, cell.in_gap),
+                                            lambda held, claimed: (held, claimed))
+            for j, x in enumerate(cuts):
+                for slots, where in ((at_point, "at"), (in_gap, "on the gap after")):
+                    held, claimed = slots[j]
+                    if claimed and held is not None:
+                        raise InputError(f"cells {held!r} and {label!r} overlap {where} {x}")
+                    slots[j] = label if claimed else held
+        D = math.lcm(self.alpha.c, self.base.c, *(x.c for x in cuts))
         d = self.alpha.d
 
         def enc(x):
             k = D // x.c
             return (x.a * k, x.b * k)
 
-        # a cell with no cut is read as cut at 0, with its one flag on both sides
-        tables = [(label, [enc(x) for x in cell.cuts] or [(0, 0)],
-                   cell.at_cut or cell.in_gap, cell.in_gap)
-                  for label, cell in zip(labels, cells)]
-        cuts = sorted({(0, 0), *(x for table in tables for x in table[1])}, key=cmp_to_key(
-            lambda x, y: quadratic_sign(x[0] - y[0], x[1] - y[1], d)))
-        m = len(cuts)
-        index = {x: k for k, x in enumerate(cuts)}
-        at_point, in_gap = [None] * m, [None] * m
-
-        def claim(slots, j, label):
-            if slots[j] is not None:
-                where = "on the gap after" if slots is in_gap else "at"
-                raise InputError(f"cells {slots[j]!r} and {label!r} overlap {where} "
-                                 f"{_reduced(*cuts[j], D, d)}")
-            slots[j] = label
-
-        for label, own, at_cut, gap in tables:
-            own = [index[x] for x in own]
-            for j, i in enumerate(own):
-                if at_cut[j]:
-                    claim(at_point, i, label)
-                if gap[j]:
-                    gaps, inside = _span(i, own[(j + 1) % len(own)], m)
-                    for k in gaps:
-                        claim(in_gap, k, label)
-                    for k in inside:
-                        claim(at_point, k, label)
-        return (D, d, enc(self.alpha), enc(self.base), (*cuts, (D, 0)), tuple(at_point),
-                tuple(in_gap))
+        return (D, d, enc(self.alpha), enc(self.base), (*map(enc, cuts), (D, 0)),
+                tuple(at_point), tuple(in_gap))
 
     def orbit_symbols(self, lo: int, hi: int):
         """Exact coded symbols for n = lo..hi: an orbit walk, then block copies.

@@ -362,23 +362,6 @@ def construct_phi_R(S: FiniteSystem, f) -> PhiRResult:
     return PhiRResult(mapping=mapping, target=target, injective=injective, surjective=True)
 
 
-def product_flip_extension(G: FiniteGroup, f) -> FiniteSystem:
-    """X_{R,f} x {0,1} with the observable lifted through the projection.
-
-    The two-point factor is untouched by the action, so the canonical map
-    back onto the orbit system of f is surjective but never injective: the
-    standard desk-scale example of a generalised system that only factors.
-    """
-    inner = build_orbit_system(G, f, "R")
-    # point (p_i, bit) has index 2*i + bit
-    points = [(p, bit) for p in inner.points for bit in (0, 1)]
-    act = [[2 * row[i] + bit for i in range(len(inner.points)) for bit in (0, 1)]
-           for row in inner.act]
-    observable = [p[G.identity] for (p, bit) in points]
-    return FiniteSystem(group=G, points=points, act=act, base=2 * inner.base,
-                        observable=observable, action_kind="action")
-
-
 # -- Dedekind dichotomy -------------------------------------------------------
 
 def dedekind_witness_function(G: FiniteGroup):

@@ -43,7 +43,6 @@ from shiftlab.systems import (
     equivariant_isomorphism,
     is_furstenberg_system_of,
     phi_dedekind,
-    product_flip_extension,
     set_partitions,
 )
 from shiftlab.zshift import (
@@ -66,6 +65,7 @@ from shiftlab.cli.repro import (
 )
 
 from circle_reference import contains
+from systems_reference import product_flip_extension
 
 CATALOG = catalog()
 

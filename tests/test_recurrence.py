@@ -86,6 +86,14 @@ def test_negative_radius_rejected(check):
         check(CandidateSet.integers([1]), EVENS, -1)
 
 
+@pytest.mark.parametrize("check", [chromatic_recurrence_check, syndetic_return_check])
+def test_empty_candidate_set_rejected(check):
+    # an empty R has no step to return under: a miss over it would be vacuous
+    with pytest.raises(InputError) as caught:
+        check(CandidateSet.integers([]), EVENS, 8)
+    assert str(caught.value) == "candidate set must be nonempty"
+
+
 # -- syndetic returns -------------------------------------------------------------
 
 def test_rotation_set_one_third_returns_under_step_one():
@@ -226,6 +234,10 @@ def scan_oracles(draw, depth=2):
 def test_return_checks_match_the_position_scan(oracle, steps, radius, syndetic):
     R = CandidateSet.integers(steps)
     check = syndetic_return_check if syndetic else chromatic_recurrence_check
+    if not steps:
+        with pytest.raises(InputError):
+            check(R, oracle, radius)
+        return
     got = check(R, oracle, radius)
     assert got.describe() == scan_reference(R, oracle, radius, syndetic).describe()
 
@@ -318,6 +330,13 @@ def test_eqtech_bounds():
         eqtech_search([Z3B_IDENTITY], 8, search_bound=13)
     with pytest.raises(InputError):
         eqtech_search([z3b(0, {9})], 8)
+
+
+def test_eqtech_rejects_an_empty_context():
+    # with no (a, b) to check, any separating pair would pass vacuously
+    with pytest.raises(InputError) as caught:
+        eqtech_search([], 8)
+    assert str(caught.value) == "the context S must be nonempty"
 
 
 def eqtech_by_full_enumeration(S, search_bound):

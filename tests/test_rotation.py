@@ -625,6 +625,17 @@ def test_overlapping_cells_rejected():
             0: CircleIntervalSet([arc(0, True, "1/2", True)]),
             1: CircleIntervalSet([arc("1/2", True, 1, False)]),
         })
+    # an overlap is named at its first slot from 0, a cut before the gap after it
+    for cells, message in (
+        ({0: arc("1/3", True, "1/2", True), 1: arc("1/4", True, "3/4", False)},
+         "cells 0 and 1 overlap at 1/3"),
+        # the cells meet only in the last gap, from 3/4 up to the seam; cell 1 wraps through 0
+        ({0: arc("2/3", False, 1, False), 1: arc("3/4", False, "1/4", False)},
+         "cells 0 and 1 overlap on the gap after 3/4"),
+    ):
+        with pytest.raises(InputError) as caught:
+            RotationCoding(ALPHA, {label: CircleIntervalSet([a]) for label, a in cells.items()})
+        assert str(caught.value) == message
 
 
 def test_uncovered_arc_rejected():
@@ -639,6 +650,53 @@ def test_uncovered_hit_point_rejected():
             0: CircleIntervalSet([Arc(Q(0), True, ALPHA, False)]),
             1: CircleIntervalSet([Arc(ALPHA, False, Q(1), False)]),
         })
+
+
+@st.composite
+def seeded_codings(draw):
+    """A coding cut at k/12 and at multiples of alpha, with 2-3 labels.
+
+    Each gap between neighbouring cuts takes a drawn label, and each cut
+    closes the arc on its left, the arc on its right, or is a point of a
+    drawn label of its own."""
+    alpha = draw(st.sampled_from((ALPHA, ROOT2_ALPHA)))
+    cuts = []
+    for _ in range(draw(st.integers(2, 5))):
+        if draw(st.booleans()):
+            cut = Q(F(draw(st.integers(0, 11)), 12))
+        else:
+            cut = frac_part(draw(st.integers(-4, 4)) * alpha)
+        if all(cut != other for other in cuts):
+            cuts.append(cut)
+    assume(len(cuts) >= 2)
+    cuts.sort(key=BY_VALUE)
+    labels = range(draw(st.integers(2, 3)))
+    m = len(cuts)
+    owner = [draw(st.sampled_from(("left", "right", "point"))) for _ in range(m)]
+    arcs, points = {label: [] for label in labels}, {label: [] for label in labels}
+    for i in range(m):
+        arcs[draw(st.sampled_from(labels))].append(
+            Arc(cuts[i], owner[i] == "right", cuts[(i + 1) % m], owner[(i + 1) % m] == "left"))
+        if owner[i] == "point":
+            points[draw(st.sampled_from(labels))].append(cuts[i])
+    return RotationCoding(alpha, {label: CircleIntervalSet(arcs[label], points[label])
+                                  for label in labels})
+
+
+@given(seeded_codings())
+@settings(max_examples=150, deadline=None)
+def test_partition_table_labels_each_slot_with_the_cell_holding_it(coding):
+    D, d, _, _, cuts, at_point, in_gap = coding._table
+    values = [Q(F(p, D), F(q, D), d) for p, q in cuts]  # the last is the seam, 1
+
+    def holder(x):
+        (label,) = [label for label in coding.labels() if contains(coding.cells[label], x)]
+        return label
+
+    assert len(at_point) == len(in_gap) == len(values) - 1
+    for j, label in enumerate(at_point):
+        assert holder(values[j]) == label
+        assert holder((values[j] + values[j + 1]) * F(1, 2)) == in_gap[j]
 
 
 # -- word loci -----------------------------------------------------------------------

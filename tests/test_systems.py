@@ -24,10 +24,11 @@ from shiftlab.systems import (
     equivariant_isomorphism,
     is_furstenberg_system_of,
     phi_dedekind,
-    product_flip_extension,
     set_partitions,
     shift,
 )
+
+from systems_reference import product_flip_extension
 
 CATALOG = catalog()
 Z4 = CATALOG["z4"]
